@@ -44,7 +44,6 @@ from .measure import (
 from .zielonka import (
     AttractorResult,
     RecursionDepthExceeded,
-    SolveTrace,
     attractor,
     classic_parity,
     is_trap,
@@ -95,7 +94,6 @@ __all__ = [
     "RecursionDepthExceeded",
     "SetSpace",
     "SolveReport",
-    "SolveTrace",
     "SqrtPolicy",
     "Strategy",
     "StrategyLeavesW",

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import ParityGame, normalize_priorities, Player
-from .measure import _pm_run
+from .measure import _env_trace, _pm_run
 from .sets import SetSpace
-from .zielonka import _solve
+from .zielonka import RecursionDepthExceeded, _report, _solve
 
 
 def gamma(c: int) -> Fraction:
@@ -87,35 +87,17 @@ def _ceil_sqrt(x: int) -> int:
     return r + 1
 
 
-class _Level:
-    __slots__ = ("n_start", "passes")
-
-    def __init__(self, n_start: int):
-        self.n_start = n_start
-        self.passes: list[tuple[int | None, int]] = []
-
-
-class _LevelSink:
-    def __init__(self):
-        self.levels: list[_Level] = []
-
-    def enter(self, n_start: int) -> _Level:
-        level = _Level(n_start)
-        self.levels.append(level)
-        return level
-
-
-def removal_violations(sink: _LevelSink) -> list[str]:
+def removal_violations(levels: list[dict]) -> list[str]:
     """Check the per-level schedule facts the acceleration relies on.
 
     In each level, every dominion-assisted pass but the last must remove at
     least h+2 vertices, and the number of assisted passes is capped by
     n_start/(h_min+2) + 1. Passes without a dominion call (fewer than three
-    priorities left) are exempt.
+    priorities left) are exempt. `levels` is the list `_solve` fills as `level_sink`.
     """
     problems = []
-    for idx, level in enumerate(sink.levels):
-        assisted = [(i, h, removed) for i, (h, removed) in enumerate(level.passes) if h is not None]
+    for idx, level in enumerate(levels):
+        assisted = [(i, h, removed) for i, (h, removed) in enumerate(level["passes"]) if h is not None]
         if not assisted:
             continue
         last_assisted = assisted[-1][0]
@@ -125,7 +107,7 @@ def removal_violations(sink: _LevelSink) -> list[str]:
                     f"level {idx}: pass {i} removed {removed} < h+2 = {h + 2}"
                 )
         h_min = min(h for _, h, _ in assisted)
-        cap = level.n_start // (h_min + 2) + 1
+        cap = level["n_start"] // (h_min + 2) + 1
         if len(assisted) > cap:
             problems.append(
                 f"level {idx}: {len(assisted)} assisted passes exceed cap {cap}"
@@ -140,14 +122,15 @@ def symbolic_big_step(
     backend: str = "bits",
     check_invariants: bool = False,
 ) -> "SolveReport":
-    from .report import SolveReport
-
+    """Big-step solve; PARITY_TRACE=1 streams every dominion run to stderr.
+    Past Python's recursion limit it raises RecursionDepthExceeded."""
     norm, _ = normalize_priorities(game)
     started = time.perf_counter()
     space = SetSpace(norm, backend=backend)
     n0 = norm.vertex_count
-    sink = _LevelSink()
+    levels: list[dict] = []
     pm_stats: list[dict] = []
+    trace = _env_trace()
 
     def hook(space_, live, op, c_level):
         n_live = live.count()
@@ -159,6 +142,7 @@ def symbolic_big_step(
             bound=h,
             swap=(op is Player.ODD),
             check_invariants=check_invariants,
+            trace=trace,
         )
         after = space_.counters
         pm_stats.append(
@@ -180,40 +164,18 @@ def symbolic_big_step(
         return run.winning, dom_choices, h
 
     max_depth = norm.priority_count + 2
-    w_even, w_odd, ce, co = _solve(
-        norm, space, space.copy(space.full), 0, max_depth, strategies, hook, sink
-    )
-    elapsed = time.perf_counter() - started
-    from .zielonka import SolveTrace
-
-    trace = None
-    strategy_even = strategy_odd = None
-    if strategies:
-        trace = SolveTrace(
-            winning_even_ids=frozenset(w_even.ids()),
-            winning_odd_ids=frozenset(w_odd.ids()),
-            choices_even=ce,
-            choices_odd=co,
+    try:
+        solved = _solve(
+            norm, space, space.copy(space.full), 0, max_depth, strategies, hook, levels
         )
-        from .strategy import extract_attractor_strategies
-
-        strategy_even, strategy_odd = extract_attractor_strategies(norm, trace)
-    return SolveReport(
-        winning_even=w_even,
-        winning_odd=w_odd,
-        counters=space.counters,
-        algorithm="bigstep",
-        wall_time=elapsed,
-        game=norm,
-        strategy_even=strategy_even,
-        strategy_odd=strategy_odd,
-        trace=trace,
-        diagnostics={
-            "policy": str(policy),
-            "levels": [
-                {"n_start": lv.n_start, "passes": list(lv.passes)} for lv in sink.levels
-            ],
-            "violations": removal_violations(sink),
-            "pm_runs": pm_stats,
-        },
-    )
+    except RecursionError as exc:
+        raise RecursionDepthExceeded(
+            f"{norm.priority_count} priorities nest deeper than Python's stack allows"
+        ) from exc
+    diagnostics = {
+        "policy": str(policy),
+        "levels": levels,
+        "violations": removal_violations(levels),
+        "pm_runs": pm_stats,
+    }
+    return _report(norm, space, started, "bigstep", solved, strategies, diagnostics)

@@ -3,8 +3,9 @@
 Verbs: solve (print a solution), stats (structured counters), dominion
 (bounded dominion search), verify (check a solution file against a fresh
 solve), gen (seeded random game). Exit codes: 0 fine, 1 verification
-disagreement, 2 parse or usage trouble. Set PARITY_TRACE=1 to stream the
-measure iteration to stderr.
+disagreement, 2 parse or usage trouble, or a game whose priorities nest
+deeper than the recursive solvers can go. Set PARITY_TRACE=1 to stream the
+measure iteration to stderr (for bigstep, that of every dominion run).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .game import GameError, ParityGame, Player
 from .measure import solve_pm_symbolic, symbolic_parity_dominion
 from .pgsolver import ParseError, emit_pgsolver, emit_solution, parse_pgsolver, parse_solution
 from .strategy import Strategy, verify_strategy
-from .zielonka import classic_parity
+from .zielonka import RecursionDepthExceeded, classic_parity
 from .generate import gen_random
 
 
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GameError, OSError) as exc:
+    except (ParseError, GameError, OSError, RecursionDepthExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,11 +32,19 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .explicit import lift_fixpoint
-from .game import ParityGame, Player, normalize_priorities
+from .explicit import lift_fixpoint, lift_rank
+from .game import (
+    NotClosed,
+    ParityGame,
+    Player,
+    normalize_priorities,
+    subgame,
+    swap_roles_increment,
+)
 from .ranks import TOP, RankDomain
 from .sets import SetSpace, VertexSet
 
@@ -62,33 +70,23 @@ class _View:
         # The view's odd player forces ranks up; under a swap that role is
         # played by the game's even player.
         self.odd_role = Player.EVEN if swap else Player.ODD
-        base_c = len(space.priority_sets)
-        present = -1
-        for i in range(base_c - 1, -1, -1):
-            cls = space.priority_sets[i]
-            if any(universe.contains(v) for v in space.raw_ids(cls)):
-                present = i
-                break
-        self.c = (present + 1 + (1 if swap else 0)) if present >= 0 else 0
+        # View priority = game priority + shift.
+        self.shift = 1 if swap else 0
+        # One uncounted pass over the universe gives the view's priority
+        # count and, per odd view priority, its counter cap.
+        priority = space.game.priority
+        counts = Counter(priority[v] for v in space.raw_ids(universe))
+        self.c = max(counts) + 1 + self.shift if counts else 0
+        self.caps = tuple(counts[2 * p + 1 - self.shift] for p in range(self.c // 2))
 
     def class_at(self, level: int) -> VertexSet | None:
-        base = level - 1 if self.swap else level
+        base = level - self.shift
         if base < 0 or base >= len(self.space.priority_sets):
             return None
         return self.space.priority_sets[base]
 
     def priority_of(self, v: int) -> int:
-        return self.space.game.priority[v] + (1 if self.swap else 0)
-
-    def cap_at(self, position: int) -> int:
-        cls = self.class_at(2 * position + 1)
-        if cls is None:
-            return 0
-        return sum(1 for v in self.space.raw_ids(cls) if self.universe.contains(v))
-
-    def domain(self, bound: int | None) -> RankDomain:
-        caps = tuple(self.cap_at(p) for p in range(self.c // 2))
-        return RankDomain(c=self.c, caps=caps, bound=bound)
+        return self.space.game.priority[v] + self.shift
 
 
 # -- Rank-state encodings ---------------------------------------------------------
@@ -292,47 +290,37 @@ class LinearSpaceState:
 class _InvariantChecker:
     """Boundary checks against the explicit solver on the same view.
 
-    All reads go through raw membership, never counted operations, so debug
-    runs report the same operation counts as plain runs.
+    The oracle is the explicit least fixpoint on the view's game: the
+    universe's subgame, role-swapped under a swapped view. All reads go
+    through raw membership, never counted operations, so debug runs report
+    the same operation counts as plain runs.
     """
 
     def __init__(self, view: _View, domain: RankDomain):
-        self.view = view
         self.domain = domain
-        game = view.space.game
-        self.ids = [v for v in view.space.raw_ids(view.universe)]
-        index = {v: i for i, v in enumerate(self.ids)}
-        owners = []
-        priorities = []
-        succs = []
-        for v in self.ids:
-            o = game.owner[v]
-            owners.append(o.opponent() if view.swap else o)
-            priorities.append(view.priority_of(v))
-            inside = [index[w] for w in game.successors[v] if w in index]
-            if not inside:
-                raise PreconditionViolated(f"universe not closed at vertex {v}")
-            succs.append(inside)
-        self.owners = owners
-        self.priorities = priorities
-        self.succs = succs
-        self.index = index
-        self.oracle, _ = lift_fixpoint(owners, priorities, succs, domain)
+        try:
+            game, self.ids = subgame(view.space.game, view.space.raw_ids(view.universe))
+        except NotClosed as exc:
+            raise PreconditionViolated(f"universe not closed at vertex {exc.vertex}") from exc
+        self.game = swap_roles_increment(game) if view.swap else game
+        self.oracle, _ = lift_fixpoint(
+            self.game.owner, self.game.priority, self.game.successors, domain
+        )
 
     def boundary(self, state, processed_rank, next_rank, rolled_back) -> None:
         domain = self.domain
-        ranks = {}
+        # Ranks by subgame position: position i is vertex self.ids[i].
+        ranks = []
         for v in self.ids:
             rv = state.raw_rank_of(v)
             if rv is None:
                 raise InvariantViolation(f"vertex {v} lost from the rank state")
-            ranks[v] = rv
+            ranks.append(rv)
         # Never above the explicit least fixpoint.
-        for v in self.ids:
-            if domain.compare(ranks[v], self.oracle[self.index[v]]) > 0:
+        for v, rank, bound in zip(self.ids, ranks, self.oracle):
+            if domain.compare(rank, bound) > 0:
                 raise InvariantViolation(
-                    f"vertex {v} ranked {ranks[v]} above the explicit fixpoint "
-                    f"{self.oracle[self.index[v]]}"
+                    f"vertex {v} ranked {rank} above the explicit fixpoint {bound}"
                 )
         # The family is anti-monotone / the coordinates partition the universe.
         if state.kind == "direct":
@@ -343,39 +331,24 @@ class _InvariantChecker:
                     raise InvariantViolation(f"family not anti-monotone at {r}")
                 prev = cur
         else:
-            top_ids = frozenset(state.space.raw_ids(state.top))
-            rest = frozenset(self.ids) - top_ids
+            rest = sorted(frozenset(self.ids) - frozenset(state.space.raw_ids(state.top)))
             for p, row in enumerate(state.coordinate):
-                seen: set[int] = set()
-                total = 0
-                for cell in row:
-                    cell_ids = state.space.raw_ids(cell)
-                    total += len(cell_ids)
-                    seen.update(cell_ids)
-                if seen != rest or total != len(rest):
+                # Each vertex below TOP sits in exactly one cell of the row.
+                if sorted(v for cell in row for v in state.space.raw_ids(cell)) != rest:
                     raise InvariantViolation(f"coordinate {p} does not partition")
         # Closure: between iterations every vertex either lifts at least to
         # the rank about to be processed or already sits at a lift fixpoint.
         # The stronger point check (everything lifting exactly to the
         # processed rank is in its set) only holds when the iteration did not
         # roll back; a roll-back revisits those ranks with the grown sets.
-        for v in self.ids:
-            i = self.index[v]
-            succ_ranks = [ranks[self.ids[j]] for j in self.succs[i]]
-            pick = succ_ranks[0]
-            for r in succ_ranks[1:]:
-                sign = domain.compare(r, pick)
-                if (self.owners[i] is Player.EVEN and sign < 0) or (
-                    self.owners[i] is Player.ODD and sign > 0
-                ):
-                    pick = r
-            lifted = domain.incr_at(pick, self.priorities[i])
-            at_fixpoint = domain.compare(lifted, ranks[v]) == 0
+        for i, v in enumerate(self.ids):
+            lifted = lift_rank(self.game, domain, ranks, i)
+            at_fixpoint = domain.compare(lifted, ranks[i]) == 0
             if next_rank is None:
                 if not at_fixpoint:
                     raise InvariantViolation(
                         f"terminated while vertex {v} still lifts from "
-                        f"{ranks[v]} to {lifted}"
+                        f"{ranks[i]} to {lifted}"
                     )
                 continue
             if not at_fixpoint and domain.compare(lifted, next_rank) < 0:
@@ -386,7 +359,7 @@ class _InvariantChecker:
             if (
                 not rolled_back
                 and domain.compare(lifted, processed_rank) == 0
-                and domain.compare(ranks[v], processed_rank) < 0
+                and domain.compare(ranks[i], processed_rank) < 0
             ):
                 raise InvariantViolation(
                     f"vertex {v} lifts to {processed_rank} but is not in its set"
@@ -417,7 +390,7 @@ def _pm_run(
     keep_trace: bool = False,
 ) -> PmRun:
     view = _View(space, universe, swap)
-    domain = view.domain(bound)
+    domain = RankDomain(c=view.c, caps=view.caps, bound=bound)
     if representation == "linear":
         state = LinearSpaceState(space, domain, universe)
     elif representation == "direct":
@@ -613,8 +586,6 @@ def symbolic_parity_dominion(
 def dominion(game: ParityGame, player: Player, h: int, backend: str = "bits") -> frozenset[int]:
     """A dominion of `player` containing all of that player's dominions of
     size at most h+1; vertex ids of the input game."""
-    from .game import swap_roles_increment
-
     target = game if player is Player.EVEN else swap_roles_increment(game)
     run = symbolic_parity_dominion(target, bound=h, backend=backend)
     return frozenset(run.winning_even.ids())

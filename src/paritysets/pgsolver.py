@@ -2,7 +2,8 @@
 
 Game files: an optional `parity <max id>;` header, then one line per vertex,
 `<id> <priority> <owner> <succ>,<succ>,... ["name"];` with owner 0 for the
-even player and 1 for the odd player. Vertices that occur only as successors
+even player and 1 for the odd player. No id may exceed the header's maximum.
+Vertices that occur only as successors, or only through the header's range,
 are an error unless self-loop repair is requested, in which case they are
 declared with a self loop (and declared-but-empty successor lists are
 repaired the same way).
@@ -35,8 +36,10 @@ _SOL_LINE = re.compile(r"^(\d+)\s+([01])(?:\s+(\d+))?\s*;$")
 
 
 def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
-    rows: dict[int, tuple[int, int, list[int], str | None, int]] = {}
+    rows: dict[int, tuple[int, int, list[int], str | None]] = {}
     max_id = -1
+    header_max = header_line = None
+    named: dict[int, int] = {}  # id -> first vertex line naming it
     lines = text.splitlines()
     start = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -47,8 +50,8 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
         m = _HEADER.match(line)
         if m is None:
             break
-        max_id = int(m.group(1))
-        start = lineno
+        max_id = header_max = int(m.group(1))
+        header_line = start = lineno
         break
     for lineno, raw in enumerate(lines[start:], start=start + 1):
         line = raw.strip()
@@ -66,7 +69,11 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
             raise ParseError(lineno, f"vertex {vid} has an empty successor list")
         if vid in rows:
             raise ParseError(lineno, f"vertex {vid} declared twice")
-        rows[vid] = (priority, owner, succs, m.group(5), lineno)
+        for w in (vid, *succs):
+            if header_max is not None and w > header_max:
+                raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
+            named.setdefault(w, lineno)
+        rows[vid] = (priority, owner, succs, m.group(5))
         max_id = max(max_id, vid, *(succs or [vid]))
     if not rows:
         raise ParseError(1, "no vertices")
@@ -75,19 +82,19 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     priorities = [0] * n
     successor_lists: list[list[int]] = [[] for _ in range(n)]
     names: list[str | None] = [None] * n
-    declared = [False] * n
-    for vid, (priority, owner, succs, name, lineno) in rows.items():
+    for vid, (priority, owner, succs, name) in rows.items():
         owners[vid] = owner
         priorities[vid] = priority
         successor_lists[vid] = succs
         names[vid] = name
-        declared[vid] = True
     for v in range(n):
         if not successor_lists[v]:
             if not add_self_loops:
-                raise ParseError(0, f"vertex {v} is used but never declared")
+                # Blame the first vertex line naming v; failing that, the
+                # header whose range holds v, or the line naming the largest id.
+                line = named.get(v, header_line or named.get(max_id))
+                raise ParseError(line, f"vertex {v} is used but never declared")
             successor_lists[v] = [v]
-            declared[v] = True
     has_names = any(name for name in names)
     return build_game(owners, priorities, successor_lists, names if has_names else None)
 

@@ -15,7 +15,7 @@ class SolveReport:
     game: object
     strategy_even: object = None
     strategy_odd: object = None
-    trace: object = None
+    trace: object = None  # pm's iteration events under keep_trace; else None
     diagnostics: dict = field(default_factory=dict)
 
     def winner_of(self, v: int):

@@ -97,16 +97,19 @@ def extract_strategy_from_pm(game: ParityGame, state) -> Strategy:
     return Strategy(player=player, domain=frozenset(choice), choice=choice)
 
 
-def extract_attractor_strategies(game: ParityGame, trace) -> tuple[Strategy, Strategy]:
+def extract_attractor_strategies(
+    game: ParityGame, winning_even, winning_odd, choices_even, choices_odd
+) -> tuple[Strategy, Strategy]:
     """Package the raw choice maps recorded by the recursive solvers.
 
-    Each player's map must cover exactly their vertices inside their winning
-    region, with every choice an existing edge.
+    Takes each player's winning region as vertex ids and their choice map.
+    Each map must cover exactly the player's vertices inside their winning
+    region, with every choice an existing edge; choices outside it are dropped.
     """
     out = []
     for player, winning, raw in (
-        (Player.EVEN, trace.winning_even_ids, trace.choices_even),
-        (Player.ODD, trace.winning_odd_ids, trace.choices_odd),
+        (Player.EVEN, winning_even, choices_even),
+        (Player.ODD, winning_odd, choices_odd),
     ):
         needed = {v for v in winning if game.owner[v] is player}
         kept = {v: w for v, w in raw.items() if v in needed}

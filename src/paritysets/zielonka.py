@@ -88,16 +88,6 @@ def is_trap(game: ParityGame, player: Player, region: VertexSet) -> bool:
     return ok
 
 
-@dataclass
-class SolveTrace:
-    """Raw strategy material from a recursive solve, for later packaging."""
-
-    winning_even_ids: frozenset[int]
-    winning_odd_ids: frozenset[int]
-    choices_even: dict[int, int]
-    choices_odd: dict[int, int]
-
-
 def _top_priority(space: SetSpace, live: VertexSet) -> tuple[int, VertexSet | None]:
     """Highest priority present in `live` and its restricted class (owned)."""
     for i in range(len(space.priority_sets) - 1, -1, -1):
@@ -121,7 +111,9 @@ def _solve(
     """Returns (winning_even, winning_odd, choices_even, choices_odd).
 
     Takes ownership of `live` and releases it. The returned sets are fresh;
-    choice dicts are populated only when `record`.
+    choice dicts are populated only when `record`. When `level_sink` is a
+    list, each level appends `{"n_start": ..., "passes": [(h, removed), ...]}`
+    with h the dominion hook's parameter (None when the hook did not run).
     """
     if depth > max_depth:
         space.release(live)
@@ -145,13 +137,13 @@ def _solve(
             space.release(current)
             break
         if level_sink is not None and level is None:
-            level = level_sink.enter(current.count())
-        pl = Player.EVEN if p_star % 2 == 0 else Player.ODD
-        op = pl.opponent()
+            level = {"n_start": current.count(), "passes": []}
+            level_sink.append(level)
         removed_this_pass = 0
         hook_h = None
         if dominion_hook is not None and p_star >= 2:
             space.release(cls)
+            op = Player.ODD if p_star % 2 == 0 else Player.EVEN
             dom, dom_choices, hook_h = dominion_hook(space, current, op, p_star + 1)
             if not space.is_empty(dom):
                 grab = attractor(game, op, dom, within=current, want_strategy=record)
@@ -168,11 +160,11 @@ def _solve(
             p_star, cls = _top_priority(space, current)
             if p_star < 0:
                 if level is not None:
-                    level.passes.append((hook_h, removed_this_pass))
+                    level["passes"].append((hook_h, removed_this_pass))
                 space.release(current)
                 break
-            pl = Player.EVEN if p_star % 2 == 0 else Player.ODD
-            op = pl.opponent()
+        pl = Player.EVEN if p_star % 2 == 0 else Player.ODD
+        op = pl.opponent()
         cls_ids = space.raw_ids(cls) if record else ()
         pull = attractor(game, pl, cls, within=current, want_strategy=record)
         space.release(cls)
@@ -198,7 +190,7 @@ def _solve(
             absorb(pl, current)
             space.release(current)
             if level is not None:
-                level.passes.append((hook_h, removed_this_pass))
+                level["passes"].append((hook_h, removed_this_pass))
             break
         grab = attractor(game, op, sub_wins[op], within=current, want_strategy=record)
         space.release(sub_even, sub_odd)
@@ -211,10 +203,36 @@ def _solve(
         space.release(current, grab.attractor)
         current = shrunk
         if level is not None:
-            level.passes.append((hook_h, removed_this_pass))
+            level["passes"].append((hook_h, removed_this_pass))
     out_even = wins[Player.EVEN] if wins[Player.EVEN] is not None else space.empty_set()
     out_odd = wins[Player.ODD] if wins[Player.ODD] is not None else space.empty_set()
     return out_even, out_odd, choices[Player.EVEN], choices[Player.ODD]
+
+
+def _report(norm, space, started, algorithm, solved, strategies, diagnostics=None):
+    """Stop the clock on a recursive solve and package what `_solve` returned."""
+    from .report import SolveReport
+
+    w_even, w_odd, ce, co = solved
+    elapsed = time.perf_counter() - started
+    strategy_even = strategy_odd = None
+    if strategies:
+        from .strategy import extract_attractor_strategies
+
+        strategy_even, strategy_odd = extract_attractor_strategies(
+            norm, w_even.ids(), w_odd.ids(), ce, co
+        )
+    return SolveReport(
+        winning_even=w_even,
+        winning_odd=w_odd,
+        counters=space.counters,
+        algorithm=algorithm,
+        wall_time=elapsed,
+        game=norm,
+        strategy_even=strategy_even,
+        strategy_odd=strategy_odd,
+        diagnostics=diagnostics or {},
+    )
 
 
 def classic_parity(
@@ -222,37 +240,16 @@ def classic_parity(
     strategies: bool = False,
     backend: str = "bits",
 ) -> "SolveReport":
-    """Classic recursive solve. Depth never exceeds the priority count."""
-    from .report import SolveReport
-
+    """Classic recursive solve. Depth never exceeds the priority count; past
+    Python's recursion limit it raises RecursionDepthExceeded."""
     norm, _ = normalize_priorities(game)
     started = time.perf_counter()
     space = SetSpace(norm, backend=backend)
     max_depth = norm.priority_count + 2
-    w_even, w_odd, ce, co = _solve(
-        norm, space, space.copy(space.full), 0, max_depth, strategies
-    )
-    elapsed = time.perf_counter() - started
-    trace = None
-    strategy_even = strategy_odd = None
-    if strategies:
-        trace = SolveTrace(
-            winning_even_ids=frozenset(w_even.ids()),
-            winning_odd_ids=frozenset(w_odd.ids()),
-            choices_even=ce,
-            choices_odd=co,
-        )
-        from .strategy import extract_attractor_strategies
-
-        strategy_even, strategy_odd = extract_attractor_strategies(norm, trace)
-    return SolveReport(
-        winning_even=w_even,
-        winning_odd=w_odd,
-        counters=space.counters,
-        algorithm="zielonka",
-        wall_time=elapsed,
-        game=norm,
-        strategy_even=strategy_even,
-        strategy_odd=strategy_odd,
-        trace=trace,
-    )
+    try:
+        solved = _solve(norm, space, space.copy(space.full), 0, max_depth, strategies)
+    except RecursionError as exc:
+        raise RecursionDepthExceeded(
+            f"{norm.priority_count} priorities nest deeper than Python's stack allows"
+        ) from exc
+    return _report(norm, space, started, "zielonka", solved, strategies)

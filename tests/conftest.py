@@ -36,3 +36,11 @@ def corpus(count: int, *, n_lo: int = 2, n_span: int = 11, c_span: int = 6,
 
 def ids(vertex_set) -> frozenset[int]:
     return frozenset(vertex_set.ids())
+
+
+def ladder(k: int):
+    """Many-priority ladder: vertex i has priority i, belongs to the player
+    of the other parity and moves to i and i-1 (vertex 0 only to itself)."""
+    owners = [1 - i % 2 for i in range(k)]
+    succs = [[i] if i == 0 else [i - 1, i] for i in range(k)]
+    return build_game(owners, list(range(k)), succs)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from paritysets import solve_explicit_pm
+from paritysets import bigstep, solve_explicit_pm
 from paritysets.bigstep import (
     Fixed,
     GammaPolicy,
@@ -15,8 +15,10 @@ from paritysets.bigstep import (
     beta,
     choose_h,
     gamma,
+    removal_violations,
     symbolic_big_step,
 )
+from paritysets.zielonka import RecursionDepthExceeded
 
 from conftest import corpus, ids
 
@@ -117,3 +119,27 @@ def test_every_assisted_pass_is_recorded():
         assert assisted == len(rep.diagnostics["pm_runs"])
         for entry in rep.diagnostics["pm_runs"]:
             assert 0 <= entry["h"] <= entry["n"]
+
+
+def test_removal_violations_reads_the_level_log():
+    levels = [
+        {"n_start": 10, "passes": [(2, 3), (2, 4), (None, 1)]},  # pass 0 short
+        {"n_start": 4, "passes": [(0, 1), (0, 1), (0, 1), (0, 0)]},  # over the cap
+    ]
+    assert removal_violations(levels) == [
+        "level 0: pass 0 removed 3 < h+2 = 4",
+        "level 1: pass 0 removed 1 < h+2 = 2",
+        "level 1: pass 1 removed 1 < h+2 = 2",
+        "level 1: pass 2 removed 1 < h+2 = 2",
+        "level 1: 4 assisted passes exceed cap 3",
+    ]
+
+
+def test_python_recursion_error_becomes_depth_error(sample_game, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(bigstep, "_solve", too_deep)
+    with pytest.raises(RecursionDepthExceeded) as err:
+        symbolic_big_step(sample_game)
+    assert isinstance(err.value.__cause__, RecursionError)

@@ -11,7 +11,7 @@ import pytest
 from paritysets.cli import main
 from paritysets.pgsolver import emit_pgsolver
 
-from conftest import corpus
+from conftest import corpus, ladder
 
 
 SOLUTION_WITH_PICKS = (
@@ -155,18 +155,29 @@ def test_gen_writes_files_and_they_solve(tmp_path, capsys):
 def test_trace_environment_variable(game_file):
     env = dict(os.environ, PARITY_TRACE="1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "paritysets.cli", "solve", game_file, "--algo", "pm"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    lines = [l for l in proc.stderr.splitlines() if l.startswith("pm-trace ")]
-    assert len(lines) == 12
-    assert lines[0] == "pm-trace iter=1 rank=(1, 0) added=4 next=(2, 0) rollback=False"
-    assert lines[3] == "pm-trace iter=4 rank=(0, 1) added=4 next=(1, 0) rollback=True"
-    assert lines[-1] == "pm-trace iter=12 rank=TOP added=2 next=None rollback=False"
+    for algo, expected in [
+        ("pm", {
+            0: "pm-trace iter=1 rank=(1, 0) added=4 next=(2, 0) rollback=False",
+            3: "pm-trace iter=4 rank=(0, 1) added=4 next=(1, 0) rollback=True",
+            11: "pm-trace iter=12 rank=TOP added=2 next=None rollback=False",
+        }),
+        # big-step streams its one dominion run: role-swapped, three counters
+        ("bigstep", {
+            0: "pm-trace iter=1 rank=(1, 0, 0) added=2 next=(2, 0, 0) rollback=False",
+            20: "pm-trace iter=21 rank=TOP added=0 next=None rollback=False",
+        }),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paritysets.cli", "solve", game_file, "--algo", algo],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0
+        lines = [l for l in proc.stderr.splitlines() if l.startswith("pm-trace ")]
+        assert len(lines) == max(expected) + 1
+        for i, line in expected.items():
+            assert lines[i] == line
     # and without the variable the run is quiet
     env.pop("PARITY_TRACE")
     quiet = subprocess.run(
@@ -177,3 +188,12 @@ def test_trace_environment_variable(game_file):
     )
     assert quiet.returncode == 0
     assert "pm-trace" not in quiet.stderr
+
+
+def test_too_many_priorities_exit_two(tmp_path, capsys):
+    path = tmp_path / "ladder.gm"
+    path.write_text(emit_pgsolver(ladder(1200)))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 1200 priorities nest deeper")

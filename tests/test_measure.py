@@ -8,6 +8,7 @@ from paritysets import Player, RankDomain, TOP, build_game, solve_explicit_pm
 from paritysets.measure import (
     LinearSpaceState,
     PreconditionViolated,
+    _pm_run,
     dominion,
     solve_pm_symbolic,
     stderr_trace,
@@ -175,6 +176,13 @@ def test_invariant_checks_pass_on_clean_runs(sample_game):
     symbolic_parity_dominion(sample_game, representation="direct", check_invariants=True)
     for g in corpus(20, seed0=700):
         symbolic_parity_dominion(g, check_invariants=True)
+
+
+def test_invariant_checker_needs_a_closed_universe(sample_game):
+    space = SetSpace(sample_game)
+    # vertex 0 moves only to 1, which lies outside
+    with pytest.raises(PreconditionViolated, match="universe not closed at vertex 0"):
+        _pm_run(space, space.from_ids([0, 2]), swap=True, check_invariants=True)
 
 
 def test_bounded_dominions(sample_game):

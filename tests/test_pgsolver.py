@@ -102,10 +102,30 @@ def test_duplicate_declaration_rejected():
 def test_undeclared_target_rejected():
     with pytest.raises(ParseError) as err:
         parse_pgsolver("0 1 0 1;\n")
-    assert err.value.line == 0
+    assert err.value.line == 1
     assert "never declared" in err.value.reason
     with pytest.raises(ParseError, match="no vertices"):
         parse_pgsolver("parity 3;\n")
+    for text, where in [
+        # reported at the first line naming the vertex as a successor
+        ("parity 3;\n0 1 0 1;\n1 0 1 0,3;\n2 2 0 3,1;\n", "line 3: vertex 3"),
+        # only the header's range holds it: the header line
+        ("\nparity 2;\n0 1 0 1;\n1 0 1 0;\n", "line 2: vertex 2"),
+        # a gap below the largest id: where that id was first named
+        ("0 1 0 0;\n2 0 1 2;\n", "line 2: vertex 1"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(text)
+        assert str(err.value) == f"{where} is used but never declared"
+
+
+def test_ids_above_the_header_maximum_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver("parity 1;\n0 1 0 1;\n1 0 1 0;\n3 2 0 0;\n")
+    assert str(err.value) == "line 4: vertex 3 exceeds the header maximum 1"
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver("parity 1;\n0 1 0 1,2;\n1 0 1 0;\n")
+    assert str(err.value) == "line 2: vertex 2 exceeds the header maximum 1"
 
 
 def test_self_loop_repair():

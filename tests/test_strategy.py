@@ -126,26 +126,21 @@ def test_verify_accepts_empty_region(sample_game):
 
 
 def test_packaging_rejects_gaps_and_foreign_edges(sample_game):
-    from paritysets.zielonka import SolveTrace
     from paritysets.strategy import extract_attractor_strategies
 
     with pytest.raises(IncompleteStrategy, match="lacks choices"):
         extract_attractor_strategies(
             sample_game,
-            SolveTrace(
-                winning_even_ids=EVEN_REGION,
-                winning_odd_ids=ODD_REGION,
-                choices_even={2: 3, 3: 5, 6: 4},  # 7 missing
-                choices_odd={1: 0},
-            ),
+            EVEN_REGION,
+            ODD_REGION,
+            {2: 3, 3: 5, 6: 4},  # 7 missing
+            {1: 0},
         )
     with pytest.raises(IncompleteStrategy, match="not an edge"):
         extract_attractor_strategies(
             sample_game,
-            SolveTrace(
-                winning_even_ids=EVEN_REGION,
-                winning_odd_ids=ODD_REGION,
-                choices_even={2: 3, 3: 5, 6: 4, 7: 5},  # h -> f does not exist
-                choices_odd={1: 0},
-            ),
+            EVEN_REGION,
+            ODD_REGION,
+            {2: 3, 3: 5, 6: 4, 7: 5},  # h -> f does not exist
+            {1: 0},
         )

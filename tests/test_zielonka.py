@@ -6,9 +6,11 @@ import random
 
 from paritysets import Player, solve_explicit_pm
 from paritysets.sets import SetSpace
-from paritysets.zielonka import attractor, classic_parity, is_trap
+import pytest
 
-from conftest import corpus, ids
+from paritysets.zielonka import RecursionDepthExceeded, attractor, classic_parity, is_trap
+
+from conftest import corpus, ids, ladder
 
 
 def test_attractor_on_the_sample(sample_game):
@@ -88,12 +90,12 @@ def test_sample_strategies(sample_game):
     rep = classic_parity(sample_game, strategies=True)
     assert rep.strategy_even.choice == {2: 3, 3: 5, 6: 4, 7: 2}
     assert rep.strategy_odd.choice == {1: 0}
-    assert rep.trace.winning_even_ids == frozenset({2, 3, 4, 5, 6, 7})
-    assert rep.trace.winning_odd_ids == frozenset({0, 1})
+    assert rep.trace is None  # the recursive solvers keep no iteration trace
     # every chosen edge exists and stays inside the owner's winning region
+    even = ids(rep.winning_even)
     for v, w in rep.strategy_even.choice.items():
         assert w in rep.game.successors[v]
-        assert v in rep.trace.winning_even_ids and w in rep.trace.winning_even_ids
+        assert v in even and w in even
 
 
 def test_agrees_with_explicit_solver():
@@ -108,3 +110,10 @@ def test_peak_depends_on_priorities_not_size():
         assert c.peak_live_sets <= 4 * g.priority_count + 8
         # live at the end: both winning sets over the pinned base sets
         assert c.live_sets == (4 + rep.game.priority_count) + 2
+
+
+def test_deep_ladder_raises_depth_error():
+    # 1200 nested priorities outgrow Python's default stack of 1000 frames.
+    with pytest.raises(RecursionDepthExceeded, match="1200 priorities") as err:
+        classic_parity(ladder(1200))
+    assert isinstance(err.value.__cause__, RecursionError)
