@@ -33,7 +33,6 @@ from .explicit import (
 )
 from .measure import (
     DirectFamilyState,
-    DominionRun,
     InvariantViolation,
     LinearSpaceState,
     PreconditionViolated,
@@ -75,7 +74,6 @@ __all__ = [
     "AttractorResult",
     "DanglingEdge",
     "DirectFamilyState",
-    "DominionRun",
     "ExplicitResult",
     "Fixed",
     "GameError",

@@ -148,7 +148,7 @@ def symbolic_big_step(
         pm_stats.append(
             {
                 "n": n_live,
-                "c": run.view.c,
+                "c": run.state.view.c,
                 "h": h,
                 "domain_size": run.domain.size(),
                 "cpre_ops": after.cpre_ops - before.cpre_ops,

@@ -16,7 +16,7 @@ import sys
 
 from .bigstep import Fixed, GammaPolicy, SqrtPolicy, symbolic_big_step
 from .game import GameError, ParityGame, Player
-from .measure import solve_pm_symbolic, symbolic_parity_dominion
+from .measure import solve_pm_symbolic
 from .pgsolver import ParseError, emit_pgsolver, emit_solution, parse_pgsolver, parse_solution
 from .strategy import Strategy, verify_strategy
 from .zielonka import RecursionDepthExceeded, classic_parity
@@ -110,6 +110,9 @@ def _cmd_stats(args) -> int:
 def _cmd_dominion(args) -> int:
     from .measure import dominion
 
+    if args.h < 0:
+        print("error: --h must be a natural number", file=sys.stderr)
+        return 2
     game = _load(args.files[0], args)
     player = Player.EVEN if args.player == "even" else Player.ODD
     found = dominion(game, player, args.h, backend=args.backend)
@@ -122,7 +125,8 @@ def _cmd_verify(args) -> int:
     with open(args.solution, "r", encoding="utf-8") as fh:
         claimed = parse_solution(fh.read())
     report = _run(game, args)
-    problems = []
+    problems = [f"vertex {v} is not in the game" for v in claimed if v >= game.vertex_count]
+    claimed = {v: entry for v, entry in claimed.items() if v < game.vertex_count}
     for v in range(game.vertex_count):
         want = claimed.get(v)
         if want is None:
@@ -135,22 +139,22 @@ def _cmd_verify(args) -> int:
         if pick is not None and pick not in game.successors[v]:
             problems.append(f"vertex {v}: strategy edge {v}->{pick} does not exist")
     for side, player in ((0, Player.EVEN), (1, Player.ODD)):
-        region = frozenset(
-            v for v, (winner, _) in claimed.items() if winner == side
-        )
-        picks = {
-            v: pick
-            for v, (winner, pick) in claimed.items()
-            if winner == side and pick is not None and game.owner[v] is player
-        }
-        owned = {v for v in region if game.owner[v] is player}
-        if region and owned and owned == set(picks):
-            try:
-                strategy = Strategy(player=player, domain=frozenset(picks), choice=picks)
-                if not verify_strategy(game, player, region, strategy):
-                    problems.append(f"claimed strategy for {player.name} does not win")
-            except Exception as exc:  # strategy errors are verification failures
-                problems.append(f"claimed strategy for {player.name}: {exc}")
+        region = frozenset(v for v, (winner, _) in claimed.items() if winner == side)
+        mine = sorted(v for v in region if game.owner[v] is player)
+        picks = {v: claimed[v][1] for v in mine if claimed[v][1] is not None}
+        if not picks:
+            continue  # no strategy claimed for this side: winners only
+        # Once a side picks anywhere, every vertex it owns in its region needs a pick.
+        unpicked = [v for v in mine if v not in picks]
+        problems.extend(f"vertex {v}: no strategy pick for {player.name}" for v in unpicked)
+        if unpicked:
+            continue
+        try:
+            strategy = Strategy(player=player, domain=frozenset(picks), choice=picks)
+            if not verify_strategy(game, player, region, strategy):
+                problems.append(f"claimed strategy for {player.name} does not win")
+        except Exception as exc:  # strategy errors are verification failures
+            problems.append(f"claimed strategy for {player.name}: {exc}")
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
@@ -160,7 +164,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    game = gen_random(args.n, args.c, args.min_deg, args.max_deg, args.seed)
+    try:
+        game = gen_random(args.n, args.c, args.min_deg, args.max_deg, args.seed)
+    except ValueError as exc:  # gen_random's checks of the size flags
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = emit_pgsolver(game)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -19,19 +19,11 @@ from .ranks import TOP, RankDomain
 
 def best_rank(game: ParityGame, domain: RankDomain, rho, v: int):
     """Most favorable successor rank from v: min for Even's vertices, max for Odd's."""
-    return _best(game.owner, game.successors, domain, rho, v)
-
-
-def lift_rank(game: ParityGame, domain: RankDomain, rho, v: int):
-    return domain.incr_at(best_rank(game, domain, rho, v), game.priority[v])
-
-
-def _best(owners, successors, domain: RankDomain, rho, v: int):
-    ranks = [rho[w] for w in successors[v]]
+    ranks = [rho[w] for w in game.successors[v]]
     pick = ranks[0]
     for r in ranks[1:]:
         sign = domain.compare(r, pick)
-        if owners[v] is Player.EVEN:
+        if game.owner[v] is Player.EVEN:
             if sign < 0:
                 pick = r
         elif sign > 0:
@@ -39,17 +31,17 @@ def _best(owners, successors, domain: RankDomain, rho, v: int):
     return pick
 
 
-def lift_fixpoint(owners, priorities, successors, domain: RankDomain, order=None):
-    """Least simultaneous fixpoint of the lift operator over raw vertex lists.
+def lift_rank(game: ParityGame, domain: RankDomain, rho, v: int):
+    return domain.incr_at(best_rank(game, domain, rho, v), game.priority[v])
+
+
+def lift_fixpoint(game: ParityGame, domain: RankDomain, order=None):
+    """Least simultaneous fixpoint of the lift operator on `game`.
 
     Work-list with predecessor re-enqueueing; the result does not depend on
     `order` because the fixpoint is least. Returns (rho, lift evaluations).
     """
-    n = len(owners)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in successors[v]:
-            preds[w].append(v)
+    n = game.vertex_count
     rho: list = [domain.zero] * n
     queue = deque(range(n) if order is None else order)
     queued = [False] * n
@@ -59,11 +51,11 @@ def lift_fixpoint(owners, priorities, successors, domain: RankDomain, order=None
     while queue:
         v = queue.popleft()
         queued[v] = False
-        new = domain.incr_at(_best(owners, successors, domain, rho, v), priorities[v])
+        new = lift_rank(game, domain, rho, v)
         lifts += 1
         if domain.compare(new, rho[v]) > 0:
             rho[v] = new
-            for u in preds[v]:
+            for u in game.predecessors[v]:
                 if not queued[u]:
                     queued[u] = True
                     queue.append(u)
@@ -88,7 +80,7 @@ def solve_explicit_pm(
     """Explicit progress measure solve; normalizes first (idempotent)."""
     norm, remap = normalize_priorities(game)
     domain = RankDomain.for_game(norm, bound=bound)
-    rho, lifts = lift_fixpoint(norm.owner, norm.priority, norm.successors, domain, order)
+    rho, lifts = lift_fixpoint(norm, domain, order)
     winning = frozenset(v for v in range(norm.vertex_count) if rho[v] is not TOP)
     return ExplicitResult(
         game=norm,

@@ -303,9 +303,7 @@ class _InvariantChecker:
         except NotClosed as exc:
             raise PreconditionViolated(f"universe not closed at vertex {exc.vertex}") from exc
         self.game = swap_roles_increment(game) if view.swap else game
-        self.oracle, _ = lift_fixpoint(
-            self.game.owner, self.game.priority, self.game.successors, domain
-        )
+        self.oracle, _ = lift_fixpoint(self.game, domain)
 
     def boundary(self, state, processed_rank, next_rank, rolled_back) -> None:
         domain = self.domain
@@ -371,12 +369,19 @@ class _InvariantChecker:
 
 @dataclass
 class PmRun:
+    """One measure run: its space, winning set, final rank state and domain."""
+
+    space: SetSpace
     winning: VertexSet
     state: object
     domain: RankDomain
-    view: _View
     iterations: int
     trace: list | None = None
+
+    @property
+    def winning_even(self) -> VertexSet:
+        """`winning` by the name whole-game runs give it: the even player's region."""
+        return self.winning
 
 
 def _pm_run(
@@ -511,10 +516,10 @@ def _pm_run(
     if owned:
         space.release(top_set)
     return PmRun(
+        space=space,
         winning=winning,
         state=state,
         domain=domain,
-        view=view,
         iterations=iterations,
         trace=events,
     )
@@ -535,17 +540,6 @@ def _env_trace() -> Callable | None:
 # -- Public entry points ----------------------------------------------------------
 
 
-@dataclass
-class DominionRun:
-    game: ParityGame
-    space: SetSpace
-    winning_even: VertexSet
-    state: object
-    domain: RankDomain
-    iterations: int
-    trace: list | None = None
-
-
 def symbolic_parity_dominion(
     game: ParityGame,
     bound: int | None = None,
@@ -554,7 +548,7 @@ def symbolic_parity_dominion(
     check_invariants: bool = False,
     trace: Callable | None = None,
     keep_trace: bool = False,
-) -> DominionRun:
+) -> PmRun:
     """Run the set-based measure iteration on the whole game.
 
     With bound=None the result is the even player's full winning region;
@@ -563,7 +557,7 @@ def symbolic_parity_dominion(
     """
     norm, _ = normalize_priorities(game)
     space = SetSpace(norm, backend=backend)
-    run = _pm_run(
+    return _pm_run(
         space,
         space.full,
         bound=bound,
@@ -571,15 +565,6 @@ def symbolic_parity_dominion(
         check_invariants=check_invariants,
         trace=trace if trace is not None else _env_trace(),
         keep_trace=keep_trace,
-    )
-    return DominionRun(
-        game=norm,
-        space=space,
-        winning_even=run.winning,
-        state=run.state,
-        domain=run.domain,
-        iterations=run.iterations,
-        trace=run.trace,
     )
 
 
@@ -594,11 +579,8 @@ def dominion(game: ParityGame, player: Player, h: int, backend: str = "bits") ->
 def solve_pm_symbolic(
     game: ParityGame,
     strategies: bool = False,
-    representation: str = "linear",
     backend: str = "bits",
     check_invariants: bool = False,
-    trace: Callable | None = None,
-    keep_trace: bool = False,
 ):
     """Full solve via the set-based measure iteration.
 
@@ -608,17 +590,10 @@ def solve_pm_symbolic(
     """
     from .report import SolveReport
 
-    norm, _ = normalize_priorities(game)
     started = time.perf_counter()
-    space = SetSpace(norm, backend=backend)
-    run = _pm_run(
-        space,
-        space.full,
-        representation=representation,
-        check_invariants=check_invariants,
-        trace=trace if trace is not None else _env_trace(),
-        keep_trace=keep_trace,
-    )
+    run = symbolic_parity_dominion(game, backend=backend, check_invariants=check_invariants)
+    space = run.space
+    norm = space.game
     winning_odd = space.difference(space.full, run.winning)
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
@@ -628,11 +603,7 @@ def solve_pm_symbolic(
         strategy_even = extract_strategy_from_pm(norm, run.state)
         space_odd = SetSpace(norm, backend=backend)
         run_odd = _pm_run(
-            space_odd,
-            space_odd.full,
-            swap=True,
-            representation=representation,
-            check_invariants=check_invariants,
+            space_odd, space_odd.full, swap=True, check_invariants=check_invariants
         )
         strategy_odd = extract_strategy_from_pm(norm, run_odd.state)
         run_odd.state.release_all()
@@ -647,6 +618,5 @@ def solve_pm_symbolic(
         game=norm,
         strategy_even=strategy_even,
         strategy_odd=strategy_odd,
-        trace=run.trace,
         diagnostics={"iterations": run.iterations, "domain_size": run.domain.size()},
     )

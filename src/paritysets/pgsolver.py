@@ -10,13 +10,14 @@ repaired the same way).
 
 Solution files: `paritysol <max id>;` then `<id> <winner> [<choice>];` per
 vertex, the choice column present where the winner's strategy is defined.
+No id, chosen successors included, may exceed the header's maximum.
 """
 
 from __future__ import annotations
 
 import re
 
-from .game import ParityGame, Player, build_game
+from .game import ParityGame, build_game
 from .report import SolveReport
 
 
@@ -151,6 +152,7 @@ def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
     """Winner and optional strategy choice per vertex id."""
     out: dict[int, tuple[int, int | None]] = {}
     seen_header = False
+    header_max = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -159,6 +161,7 @@ def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
             m = _SOL_HEADER.match(line)
             if m is not None:
                 seen_header = True
+                header_max = int(m.group(1))
                 continue
         m = _SOL_LINE.match(line)
         if m is None:
@@ -167,6 +170,9 @@ def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
         if vid in out:
             raise ParseError(lineno, f"vertex {vid} listed twice")
         pick = int(m.group(3)) if m.group(3) is not None else None
+        for w in (vid, pick):
+            if header_max is not None and w is not None and w > header_max:
+                raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
         out[vid] = (int(m.group(2)), pick)
     if not out:
         raise ParseError(1, "no solution entries")

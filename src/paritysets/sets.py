@@ -254,9 +254,6 @@ class SetSpace:
             c.peak_live_sets = c.live_sets
         return out
 
-    def owned_by(self, player: Player) -> VertexSet:
-        return self.evens if player is Player.EVEN else self.odds
-
     # -- counted operations ----------------------------------------------------
     # The argument checks are folded into one fast test per operand; _arg
     # re-runs them on the slow path purely to raise the precise error.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import ParityGame, Player, build_game, swap_roles_increment
+from .game import ParityGame, Player, subgame, swap_roles_increment
 from .explicit import solve_explicit_pm
 from .ranks import TOP
 
@@ -157,19 +157,15 @@ def verify_strategy(game: ParityGame, player: Player, region, strategy: Strategy
                 return False
     # One-player restriction: the player's moves are pinned, the opponent
     # keeps every region-internal edge.
-    order = sorted(w)
-    index = {v: i for i, v in enumerate(order)}
-    owners = []
-    priorities = []
-    succs = []
-    for v in order:
-        owners.append(game.owner[v])
-        priorities.append(game.priority[v])
-        if game.owner[v] is player:
-            succs.append([index[strategy.choice[v]]])
-        else:
-            succs.append([index[s] for s in game.successors[v]])
-    restricted = build_game(owners, priorities, succs)
+    pinned = ParityGame(
+        owner=game.owner,
+        priority=game.priority,
+        successors=tuple(
+            (strategy.choice[v],) if v in w and game.owner[v] is player else succs
+            for v, succs in enumerate(game.successors)
+        ),
+    )
+    restricted, _ = subgame(pinned, w)
     if player is Player.ODD:
         restricted = swap_roles_increment(restricted)
-    return len(solve_explicit_pm(restricted).winning_even) == len(order)
+    return len(solve_explicit_pm(restricted).winning_even) == len(w)

@@ -35,7 +35,6 @@ class RecursionDepthExceeded(Exception):
 @dataclass
 class AttractorResult:
     attractor: VertexSet
-    layers: list | None = None
     strategy_edges: dict | None = None
 
 
@@ -45,18 +44,15 @@ def attractor(
     target: VertexSet,
     within: VertexSet | None = None,
     want_strategy: bool = False,
-    keep_layers: bool = False,
 ) -> AttractorResult:
     """Least fixpoint of target + controlled predecessor for `player`.
 
-    One cpre per growth round plus one for the final emptiness check. Only
-    the newest layer is kept unless keep_layers is set. Strategy edges send
-    each attracted vertex of `player` to its lowest-id successor one layer
-    closer to the target; target vertices get no edge here.
+    One cpre per growth round plus one for the final emptiness check. Strategy
+    edges send each attracted vertex of `player` to its lowest-id successor
+    one layer closer to the target; target vertices get no edge here.
     """
     space = target.space
     current = space.copy(target)
-    layers = [space.copy(target)] if keep_layers else None
     edges: dict[int, int] | None = {} if want_strategy else None
     succs = game.successors
     owner = game.owner
@@ -71,12 +67,10 @@ def attractor(
             for v in delta.ids():
                 if owner[v] is player:
                     edges[v] = next(w for w in sorted(succs[v]) if current.contains(w))
-        if layers is not None:
-            layers.append(space.copy(delta))
         grown = space.union(current, delta)
         space.release(current, delta)
         current = grown
-    return AttractorResult(attractor=current, layers=layers, strategy_edges=edges)
+    return AttractorResult(attractor=current, strategy_edges=edges)
 
 
 def is_trap(game: ParityGame, player: Player, region: VertexSet) -> bool:

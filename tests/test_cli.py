@@ -81,19 +81,61 @@ def test_verify_accepts_correct_solutions(game_file, tmp_path, capsys):
 
 
 def test_verify_rejects_tampered_solutions(game_file, tmp_path, capsys):
-    sol = tmp_path / "bad.sol"
-    sol.write_text(SOLUTION_WITH_PICKS.replace("2 0 3;", "2 1 3;"))
-    assert main(["verify", game_file, str(sol)]) == 1
-    err = capsys.readouterr().err
-    assert "vertex 2: claimed winner 1, solved 0" in err
+    headerless = SOLUTION_WITH_PICKS.replace("paritysol 7;\n", "")
+    for text, code, message in [
+        (SOLUTION_WITH_PICKS.replace("2 0 3;", "2 1 3;"), 1,
+         "vertex 2: claimed winner 1, solved 0"),
+        # an id the game lacks is reported, not an interpreter error
+        (headerless + "99 0;\n", 1, "vertex 99 is not in the game"),
+        # with a header, ids above its maximum fail to parse at their line
+        (SOLUTION_WITH_PICKS + "99 0;\n", 2,
+         "error: line 10: vertex 99 exceeds the header maximum 7"),
+        (SOLUTION_WITH_PICKS.replace("2 0 3;", "2 0 99;"), 2,
+         "error: line 4: vertex 99 exceeds the header maximum 7"),
+    ]:
+        sol = tmp_path / "bad.sol"
+        sol.write_text(text)
+        assert main(["verify", game_file, str(sol)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err.splitlines()
 
 
 def test_verify_rejects_losing_strategies(game_file, tmp_path, capsys):
-    # swap h's pick to the nonexistent edge and to a losing region exit
-    sol = tmp_path / "bad2.sol"
-    sol.write_text(SOLUTION_WITH_PICKS.replace("3 0 5;", "3 0 4;"))
-    assert main(["verify", game_file, str(sol)]) == 1
-    assert "strategy edge 3->4 does not exist" in capsys.readouterr().err
+    leaving = SOLUTION_WITH_PICKS.replace("2 0 3;", "2 0 1;")
+    for text, message in [
+        # d's pick along an edge that does not exist
+        (SOLUTION_WITH_PICKS.replace("3 0 5;", "3 0 4;"),
+         "vertex 3: strategy edge 3->4 does not exist"),
+        # c's pick leaves the claimed region
+        (leaving, "claimed strategy for EVEN: strategy sends vertex 2 outside the claimed region"),
+        # once a side picks anywhere, every vertex it owns in its region needs a pick
+        (leaving.replace("3 0 5;", "3 0;"), "vertex 3: no strategy pick for EVEN"),
+        (SOLUTION_WITH_PICKS.replace("7 0 2;", "7 0;"), "vertex 7: no strategy pick for EVEN"),
+    ]:
+        sol = tmp_path / "bad2.sol"
+        sol.write_text(text)
+        assert main(["verify", game_file, str(sol)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err.splitlines()
+
+
+def test_usage_errors_exit_2_with_one_line(game_file, capsys):
+    for argv, message in [
+        (["dominion", game_file, "--player", "even", "--h", "-1"],
+         "error: --h must be a natural number"),
+        (["gen", "--n", "0", "--c", "3"], "error: need at least one vertex"),
+        (["gen", "--n", "5", "--c", "0"], "error: need at least one priority"),
+        (["gen", "--n", "5", "--c", "3", "--min-deg", "0"],
+         "error: need 1 <= min_deg <= max_deg"),
+        (["gen", "--n", "5", "--c", "3", "--min-deg", "3", "--max-deg", "2"],
+         "error: need 1 <= min_deg <= max_deg"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -74,10 +74,10 @@ def test_winning_sets_partition():
 
 def test_lift_fixpoint_direct_call():
     # single even self-loop of priority 0: never lifted
-    rho, lifts = lift_fixpoint((Player.EVEN,), (0,), ((0,),), RankDomain(c=1, caps=()))
+    rho, lifts = lift_fixpoint(build_game([0], [0], [[0]]), RankDomain(c=1, caps=()))
     assert rho == [()]
     # single odd-priority self-loop: pumped to TOP
-    rho, lifts = lift_fixpoint((Player.EVEN,), (1,), ((0,),), RankDomain(c=2, caps=(1,)))
+    rho, lifts = lift_fixpoint(build_game([0], [1], [[0]]), RankDomain(c=2, caps=(1,)))
     assert rho == [TOP]
     assert lifts >= 2
 

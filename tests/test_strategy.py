@@ -24,11 +24,11 @@ ODD_REGION = frozenset({0, 1})
 
 def test_extraction_from_the_sample_run(sample_game):
     run = symbolic_parity_dominion(sample_game)
-    strat = extract_strategy_from_pm(run.game, run.state)
+    strat = extract_strategy_from_pm(run.space.game, run.state)
     assert strat.player is Player.EVEN
     assert strat.choice == {2: 3, 3: 5, 6: 4, 7: 2}
     assert strat.domain == frozenset({2, 3, 6, 7})
-    assert verify_strategy(run.game, Player.EVEN, EVEN_REGION, strat)
+    assert verify_strategy(run.space.game, Player.EVEN, EVEN_REGION, strat)
 
 
 def test_extracted_choices_respect_rank_order(sample_game):

@@ -16,9 +16,8 @@ from conftest import corpus, ids, ladder
 def test_attractor_on_the_sample(sample_game):
     space = SetSpace(sample_game)
     target = space.singleton(3)
-    res = attractor(sample_game, Player.EVEN, target, keep_layers=True, want_strategy=True)
+    res = attractor(sample_game, Player.EVEN, target, want_strategy=True)
     assert ids(res.attractor) == frozenset({2, 3, 4, 5, 6, 7})
-    assert [sorted(layer.ids()) for layer in res.layers] == [[3], [2, 4], [6, 7], [5]]
     # even-owned vertices point one layer inward; target and odd vertices get none
     assert res.strategy_edges == {2: 3, 6: 4, 7: 2}
 
@@ -27,7 +26,7 @@ def test_attractor_defaults_keep_nothing(sample_game):
     space = SetSpace(sample_game)
     target = space.singleton(3)
     res = attractor(sample_game, Player.EVEN, target)
-    assert res.layers is None and res.strategy_edges is None
+    assert res.strategy_edges is None
     space.release(res.attractor, target)
 
 
@@ -90,7 +89,6 @@ def test_sample_strategies(sample_game):
     rep = classic_parity(sample_game, strategies=True)
     assert rep.strategy_even.choice == {2: 3, 3: 5, 6: 4, 7: 2}
     assert rep.strategy_odd.choice == {1: 0}
-    assert rep.trace is None  # the recursive solvers keep no iteration trace
     # every chosen edge exists and stays inside the owner's winning region
     even = ids(rep.winning_even)
     for v, w in rep.strategy_even.choice.items():
