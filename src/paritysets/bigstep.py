@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .game import ParityGame, normalize_priorities, Player
-from .measure import _env_trace, _pm_run
+from .measure import _pm_run
 from .sets import SetSpace
+from .strategy import extract_strategy_from_pm
 from .zielonka import RecursionDepthExceeded, _report, _solve
 
 
@@ -130,7 +131,6 @@ def symbolic_big_step(
     n0 = norm.vertex_count
     levels: list[dict] = []
     pm_stats: list[dict] = []
-    trace = _env_trace()
 
     def hook(space_, live, op, c_level):
         n_live = live.count()
@@ -142,7 +142,6 @@ def symbolic_big_step(
             bound=h,
             swap=(op is Player.ODD),
             check_invariants=check_invariants,
-            trace=trace,
         )
         after = space_.counters
         pm_stats.append(
@@ -157,8 +156,6 @@ def symbolic_big_step(
         )
         dom_choices = None
         if strategies and run.winning.count():
-            from .strategy import extract_strategy_from_pm
-
             dom_choices = extract_strategy_from_pm(norm, run.state).choice
         run.state.release_all()
         return run.winning, dom_choices, h

@@ -4,8 +4,9 @@ Verbs: solve (print a solution), stats (structured counters), dominion
 (bounded dominion search), verify (check a solution file against a fresh
 solve), gen (seeded random game). Exit codes: 0 fine, 1 verification
 disagreement, 2 parse or usage trouble, or a game whose priorities nest
-deeper than the recursive solvers can go. Set PARITY_TRACE=1 to stream the
-measure iteration to stderr (for bigstep, that of every dominion run).
+deeper than the recursive solvers can go. Set PARITY_TRACE=1 to stream every
+measure run to stderr (pm's role-swapped strategy run and bigstep's dominion
+runs included).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .bigstep import Fixed, GammaPolicy, SqrtPolicy, symbolic_big_step
 from .game import GameError, ParityGame, Player
-from .measure import solve_pm_symbolic
+from .measure import dominion, solve_pm_symbolic
 from .pgsolver import ParseError, emit_pgsolver, emit_solution, parse_pgsolver, parse_solution
 from .strategy import Strategy, verify_strategy
 from .zielonka import RecursionDepthExceeded, classic_parity
@@ -29,7 +30,10 @@ def _parse_policy(text: str):
     if text == "gamma":
         return GammaPolicy()
     if text.startswith("fixed:"):
-        return Fixed(int(text.split(":", 1)[1]))
+        h = int(text.split(":", 1)[1])
+        if h < 0:
+            raise argparse.ArgumentTypeError(f"fixed policy needs h >= 0, got {h}")
+        return Fixed(h)
     raise argparse.ArgumentTypeError(f"unknown policy {text!r}")
 
 
@@ -108,8 +112,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_dominion(args) -> int:
-    from .measure import dominion
-
     if args.h < 0:
         print("error: --h must be a natural number", file=sys.stderr)
         return 2

@@ -77,14 +77,6 @@ class ParityGame:
     def priority_class(self, i: int) -> tuple[int, ...]:
         return tuple(v for v in range(self.vertex_count) if self.priority[v] == i)
 
-    def vertices_of(self, player: Player) -> tuple[int, ...]:
-        return tuple(v for v in range(self.vertex_count) if self.owner[v] is player)
-
-    def name_of(self, v: int) -> str:
-        if self.names is not None and self.names[v]:
-            return self.names[v]  # type: ignore[return-value]
-        return str(v)
-
 
 def build_game(
     owners: list[int] | list[Player],

@@ -46,7 +46,9 @@ from .game import (
     swap_roles_increment,
 )
 from .ranks import TOP, RankDomain
+from .report import SolveReport
 from .sets import SetSpace, VertexSet
+from .strategy import extract_strategy_from_pm
 
 
 class PreconditionViolated(Exception):
@@ -124,18 +126,6 @@ class DirectFamilyState:
 
     def update(self, r, s_new: VertexSet) -> None:
         self.commit(r, self.space.copy(s_new), self.snapshot(r), ())
-
-    def rank_of(self, v: int):
-        probe = self.space.singleton(v)
-        rank = None
-        for r in self.domain.iterate():
-            if not self.space.is_subset(probe, self.sets[r]):
-                break
-            rank = r
-        self.space.release(probe)
-        if rank is None:
-            raise PreconditionViolated(f"vertex {v} missing from the base rank set")
-        return rank
 
     def raw_rank_of(self, v: int):
         rank = None
@@ -376,7 +366,6 @@ class PmRun:
     state: object
     domain: RankDomain
     iterations: int
-    trace: list | None = None
 
     @property
     def winning_even(self) -> VertexSet:
@@ -392,8 +381,11 @@ def _pm_run(
     representation: str = "linear",
     check_invariants: bool = False,
     trace: Callable | None = None,
-    keep_trace: bool = False,
 ) -> PmRun:
+    """One measure run over `universe`; `trace` receives one event per
+    iteration, and defaults to `stderr_trace` when PARITY_TRACE=1."""
+    if trace is None and os.environ.get("PARITY_TRACE") == "1":
+        trace = stderr_trace
     view = _View(space, universe, swap)
     domain = RankDomain(c=view.c, caps=view.caps, bound=bound)
     if representation == "linear":
@@ -404,7 +396,6 @@ def _pm_run(
         raise ValueError(f"unknown representation {representation!r}")
     state.view = view  # strategy extraction reads the run's window from here
     checker = _InvariantChecker(view, domain) if check_invariants else None
-    events: list | None = [] if keep_trace else None
 
     positions = domain.positions
     guard = (universe.count() + 1) * domain.size() + 2
@@ -491,18 +482,16 @@ def _pm_run(
             next_rank = None
         else:
             next_rank = domain.incr(r)
-        if trace is not None or events is not None:
-            event = {
-                "iteration": iterations,
-                "rank": r,
-                "added": added,
-                "next_rank": next_rank,
-                "rolled_back": bool(chain),
-            }
-            if trace is not None:
-                trace(event)
-            if events is not None:
-                events.append(event)
+        if trace is not None:
+            trace(
+                {
+                    "iteration": iterations,
+                    "rank": r,
+                    "added": added,
+                    "next_rank": next_rank,
+                    "rolled_back": bool(chain),
+                }
+            )
 
         state.commit(r, working, old, tuple(chain))
         if checker is not None:
@@ -521,7 +510,6 @@ def _pm_run(
         state=state,
         domain=domain,
         iterations=iterations,
-        trace=events,
     )
 
 
@@ -531,10 +519,6 @@ def stderr_trace(event: dict) -> None:
         "rollback={rolled_back}".format(**event),
         file=sys.stderr,
     )
-
-
-def _env_trace() -> Callable | None:
-    return stderr_trace if os.environ.get("PARITY_TRACE") == "1" else None
 
 
 # -- Public entry points ----------------------------------------------------------
@@ -547,7 +531,6 @@ def symbolic_parity_dominion(
     backend: str = "bits",
     check_invariants: bool = False,
     trace: Callable | None = None,
-    keep_trace: bool = False,
 ) -> PmRun:
     """Run the set-based measure iteration on the whole game.
 
@@ -563,8 +546,7 @@ def symbolic_parity_dominion(
         bound=bound,
         representation=representation,
         check_invariants=check_invariants,
-        trace=trace if trace is not None else _env_trace(),
-        keep_trace=keep_trace,
+        trace=trace,
     )
 
 
@@ -588,8 +570,6 @@ def solve_pm_symbolic(
     the odd player's strategy comes from a second, role-swapped run in its
     own operation space.
     """
-    from .report import SolveReport
-
     started = time.perf_counter()
     run = symbolic_parity_dominion(game, backend=backend, check_invariants=check_invariants)
     space = run.space
@@ -598,8 +578,6 @@ def solve_pm_symbolic(
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
     if strategies:
-        from .strategy import extract_strategy_from_pm
-
         strategy_even = extract_strategy_from_pm(norm, run.state)
         space_odd = SetSpace(norm, backend=backend)
         run_odd = _pm_run(

@@ -1,15 +1,17 @@
 """PGSolver-style text formats for games and solutions.
 
-Game files: an optional `parity <max id>;` header, then one line per vertex,
-`<id> <priority> <owner> <succ>,<succ>,... ["name"];` with owner 0 for the
-even player and 1 for the odd player. No id may exceed the header's maximum.
+Game files: an optional `parity <max id>;` header on the first non-blank
+line, then one line per vertex, `<id> <priority> <owner> <succ>,<succ>,...
+["name"];` with owner 0 for the even player and 1 for the odd player. No id
+may exceed the header's maximum.
 Vertices that occur only as successors, or only through the header's range,
 are an error unless self-loop repair is requested, in which case they are
 declared with a self loop (and declared-but-empty successor lists are
 repaired the same way).
 
-Solution files: `paritysol <max id>;` then `<id> <winner> [<choice>];` per
-vertex, the choice column present where the winner's strategy is defined.
+Solution files: an optional `paritysol <max id>;` header, placed the same
+way, then `<id> <winner> [<choice>];` per vertex, the choice column present
+where the winner's strategy is defined.
 No id, chosen successors included, may exceed the header's maximum.
 """
 
@@ -36,25 +38,24 @@ _SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$")
 _SOL_LINE = re.compile(r"^(\d+)\s+([01])(?:\s+(\d+))?\s*;$")
 
 
-def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
-    rows: dict[int, tuple[int, int, list[int], str | None]] = {}
-    max_id = -1
-    header_max = header_line = None
-    named: dict[int, int] = {}  # id -> first vertex line naming it
-    lines = text.splitlines()
-    start = 0
+def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
+    """The header's maximum id and line number if the first non-blank line
+    is a header, else (None, 0)."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            start = lineno
-            continue
-        m = _HEADER.match(line)
-        if m is None:
-            break
-        max_id = header_max = int(m.group(1))
-        header_line = start = lineno
-        break
-    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        if line:
+            m = pattern.match(line)
+            return (int(m.group(1)), lineno) if m else (None, 0)
+    return None, 0
+
+
+def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
+    rows: dict[int, tuple[int, int, list[int], str | None]] = {}
+    named: dict[int, int] = {}  # id -> first vertex line naming it
+    lines = text.splitlines()
+    header_max, header_line = _header(lines, _HEADER)
+    max_id = -1 if header_max is None else header_max
+    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
         line = raw.strip()
         if not line:
             continue
@@ -151,18 +152,12 @@ def emit_solution(report: SolveReport, form: str = "text") -> str:
 def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
     """Winner and optional strategy choice per vertex id."""
     out: dict[int, tuple[int, int | None]] = {}
-    seen_header = False
-    header_max = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    header_max, header_line = _header(lines, _SOL_HEADER)
+    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
         line = raw.strip()
         if not line:
             continue
-        if not seen_header:
-            m = _SOL_HEADER.match(line)
-            if m is not None:
-                seen_header = True
-                header_max = int(m.group(1))
-                continue
         m = _SOL_LINE.match(line)
         if m is None:
             raise ParseError(lineno, f"malformed solution line: {raw.strip()!r}")

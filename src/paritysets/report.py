@@ -16,8 +16,3 @@ class SolveReport:
     strategy_even: object = None
     strategy_odd: object = None
     diagnostics: dict = field(default_factory=dict)
-
-    def winner_of(self, v: int):
-        from .game import Player
-
-        return Player.EVEN if self.winning_even.contains(v) else Player.ODD

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import ParityGame, Player, subgame, swap_roles_increment
-from .explicit import solve_explicit_pm
+from .game import ParityGame, Player
+from .explicit import _wins_everywhere
 from .ranks import TOP
 
 
@@ -165,7 +165,4 @@ def verify_strategy(game: ParityGame, player: Player, region, strategy: Strategy
             for v, succs in enumerate(game.successors)
         ),
     )
-    restricted, _ = subgame(pinned, w)
-    if player is Player.ODD:
-        restricted = swap_roles_increment(restricted)
-    return len(solve_explicit_pm(restricted).winning_even) == len(w)
+    return _wins_everywhere(pinned, player, w)

@@ -25,7 +25,9 @@ import time
 from dataclasses import dataclass
 
 from .game import ParityGame, Player, normalize_priorities
+from .report import SolveReport
 from .sets import SetSpace, VertexSet
+from .strategy import extract_attractor_strategies
 
 
 class RecursionDepthExceeded(Exception):
@@ -205,14 +207,10 @@ def _solve(
 
 def _report(norm, space, started, algorithm, solved, strategies, diagnostics=None):
     """Stop the clock on a recursive solve and package what `_solve` returned."""
-    from .report import SolveReport
-
     w_even, w_odd, ce, co = solved
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
     if strategies:
-        from .strategy import extract_attractor_strategies
-
         strategy_even, strategy_odd = extract_attractor_strategies(
             norm, w_even.ids(), w_odd.ids(), ce, co
         )

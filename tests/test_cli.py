@@ -45,6 +45,10 @@ def test_solve_policy_and_backend_flags(game_file, capsys):
     assert out.startswith("paritysol 7;\n0 1;\n1 1;\n2 0;")
     assert main(["solve", game_file, "--algo", "bigstep", "--policy", "fixed:2"]) == 0
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", game_file, "--algo", "bigstep", "--policy", "fixed:-1"])
+    assert exc.value.code == 2
+    assert "h >= 0" in capsys.readouterr().err
 
 
 def test_stats_reports_counters(game_file, capsys):
@@ -197,20 +201,27 @@ def test_gen_writes_files_and_they_solve(tmp_path, capsys):
 def test_trace_environment_variable(game_file):
     env = dict(os.environ, PARITY_TRACE="1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    for algo, expected in [
-        ("pm", {
+    for flags, expected in [
+        (["--algo", "pm"], {
             0: "pm-trace iter=1 rank=(1, 0) added=4 next=(2, 0) rollback=False",
             3: "pm-trace iter=4 rank=(0, 1) added=4 next=(1, 0) rollback=True",
             11: "pm-trace iter=12 rank=TOP added=2 next=None rollback=False",
         }),
+        # with strategies, pm also streams its role-swapped odd-player run
+        (["--algo", "pm", "--strategies"], {
+            0: "pm-trace iter=1 rank=(1, 0) added=4 next=(2, 0) rollback=False",
+            11: "pm-trace iter=12 rank=TOP added=2 next=None rollback=False",
+            12: "pm-trace iter=1 rank=(1, 0, 0) added=2 next=(2, 0, 0) rollback=False",
+            41: "pm-trace iter=30 rank=TOP added=0 next=None rollback=False",
+        }),
         # big-step streams its one dominion run: role-swapped, three counters
-        ("bigstep", {
+        (["--algo", "bigstep"], {
             0: "pm-trace iter=1 rank=(1, 0, 0) added=2 next=(2, 0, 0) rollback=False",
             20: "pm-trace iter=21 rank=TOP added=0 next=None rollback=False",
         }),
     ]:
         proc = subprocess.run(
-            [sys.executable, "-m", "paritysets.cli", "solve", game_file, "--algo", algo],
+            [sys.executable, "-m", "paritysets.cli", "solve", game_file, *flags],
             capture_output=True,
             text=True,
             env=env,

@@ -29,8 +29,8 @@ def test_build_basic_shape(sample_game):
     assert g.owner[0] is Player.EVEN
     assert g.owner[1] is Player.ODD
     assert g.successors[7] == (2, 6)
-    assert g.name_of(0) == "a"
-    assert g.name_of(7) == "h"
+    assert g.names[0] == "a"
+    assert g.names[7] == "h"
 
 
 def test_predecessors_are_inverted_edges(sample_game):
@@ -48,12 +48,6 @@ def test_priority_classes(sample_game):
     assert g.priority_class(2) == (6,)
     assert g.priority_class(3) == (4,)
     assert g.priority_class(4) == (5,)
-
-
-def test_vertices_of(sample_game):
-    g = sample_game
-    assert g.vertices_of(Player.EVEN) == (0, 2, 3, 6, 7)
-    assert g.vertices_of(Player.ODD) == (1, 4, 5)
 
 
 def test_duplicate_edges_are_dropped():

@@ -48,8 +48,9 @@ EXPECTED_FAMILY = {
 
 
 def test_sample_trace_is_exact(sample_game):
-    run = symbolic_parity_dominion(sample_game, keep_trace=True)
-    assert run.trace == EXPECTED_TRACE
+    events = []
+    run = symbolic_parity_dominion(sample_game, trace=events.append)
+    assert events == EXPECTED_TRACE
     assert run.iterations == 12
     assert ids(run.winning_even) == frozenset({2, 3, 4, 5, 6, 7})
     run.state.release_all()
@@ -57,8 +58,7 @@ def test_sample_trace_is_exact(sample_game):
 
 
 def test_sample_final_family(sample_game):
-    run = symbolic_parity_dominion(sample_game, keep_trace=False)
-    assert run.trace is None
+    run = symbolic_parity_dominion(sample_game)
     family = {}
     for r in run.domain.iterate():
         s, owned = run.state.read(r)
@@ -94,9 +94,12 @@ def test_sample_operation_counts(sample_game):
 
 
 def test_direct_representation_agrees(sample_game):
-    linear = symbolic_parity_dominion(sample_game, keep_trace=True)
-    direct = symbolic_parity_dominion(sample_game, representation="direct", keep_trace=True)
-    assert direct.trace == linear.trace
+    linear_events, direct_events = [], []
+    linear = symbolic_parity_dominion(sample_game, trace=linear_events.append)
+    direct = symbolic_parity_dominion(
+        sample_game, representation="direct", trace=direct_events.append
+    )
+    assert direct_events == linear_events
     assert ids(direct.winning_even) == ids(linear.winning_even)
     # same one-step and containment work; only basic set algebra differs
     assert direct.space.counters.cpre_ops == linear.space.counters.cpre_ops == 35
@@ -116,12 +119,6 @@ def test_unknown_representation_rejected(sample_game):
         symbolic_parity_dominion(sample_game, representation="compressed")
 
 
-def test_trace_callback_sees_the_kept_events(sample_game):
-    seen = []
-    run = symbolic_parity_dominion(sample_game, trace=seen.append, keep_trace=True)
-    assert seen == run.trace == EXPECTED_TRACE
-
-
 def test_stderr_trace_format(capsys):
     stderr_trace(EXPECTED_TRACE[3])
     err = capsys.readouterr().err
@@ -139,8 +136,6 @@ def test_solve_report_shape(sample_game):
     c = rep.counters
     # one extra difference computes the odd region; the run state is freed
     assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 471, 22, 11)
-    assert rep.winner_of(0) is Player.ODD
-    assert rep.winner_of(5) is Player.EVEN
 
 
 def test_solve_with_strategies_releases_everything(sample_game):

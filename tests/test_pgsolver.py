@@ -197,5 +197,9 @@ def test_solution_parse_errors():
         parse_solution("0 1;\n0 0;\n")
     with pytest.raises(ParseError, match="no solution entries"):
         parse_solution("paritysol 3;\n")
+    # a header counts only on the first non-blank line
+    with pytest.raises(ParseError, match="malformed solution line") as err:
+        parse_solution("5 1;\nparitysol 3;\n0 0;\n")
+    assert err.value.line == 2
     # header is optional here as well
     assert parse_solution("0 1;\n") == {0: (1, None)}
