@@ -30,7 +30,12 @@ def _parse_policy(text: str):
     if text == "gamma":
         return GammaPolicy()
     if text.startswith("fixed:"):
-        h = int(text.split(":", 1)[1])
+        arg = text.split(":", 1)[1]
+        try:
+            h = int(arg)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"fixed policy needs an integer h, got {arg!r}") from None
         if h < 0:
             raise argparse.ArgumentTypeError(f"fixed policy needs h >= 0, got {h}")
         return Fixed(h)

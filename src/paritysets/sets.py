@@ -77,6 +77,13 @@ class VertexSet:
         return f"VertexSet{{{','.join(map(str, self.ids()))}}}{state}"
 
 
+def _mask(ids) -> int:
+    m = 0
+    for v in ids:
+        m |= 1 << v
+    return m
+
+
 class _BitsBackend:
     kind = "bits"
 
@@ -84,12 +91,10 @@ class _BitsBackend:
         n = game.vertex_count
         self.n = n
         self.full_mask = (1 << n) - 1
-        self.succ = [0] * n
-        for v, succs in enumerate(game.successors):
-            m = 0
-            for w in succs:
-                m |= 1 << w
-            self.succ[v] = m
+        self.succ = [_mask(succs) for succs in game.successors]
+        self.pred = [_mask(preds) for preds in game.predecessors]
+        # (for_even, within, b & within, result) of the last cpre call.
+        self._last_cpre = None
         self.even_mask = 0
         for v, o in enumerate(game.owner):
             if o is Player.EVEN:
@@ -102,10 +107,7 @@ class _BitsBackend:
         return self.full_mask
 
     def from_ids(self, ids):
-        m = 0
-        for v in ids:
-            m |= 1 << v
-        return m
+        return _mask(ids)
 
     def union(self, a, b):
         return a | b
@@ -152,9 +154,28 @@ class _BitsBackend:
         # v of the opponent: at least one successor stays inside and every
         # one that does lands in b. Vertices with no move inside the view
         # never qualify, matching the relational (BDD) formulation.
-        out = 0
+        #
+        # Only b & within matters, and cpre is monotone in it: after a call
+        # with the same player and view whose b & within is contained in
+        # this one's, the last result stays in and only predecessors of the
+        # growth can newly qualify, so just those are rechecked.
+        bw = b & within
+        last = self._last_cpre
+        if (last is not None and last[0] == for_even and last[1] == within
+                and last[2] & ~bw == 0):
+            out = last[3]
+            grew = bw ^ last[2]
+            m = 0
+            pred = self.pred
+            while grew:
+                low = grew & -grew
+                m |= pred[low.bit_length() - 1]
+                grew ^= low
+            m &= within & ~out
+        else:
+            out = 0
+            m = within
         mine = self.even_mask if for_even else self.full_mask ^ self.even_mask
-        m = within
         succ = self.succ
         while m:
             low = m & -m
@@ -165,6 +186,7 @@ class _BitsBackend:
             elif s and s & ~b == 0:
                 out |= low
             m ^= low
+        self._last_cpre = (for_even, within, bw, out)
         return out
 
 

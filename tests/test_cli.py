@@ -49,6 +49,13 @@ def test_solve_policy_and_backend_flags(game_file, capsys):
         main(["solve", game_file, "--algo", "bigstep", "--policy", "fixed:-1"])
     assert exc.value.code == 2
     assert "h >= 0" in capsys.readouterr().err
+    for text, arg in (("fixed:abc", "'abc'"), ("fixed:", "''")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", game_file, "--algo", "bigstep", "--policy", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"fixed policy needs an integer h, got {arg}" in err
+        assert "_parse_policy" not in err
 
 
 def test_stats_reports_counters(game_file, capsys):

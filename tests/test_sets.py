@@ -7,6 +7,7 @@ import random
 import pytest
 
 from paritysets import Player, SetSpace, UniverseMismatch, build_game, gen_random
+from paritysets.zielonka import attractor
 
 from conftest import corpus, ids
 
@@ -164,3 +165,85 @@ def test_cpre_without_within_uses_the_full_game(sample_game):
     got = space.cpre(Player.ODD, b)
     want = cpre_oracle(sample_game, Player.ODD, {3}, frozenset(range(8)))
     assert ids(got) == want
+
+
+class _CountingList(list):
+    """A successor-mask list that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return super().__getitem__(i)
+
+
+def _memo_script(n, rng):
+    """cpre calls that take each path of the bits backend's memo: b growing
+    one vertex at a time (hits), the same b again (an empty growth), a
+    smaller and an incomparable b, the other player, and a wider view or the
+    whole game as view (misses)."""
+    big = frozenset(v for v in range(n) if rng.random() < 0.8)
+    small = frozenset(v for v in big if rng.random() < 0.7)
+    some = frozenset(v for v in range(n) if rng.random() < 0.5)
+    calls = []
+    for player in (Player.EVEN, Player.ODD):
+        for within in (small, big, None):
+            order = list(range(n))
+            rng.shuffle(order)
+            for k in range(1, n + 1):
+                calls.append((player, frozenset(order[:k]), within))
+            calls.append(calls[-1])
+            calls.append((player, frozenset(order[: n // 2]), within))
+            calls.append((player, frozenset(order[n // 2:]), within))
+        for within in (small, big, None):
+            calls.append((player, some, within))
+    calls.append((Player.EVEN, some, None))
+    return calls
+
+
+def test_bits_cpre_memo_matches_the_definition_and_bdd():
+    rng = random.Random(5)
+    for g in corpus(30, seed0=400):
+        n = g.vertex_count
+        bits = SetSpace(g, backend="bits")
+        bdd = SetSpace(g, backend="bdd")
+        for player, b_ids, w_ids in _memo_script(n, rng):
+            if w_ids is None:
+                w1 = w2 = None
+                w_ids = range(n)
+            else:
+                w1, w2 = bits.from_ids(w_ids), bdd.from_ids(w_ids)
+            got = bits.cpre(player, bits.from_ids(b_ids), within=w1)
+            want = bdd.cpre(player, bdd.from_ids(b_ids), within=w2)
+            assert ids(got) == ids(want) == cpre_oracle(g, player, b_ids, w_ids)
+        assert bits.counters.cpre_ops == bdd.counters.cpre_ops
+
+
+def test_bits_cpre_memo_skips_work_on_an_unchanged_target(sample_game):
+    space = SetSpace(sample_game)
+    succ = space._backend.succ = _CountingList(space._backend.succ)
+    b = space.from_ids((3, 5))
+    first = space.cpre(Player.ODD, b)
+    assert succ.lookups == 8  # a miss walks the whole view
+    again = space.cpre(Player.ODD, b)
+    assert succ.lookups == 8  # nothing grew, nothing to recheck
+    assert ids(again) == ids(first)
+    other = space.cpre(Player.EVEN, b)
+    assert succ.lookups == 16  # another player misses
+    assert ids(other) == cpre_oracle(sample_game, Player.EVEN, {3, 5}, range(8))
+
+
+def test_bits_attractor_kernel_work_is_linear_on_a_chain():
+    # Vertex i moves only to i-1 and vertex 0 to itself, so the attractor of
+    # {0} grows by one vertex per round: n cpre calls. Recomputing each over
+    # the whole view would look up n * n successor masks.
+    n = 2000
+    chain = build_game([v % 2 for v in range(n)], [0] * n,
+                       [[0]] + [[v - 1] for v in range(1, n)])
+    for player in (Player.EVEN, Player.ODD):
+        space = SetSpace(chain)
+        succ = space._backend.succ = _CountingList(space._backend.succ)
+        result = attractor(chain, player, space.singleton(0))
+        assert result.attractor.count() == n
+        assert space.counters.cpre_ops == n
+        assert succ.lookups <= 2 * n
