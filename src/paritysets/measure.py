@@ -11,9 +11,11 @@ Two interchangeable encodings of the whole family {S_r}:
 
 * DirectFamilyState stores one set per rank (exponentially many sets).
 * LinearSpaceState stores, per odd priority, one set per counter value
-  (the set of vertices whose rank has exactly that counter there), plus the
-  set of TOP vertices. Any S_r is reconstructed on demand in O(n + c) basic
-  operations, and an update touches O(n + c) sets. Updating rank r's set
+  (the set of vertices whose rank has at least that counter there), plus
+  the set of TOP vertices: linear space, and each position's rows are
+  nested. Any S_r is reconstructed on demand in at most 3c/2 + 1 basic
+  operations. An update walks each position's rows from the new counter
+  and stops at the first row it leaves unchanged. Updating rank r's set
   implicitly updates every lower rank's set, which is what makes the
   roll-back walk free of explicit unions in this encoding.
 
@@ -144,9 +146,10 @@ class DirectFamilyState:
 class LinearSpaceState:
     """Counter-coordinate encoding: per odd priority one set per counter value.
 
-    coordinate[p][x] holds the vertices whose rank has value x at position p
-    (odd priority 2p+1); vertices at TOP live only in `top`. Per position the
-    coordinate sets partition universe minus top.
+    coordinate[p][x] holds the vertices whose rank has value at least x at
+    position p (odd priority 2p+1); vertices at TOP live only in `top`. Per
+    position the rows are nested: row 0 is universe minus top, and each row
+    lies inside the one before it.
     """
 
     kind = "linear"
@@ -174,38 +177,36 @@ class LinearSpaceState:
         return self._reconstruct(r), True
 
     def _reconstruct(self, r) -> VertexSet:
-        """S_r from the coordinates: vertices above r at some position and equal
-        at all more significant ones, plus vertices equal everywhere, plus TOP."""
+        """S_r from the coordinates: vertices at least r at every more
+        significant position and above r at this one, plus vertices at least r
+        everywhere, plus TOP. At most three operations per position."""
         space = self.space
         if r is TOP:
             return space.copy(self.top)
-        union = space.union
         intersect = space.intersect
         release = space.release
         acc = space.copy(self.top)
+        # Vertices at least r at every position so far. It may keep TOP
+        # vertices, which S_r holds anyway, so a zero counter narrows nothing.
         running = space.copy(self.universe)
         for p in range(len(self.eff_caps) - 1, -1, -1):
             row = self.coordinate[p]
-            if r[p] < self.eff_caps[p]:
-                above = space.copy(row[r[p] + 1])
-                for x in range(r[p] + 2, self.eff_caps[p] + 1):
-                    grown = union(above, row[x])
-                    release(above)
-                    above = grown
-                seg = intersect(running, above)
-                release(above)
-                joined = union(acc, seg)
+            x = r[p]
+            if x < self.eff_caps[p]:
+                seg = intersect(running, row[x + 1])
+                joined = space.union(acc, seg)
                 release(acc, seg)
                 acc = joined
-            narrowed = intersect(running, row[r[p]])
-            release(running)
-            running = narrowed
-        joined = union(acc, running)
+            if x:
+                narrowed = intersect(running, row[x])
+                release(running)
+                running = narrowed
+        joined = space.union(acc, running)
         release(acc, running)
         return joined
 
     def commit(self, r, working: VertexSet, old: VertexSet, chain) -> None:
-        # `chain` is unused: moving the delta to coordinate r also moves it,
+        # `chain` is unused: raising the delta's counters to r also moves it,
         # implicitly, into every reconstruction at lower ranks.
         space = self.space
         if not space._backend.is_subset(old.payload, working.payload):
@@ -214,23 +215,33 @@ class LinearSpaceState:
         space.release(working, old)
         if r is not TOP and space._backend.intersect(delta.payload, self.top.payload) != space._backend.empty():
             raise PreconditionViolated("a TOP vertex cannot take a finite rank")
-        union = space.union
-        difference = space.difference
-        release = space.release
+        # The delta joins rows x <= r[p], walking down (row 0 holds it
+        # already), and leaves the rows above, walking up; a TOP commit leaves
+        # every row.
         for p, row in enumerate(self.coordinate):
-            target = None if r is TOP else r[p]
-            for x in range(len(row)):
-                if x == target:
-                    changed = union(row[x], delta)
-                else:
-                    changed = difference(row[x], delta)
-                release(row[x])
-                row[x] = changed
+            if r is TOP:
+                above = 0
+            else:
+                self._walk(row, space.union, delta, range(r[p], 0, -1))
+                above = r[p] + 1
+            self._walk(row, space.difference, delta, range(above, len(row)))
         if r is TOP:
             grown = space.union(self.top, delta)
             space.release(self.top)
             self.top = grown
         space.release(delta)
+
+    def _walk(self, row, op, delta: VertexSet, xs) -> None:
+        """Apply `op(row[x], delta)` along `xs`. The rows are nested, so the
+        first row left unchanged means every later one is unchanged too."""
+        space = self.space
+        for x in xs:
+            changed = op(row[x], delta)
+            if space.equals(changed, row[x]):
+                space.release(changed)
+                return
+            space.release(row[x])
+            row[x] = changed
 
     def update(self, r, s_new: VertexSet) -> None:
         self.commit(r, self.space.copy(s_new), self.snapshot(r), ())
@@ -243,15 +254,13 @@ class LinearSpaceState:
             return TOP
         vec = []
         for p, row in enumerate(self.coordinate):
-            hit = None
-            for x in range(len(row)):
-                if space.is_subset(probe, row[x]):
-                    hit = x
-                    break
-            if hit is None:
+            if not space.is_subset(probe, row[0]):
                 space.release(probe)
                 raise PreconditionViolated(f"vertex {v} missing from coordinate {p}")
-            vec.append(hit)
+            x = 0
+            while x + 1 < len(row) and space.is_subset(probe, row[x + 1]):
+                x += 1
+            vec.append(x)
         space.release(probe)
         return tuple(vec)
 
@@ -260,7 +269,7 @@ class LinearSpaceState:
             return TOP
         vec = []
         for row in self.coordinate:
-            hit = next((x for x in range(len(row)) if row[x].contains(v)), None)
+            hit = next((x for x in range(len(row) - 1, -1, -1) if row[x].contains(v)), None)
             if hit is None:
                 return None
             vec.append(hit)
@@ -297,6 +306,24 @@ class _InvariantChecker:
 
     def boundary(self, state, processed_rank, next_rank, rolled_back) -> None:
         domain = self.domain
+        raw_ids = state.space.raw_ids
+        # The family is anti-monotone / each coordinate's rows are nested.
+        if state.kind == "direct":
+            prev = None
+            for r in domain.iterate():
+                cur = frozenset(raw_ids(state.sets[r]))
+                if prev is not None and not cur <= prev:
+                    raise InvariantViolation(f"family not anti-monotone at {r}")
+                prev = cur
+        else:
+            rest = frozenset(self.ids) - frozenset(raw_ids(state.top))
+            for p, row in enumerate(state.coordinate):
+                cells = [frozenset(raw_ids(cell)) for cell in row]
+                if cells[0] != rest:
+                    raise InvariantViolation(f"coordinate {p} row 0 is not universe minus top")
+                for x in range(1, len(cells)):
+                    if not cells[x] <= cells[x - 1]:
+                        raise InvariantViolation(f"coordinate {p} not nested at row {x}")
         # Ranks by subgame position: position i is vertex self.ids[i].
         ranks = []
         for v in self.ids:
@@ -310,20 +337,6 @@ class _InvariantChecker:
                 raise InvariantViolation(
                     f"vertex {v} ranked {rank} above the explicit fixpoint {bound}"
                 )
-        # The family is anti-monotone / the coordinates partition the universe.
-        if state.kind == "direct":
-            prev = None
-            for r in domain.iterate():
-                cur = frozenset(state.space.raw_ids(state.sets[r]))
-                if prev is not None and not cur <= prev:
-                    raise InvariantViolation(f"family not anti-monotone at {r}")
-                prev = cur
-        else:
-            rest = sorted(frozenset(self.ids) - frozenset(state.space.raw_ids(state.top)))
-            for p, row in enumerate(state.coordinate):
-                # Each vertex below TOP sits in exactly one cell of the row.
-                if sorted(v for cell in row for v in state.space.raw_ids(cell)) != rest:
-                    raise InvariantViolation(f"coordinate {p} does not partition")
         # Closure: between iterations every vertex either lifts at least to
         # the rank about to be processed or already sits at a lift fixpoint.
         # The stronger point check (everything lifting exactly to the

@@ -74,8 +74,9 @@ class RankDomain:
         return self.bound is None or sum(r) <= self.bound
 
     def size(self) -> int:
-        """Number of ranks including TOP."""
-        if self.bound is None:
+        """Number of ranks including TOP. A bound at or above the caps' sum
+        bounds nothing, so the counting never costs more than that sum."""
+        if self.bound is None or self.bound >= sum(self.caps):
             return prod(k + 1 for k in self.caps) + 1
         ways = [0] * (self.bound + 1)
         ways[0] = 1

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from paritysets import Player, RankDomain, TOP, build_game, solve_explicit_pm
+from paritysets import Player, RankDomain, TOP, build_game, gen_random, solve_explicit_pm
 from paritysets.measure import (
+    InvariantViolation,
     LinearSpaceState,
     PreconditionViolated,
+    _InvariantChecker,
     _pm_run,
     dominion,
     solve_pm_symbolic,
@@ -57,15 +59,19 @@ def test_sample_trace_is_exact(sample_game):
     run.space.release(run.winning_even)
 
 
-def test_sample_final_family(sample_game):
-    run = symbolic_parity_dominion(sample_game)
+def _family(run) -> dict:
     family = {}
     for r in run.domain.iterate():
         s, owned = run.state.read(r)
         family[r] = ids(s)
         if owned:
             run.space.release(s)
-    assert family == EXPECTED_FAMILY
+    return family
+
+
+def test_sample_final_family(sample_game):
+    run = symbolic_parity_dominion(sample_game)
+    assert _family(run) == EXPECTED_FAMILY
     run.state.release_all()
     run.space.release(run.winning_even)
 
@@ -74,10 +80,11 @@ def test_sample_coordinate_rows(sample_game):
     run = symbolic_parity_dominion(sample_game)
     state = run.state
     assert isinstance(state, LinearSpaceState)
+    # Row x holds the vertices whose counter there is at least x.
     rows = [[ids(s) for s in row] for row in state.coordinate]
     assert rows == [
-        [frozenset({3, 4, 5, 6}), frozenset({2}), frozenset({7}), frozenset()],
-        [frozenset({2, 3, 5, 7}), frozenset({4, 6})],
+        [frozenset({2, 3, 4, 5, 6, 7}), frozenset({2, 7}), frozenset({7}), frozenset()],
+        [frozenset({2, 3, 4, 5, 6, 7}), frozenset({4, 6})],
     ]
     assert ids(state.top) == frozenset({0, 1})
     state.release_all()
@@ -87,7 +94,7 @@ def test_sample_coordinate_rows(sample_game):
 def test_sample_operation_counts(sample_game):
     run = symbolic_parity_dominion(sample_game)
     c = run.space.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 470, 22, 17)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 407, 22, 17)
     run.state.release_all()
     run.space.release(run.winning_even)
     assert c.live_sets == 9  # the pinned base sets
@@ -107,11 +114,64 @@ def test_direct_representation_agrees(sample_game):
 
 
 def test_direct_representation_on_random_games():
+    # Bounded and swapped runs take every early stop of the linear commit.
     for g in corpus(25, seed0=430):
-        linear = symbolic_parity_dominion(g)
-        direct = symbolic_parity_dominion(g, representation="direct")
-        assert ids(direct.winning_even) == ids(linear.winning_even)
-        assert direct.space.counters.cpre_ops == linear.space.counters.cpre_ops
+        for bound in (None, 0, 1, 2, 3):
+            for swap in (False, True):
+                runs = {}
+                for representation in ("linear", "direct"):
+                    space = SetSpace(g)
+                    events = []
+                    run = _pm_run(space, space.full, bound=bound, swap=swap,
+                                  representation=representation, trace=events.append)
+                    c = space.counters
+                    runs[representation] = (events, c.cpre_ops, c.containment_tests,
+                                            ids(run.winning), _family(run))
+                assert runs["linear"] == runs["direct"], (bound, swap)
+
+
+@pytest.mark.parametrize("bound", [None, 3])
+def test_reads_cost_three_ops_per_position(bound):
+    g = gen_random(96, 5, 1, 3, 7)
+    space = SetSpace(g)
+    run = _pm_run(space, space.full, bound=bound)
+    budget = 3 * run.domain.positions + 1
+    for r in run.domain.iterate():
+        if r is TOP:
+            continue
+        before = space.counters.snapshot()
+        s, owned = run.state.read(r)
+        assert owned
+        space.release(s)
+        after = space.counters
+        assert after.cpre_ops == before.cpre_ops
+        assert after.basic_total - before.basic_total <= budget, r
+
+
+def _finished_sample_run(sample_game):
+    run = symbolic_parity_dominion(sample_game)
+    checker = _InvariantChecker(run.state.view, run.domain)
+    checker.boundary(run.state, TOP, None, False)
+    return run, checker
+
+
+def test_invariant_checker_catches_rows_out_of_nesting(sample_game):
+    run, checker = _finished_sample_run(sample_game)
+    row = run.state.coordinate[0]
+    # Drop vertex 7 from row 1 but not from row 2, which holds only it.
+    run.space.release(row[1])
+    row[1] = run.space.from_ids([2])
+    with pytest.raises(InvariantViolation, match="coordinate 0 not nested at row 2"):
+        checker.boundary(run.state, TOP, None, False)
+
+
+def test_invariant_checker_catches_a_short_row_zero(sample_game):
+    run, checker = _finished_sample_run(sample_game)
+    row = run.state.coordinate[1]
+    run.space.release(row[0])
+    row[0] = run.space.from_ids([2, 3, 4, 5, 6])
+    with pytest.raises(InvariantViolation, match="coordinate 1 row 0"):
+        checker.boundary(run.state, TOP, None, False)
 
 
 def test_unknown_representation_rejected(sample_game):
@@ -135,7 +195,7 @@ def test_solve_report_shape(sample_game):
     assert rep.wall_time >= 0.0
     c = rep.counters
     # one extra difference computes the odd region; the run state is freed
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 471, 22, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 408, 22, 11)
 
 
 def test_solve_with_strategies_releases_everything(sample_game):
@@ -186,6 +246,8 @@ def test_bounded_dominions(sample_game):
     assert dominion(sample_game, Player.EVEN, 1) == frozenset({2, 3, 4, 5, 6, 7})
     assert dominion(sample_game, Player.ODD, 1) == frozenset({0, 1})
     assert dominion(sample_game, Player.EVEN, 3) == frozenset({2, 3, 4, 5, 6, 7})
+    # A bound past the caps' sum is the unbounded run, however large.
+    assert dominion(sample_game, Player.EVEN, 10**18) == dominion(sample_game, Player.EVEN, 8)
 
 
 def _tiny_state():
@@ -208,6 +270,31 @@ def test_state_update_and_rank_queries():
     space.release(top_set)
     assert state.rank_of(1) is TOP
     assert state.raw_rank_of(1) is TOP
+
+
+def test_commits_walk_every_row_they_change():
+    # One counter with cap 3; each update below moves a vertex over several rows.
+    g = build_game([0, 0, 0], [1, 1, 1], [[1], [2], [0]])
+    space = SetSpace(g)
+    state = LinearSpaceState(space, RankDomain(c=2, caps=(3,)), space.full)
+
+    def update(r, vertices):
+        s = space.from_ids(vertices)
+        state.update(r, s)
+        space.release(s)
+
+    def rows():
+        return [ids(s) for s in state.coordinate[0]]
+
+    update((2,), [0])
+    assert rows() == [{0, 1, 2}, {0}, {0}, set()]
+    update((3,), [0, 1])
+    assert rows() == [{0, 1, 2}, {0, 1}, {0, 1}, {0, 1}]
+    update(TOP, [1])
+    assert rows() == [{0, 2}, {0}, {0}, {0}]
+    assert ids(state.top) == {1}
+    assert [state.rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
+    assert [state.raw_rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
 
 
 def test_rank_sets_may_only_grow():

@@ -95,6 +95,15 @@ def test_size_matches_enumeration_and_bound():
                 assert sum(r) <= dom.bound
 
 
+def test_size_ignores_a_bound_above_the_caps_sum():
+    # The count must not scale with the bound: one at or above the caps' sum
+    # bounds nothing, so even 10**18 is counted at once.
+    unbounded = RankDomain(c=6, caps=(3, 4, 2))
+    assert RankDomain(c=6, caps=(3, 4, 2), bound=10**18).size() == unbounded.size() == 61
+    assert RankDomain(c=6, caps=(3, 4, 2), bound=9).size() == 61
+    assert RankDomain(c=6, caps=(3, 4, 2), bound=8).size() == 60
+
+
 def test_projection_zeroes_low_positions():
     dom = full_domain()
     assert dom.project((3, 1), 0) == (3, 1)

@@ -8,7 +8,8 @@ golden file with
 
     PYTHONPATH=src python tests/test_trajectories.py
 
-and say so in CHANGES.md.
+which first prints, per field, how many records moved against the old
+file, and say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -76,7 +77,39 @@ def test_trajectories_match_the_golden_file(golden, backend):
     assert sorted(keys) == sorted(golden)
 
 
+def fields(rec: dict) -> dict:
+    """A record flattened to named fields. A list of dicts (a big-step
+    diagnostic) splits into one field per key, `name[*].key`, that holds
+    the list of its values."""
+    out = {f"counters.{k}": v for k, v in rec["counters"].items()}
+    for k, v in rec["diagnostics"].items():
+        if isinstance(v, list) and v and all(isinstance(item, dict) for item in v):
+            for sub in sorted({s for item in v for s in item}):
+                out[f"diagnostics.{k}[*].{sub}"] = [item.get(sub) for item in v]
+        else:
+            out[f"diagnostics.{k}"] = v
+    for k in ("winning_even", "strategy_even", "strategy_odd"):
+        out[k] = rec[k]
+    return out
+
+
+def moved(old: dict, new: dict) -> dict:
+    """Per field, how many records of `new` differ from `old` in it."""
+    counts: dict = {}
+    for key, rec in new.items():
+        before = fields(old[key]) if key in old else {}
+        for name, value in fields(rec).items():
+            counts[name] = counts.get(name, 0) + (before.get(name) != value)
+    return counts
+
+
 if __name__ == "__main__":
     data = {key: record(SOLVERS[solver](game, "bits")) for key, game, solver in cases()}
+    if GOLDEN.exists():
+        old = json.loads(GOLDEN.read_text())
+        print(f"records: {len(old)} before, {len(data)} now, "
+              f"{len(set(data) - set(old))} added, {len(set(old) - set(data))} removed")
+        for name, count in sorted(moved(old, data).items()):
+            print(f"{name}: {count} of {len(data)} records changed")
     GOLDEN.write_text(json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n")
     print(f"wrote {len(data)} records to {GOLDEN}")
