@@ -74,9 +74,6 @@ class ParityGame:
         """c: one past the largest priority present (0 for the empty game)."""
         return max(self.priority) + 1 if self.priority else 0
 
-    def priority_class(self, i: int) -> tuple[int, ...]:
-        return tuple(v for v in range(self.vertex_count) if self.priority[v] == i)
-
 
 def build_game(
     owners: list[int] | list[Player],

@@ -155,26 +155,28 @@ class _BitsBackend:
         # one that does lands in b. Vertices with no move inside the view
         # never qualify, matching the relational (BDD) formulation.
         #
-        # Only b & within matters, and cpre is monotone in it: after a call
-        # with the same player and view whose b & within is contained in
-        # this one's, the last result stays in and only predecessors of the
-        # growth can newly qualify, so just those are rechecked.
+        # Only b & within matters, and every vertex that qualifies has a
+        # successor there. cpre is monotone in it: after a call with the same
+        # player and view whose b & within is contained in this one's, the
+        # last result stays in and only predecessors of the growth inside the
+        # view can newly qualify, so just those are checked. A miss is a call
+        # with an empty last result, where all of b & within is growth.
         bw = b & within
         last = self._last_cpre
         if (last is not None and last[0] == for_even and last[1] == within
                 and last[2] & ~bw == 0):
             out = last[3]
             grew = bw ^ last[2]
-            m = 0
-            pred = self.pred
-            while grew:
-                low = grew & -grew
-                m |= pred[low.bit_length() - 1]
-                grew ^= low
-            m &= within & ~out
         else:
             out = 0
-            m = within
+            grew = bw
+        m = 0
+        pred = self.pred
+        while grew:
+            low = grew & -grew
+            m |= pred[low.bit_length() - 1]
+            grew ^= low
+        m &= within & ~out
         mine = self.even_mask if for_even else self.full_mask ^ self.even_mask
         succ = self.succ
         while m:
@@ -213,10 +215,10 @@ class SetSpace:
             self._backend.from_ids(v for v, o in enumerate(game.owner) if o is Player.ODD)
         )
         self.empty = self._pin(self._backend.empty())
-        c = game.priority_count
-        self.priority_sets = tuple(
-            self._pin(self._backend.from_ids(game.priority_class(i))) for i in range(c)
-        )
+        classes: list[list[int]] = [[] for _ in range(game.priority_count)]
+        for v, p in enumerate(game.priority):
+            classes[p].append(v)
+        self.priority_sets = tuple(self._pin(self._backend.from_ids(cls)) for cls in classes)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from paritysets import bigstep, solve_explicit_pm
+from paritysets import Player, bigstep, gen_random, solve_explicit_pm
 from paritysets.bigstep import (
     Fixed,
     GammaPolicy,
@@ -18,6 +18,7 @@ from paritysets.bigstep import (
     removal_violations,
     symbolic_big_step,
 )
+from paritysets.strategy import verify_strategy
 from paritysets.zielonka import RecursionDepthExceeded
 
 from conftest import corpus, ids
@@ -77,7 +78,7 @@ def test_sample_run(sample_game):
     assert ids(rep.winning_odd) == frozenset({0, 1})
     assert rep.algorithm == "bigstep"
     c = rep.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (69, 948, 24, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (69, 941, 24, 11)
     d = rep.diagnostics
     assert d["policy"] == "sqrt"
     assert d["violations"] == []
@@ -100,6 +101,19 @@ def test_agreement_across_policies():
         policy = (SqrtPolicy(), GammaPolicy(), Fixed(i % 4))[i % 3]
         rep = symbolic_big_step(g, policy=policy)
         assert ids(rep.winning_even) == expected
+        assert rep.diagnostics["violations"] == []
+
+
+def test_many_priorities_agree_and_strategies_verify():
+    # One priority per vertex on average, where each level's scan bound and
+    # the rescan after a dominion peel matter.
+    for seed in range(10):
+        g = gen_random(24, 24, 1, 3, seed)
+        rep = symbolic_big_step(g, policy=SqrtPolicy(), strategies=True)
+        even, odd = ids(rep.winning_even), ids(rep.winning_odd)
+        assert even == solve_explicit_pm(g).winning_even
+        assert verify_strategy(rep.game, Player.EVEN, even, rep.strategy_even)
+        assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
         assert rep.diagnostics["violations"] == []
 
 

@@ -10,6 +10,7 @@ from paritysets import (
     ParityGame,
     Player,
     PriorityOutOfRange,
+    SetSpace,
     VertexWithoutSuccessor,
     build_game,
     gen_random,
@@ -42,12 +43,8 @@ def test_predecessors_are_inverted_edges(sample_game):
 
 
 def test_priority_classes(sample_game):
-    g = sample_game
-    assert g.priority_class(0) == (1, 3)
-    assert g.priority_class(1) == (0, 2, 7)
-    assert g.priority_class(2) == (6,)
-    assert g.priority_class(3) == (4,)
-    assert g.priority_class(4) == (5,)
+    sets = SetSpace(sample_game).priority_sets
+    assert [s.ids() for s in sets] == [(1, 3), (0, 2, 7), (6,), (4,), (5,)]
 
 
 def test_duplicate_edges_are_dropped():
@@ -87,8 +84,7 @@ def test_normalize_keeps_parity_and_order():
             assert old % 2 == new % 2
             assert new <= old
         # no empty class strictly inside the range
-        for i in range(1, norm.priority_count):
-            assert norm.priority_class(i)
+        assert set(range(1, norm.priority_count)) <= set(norm.priority)
         # normalizing again changes nothing
         again, remap2 = normalize_priorities(norm)
         assert again.priority == norm.priority

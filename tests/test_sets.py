@@ -9,7 +9,7 @@ import pytest
 from paritysets import Player, SetSpace, UniverseMismatch, build_game, gen_random
 from paritysets.zielonka import attractor
 
-from conftest import corpus, ids
+from conftest import corpus, ids, ladder
 
 
 @pytest.fixture
@@ -224,13 +224,43 @@ def test_bits_cpre_memo_skips_work_on_an_unchanged_target(sample_game):
     succ = space._backend.succ = _CountingList(space._backend.succ)
     b = space.from_ids((3, 5))
     first = space.cpre(Player.ODD, b)
-    assert succ.lookups == 8  # a miss walks the whole view
+    # a miss checks only predecessors of the target inside the view: {1, 2, 3, 4}
+    assert succ.lookups == 4
     again = space.cpre(Player.ODD, b)
-    assert succ.lookups == 8  # nothing grew, nothing to recheck
+    assert succ.lookups == 4  # nothing grew, nothing to recheck
     assert ids(again) == ids(first)
     other = space.cpre(Player.EVEN, b)
-    assert succ.lookups == 16  # another player misses
+    assert succ.lookups == 8  # another player misses
     assert ids(other) == cpre_oracle(sample_game, Player.EVEN, {3, 5}, range(8))
+
+
+@pytest.mark.parametrize("player", [Player.EVEN, Player.ODD])
+def test_bits_cpre_miss_checks_only_predecessors_of_the_target(player):
+    # On the ladder, vertex 1000's predecessors are 1000 and 1001, so a
+    # first cpre of {1000} over all 2000 vertices looks up two masks.
+    g = ladder(2000)
+    space = SetSpace(g)
+    bdd = SetSpace(g, backend="bdd")
+    succ = space._backend.succ = _CountingList(space._backend.succ)
+    got = space.cpre(player, space.singleton(1000))
+    assert succ.lookups == 2
+    want = bdd.cpre(player, bdd.singleton(1000))
+    assert ids(got) == ids(want) == cpre_oracle(g, player, {1000}, range(2000))
+
+
+@pytest.mark.parametrize("player", [Player.EVEN, Player.ODD])
+def test_bits_cpre_of_a_target_outside_the_view_looks_up_nothing(player):
+    g = ladder(2000)
+    space = SetSpace(g)
+    bdd = SetSpace(g, backend="bdd")
+    succ = space._backend.succ = _CountingList(space._backend.succ)
+    # Vertex 1700 moves into the target, but only b & within counts.
+    view, target = range(1700, 2000), range(1600, 1700)
+    got = space.cpre(player, space.from_ids(target), within=space.from_ids(view))
+    assert succ.lookups == 0
+    assert ids(got) == frozenset()
+    want = bdd.cpre(player, bdd.from_ids(target), within=bdd.from_ids(view))
+    assert ids(want) == cpre_oracle(g, player, set(target), view) == frozenset()
 
 
 def test_bits_attractor_kernel_work_is_linear_on_a_chain():

@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import random
 
-from paritysets import Player, solve_explicit_pm
+from paritysets import Player, gen_random, solve_explicit_pm
 from paritysets.sets import SetSpace
+from paritysets.strategy import verify_strategy
 import pytest
 
-from paritysets.zielonka import RecursionDepthExceeded, attractor, classic_parity, is_trap
+from paritysets.zielonka import (
+    RecursionDepthExceeded,
+    _top_priority,
+    attractor,
+    classic_parity,
+    is_trap,
+)
 
 from conftest import corpus, ids, ladder
 
@@ -82,7 +89,7 @@ def test_sample_solve_counts(sample_game):
     assert ids(rep.winning_odd) == frozenset({0, 1})
     assert rep.algorithm == "zielonka"
     c = rep.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (11, 68, 15, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (11, 51, 15, 11)
 
 
 def test_sample_strategies(sample_game):
@@ -108,6 +115,61 @@ def test_peak_depends_on_priorities_not_size():
         assert c.peak_live_sets <= 4 * g.priority_count + 8
         # live at the end: both winning sets over the pinned base sets
         assert c.live_sets == (4 + rep.game.priority_count) + 2
+
+
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+@pytest.mark.parametrize(
+    "k, basic, cpre",
+    [(7, 71, 13), (8, 85, 16), (31, 323, 61), (200, 2101, 400), (201, 2108, 401)],
+)
+def test_ladder_counts_are_linear_in_the_priorities(backend, k, basic, cpre):
+    # Each level scans only the classes below its parent's top priority, so
+    # the scans cost O(k) ops in all, not one full rescan per level.
+    c = classic_parity(ladder(k), backend=backend).counters
+    assert (c.basic_total, c.cpre_ops, c.peak_live_sets) == (basic, cpre, 2 * k + 8)
+    assert c.basic_total <= 11 * k
+
+
+def test_top_priority_of_an_empty_set_costs_one_test():
+    space = SetSpace(ladder(40))
+    live = space.empty_set()
+    before = space.counters.snapshot()
+    assert _top_priority(space, live, 39) == (-1, None)
+    c = space.counters
+    assert c.equality_tests - before.equality_tests == 1
+    assert c.basic_total - before.basic_total == 1  # so no intersection
+
+
+def test_top_priority_scans_from_the_bound_down():
+    space = SetSpace(ladder(40))
+    live = space.from_ids(range(10))
+    before = space.counters.snapshot()
+    p, cls = _top_priority(space, live, 12)
+    assert p == 9 and ids(cls) == frozenset({9})
+    # one emptiness test of live, then classes 12, 11, 10 and 9
+    c = space.counters
+    assert c.intersections - before.intersections == 4
+    assert c.equality_tests - before.equality_tests == 5
+
+
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_many_priorities_agree_and_strategies_verify(backend, n):
+    # One priority per vertex on average: the bound on each level's scan
+    # only matters when priorities are many, and the corpus stops at c <= 7.
+    for seed in range(6):
+        g = gen_random(n, n, 1, 3, seed)
+        rep = classic_parity(g, strategies=True, backend=backend)
+        even, odd = ids(rep.winning_even), ids(rep.winning_odd)
+        # Regions that split the game, each won by its strategy, certify the
+        # answer on their own.
+        assert not even & odd and len(even | odd) == n
+        assert verify_strategy(rep.game, Player.EVEN, even, rep.strategy_even)
+        assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
+        # The explicit lifting is exponential in the priority count and takes
+        # seconds to minutes per game at n=80.
+        if n <= 40:
+            assert even == solve_explicit_pm(g).winning_even
 
 
 def test_deep_ladder_raises_depth_error():
