@@ -156,7 +156,7 @@ def symbolic_big_step(
         )
         dom_choices = None
         if strategies and run.winning.count():
-            dom_choices = extract_strategy_from_pm(norm, run.state).choice
+            dom_choices = extract_strategy_from_pm(run.state).choice
         run.state.release_all()
         return run.winning, dom_choices, h
 

@@ -92,27 +92,18 @@ def _gather(args) -> list[str]:
 
 
 def _cmd_solve(args) -> int:
+    """solve and stats: solve each file and print it in the verb's form."""
     files = _gather(args)
     if not files:
         print("no input files", file=sys.stderr)
         return 2
     for path in files:
         report = _run(_load(path, args), args)
-        if len(files) > 1:
+        if args.form == "structured":
+            print(f"file: {path}")
+        elif len(files) > 1:
             print(f"# {path}")
-        sys.stdout.write(emit_solution(report, "text"))
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    files = _gather(args)
-    if not files:
-        print("no input files", file=sys.stderr)
-        return 2
-    for path in files:
-        report = _run(_load(path, args), args)
-        print(f"file: {path}")
-        sys.stdout.write(emit_solution(report, "structured"))
+        sys.stdout.write(emit_solution(report, args.form))
     return 0
 
 
@@ -189,15 +180,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="paritysets", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    p_solve = subs.add_parser("solve", help="solve games and print solutions")
-    _input_flags(p_solve, multi=True)
-    _solver_flags(p_solve)
-    p_solve.set_defaults(fn=_cmd_solve)
-
-    p_stats = subs.add_parser("stats", help="solve and dump counters")
-    _input_flags(p_stats, multi=True)
-    _solver_flags(p_stats)
-    p_stats.set_defaults(fn=_cmd_stats)
+    for verb, form, text in (("solve", "text", "solve games and print solutions"),
+                             ("stats", "structured", "solve and dump counters")):
+        sub = subs.add_parser(verb, help=text)
+        _input_flags(sub, multi=True)
+        _solver_flags(sub)
+        sub.set_defaults(fn=_cmd_solve, form=form)
 
     p_dom = subs.add_parser("dominion", help="bounded dominion search")
     _input_flags(p_dom, multi=False)

@@ -39,11 +39,14 @@ def lift_fixpoint(game: ParityGame, domain: RankDomain, order=None):
     """Least simultaneous fixpoint of the lift operator on `game`.
 
     Work-list with predecessor re-enqueueing; the result does not depend on
-    `order` because the fixpoint is least. Returns (rho, lift evaluations).
+    `order`, a permutation of the vertex ids, because the fixpoint is least.
+    Returns (rho, lift evaluations).
     """
     n = game.vertex_count
     rho: list = [domain.zero] * n
     queue = deque(range(n) if order is None else order)
+    if order is not None and sorted(queue) != list(range(n)):
+        raise ValueError("order is not a permutation of the vertex ids")
     queued = [False] * n
     for v in queue:
         queued[v] = True

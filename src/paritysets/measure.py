@@ -19,8 +19,10 @@ Two interchangeable encodings of the whole family {S_r}:
   implicitly updates every lower rank's set, which is what makes the
   roll-back walk free of explicit unions in this encoding.
 
-Both encodings run through the same control loop, so preimage and
-containment counts agree between them by construction.
+Both encodings are built from the run's view and run through the same
+control loop, which needs two operations of them: `read(r)` hands out a
+fresh S_r that the caller releases, and `commit` stores S_r's growth. So
+preimage and containment counts agree between them by construction.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -99,21 +101,15 @@ class _View:
 class DirectFamilyState:
     """One stored set per rank. Exponential in sets; the baseline encoding."""
 
-    kind = "direct"
-
-    def __init__(self, space: SetSpace, domain: RankDomain, universe: VertexSet):
-        self.space = space
+    def __init__(self, view: _View, domain: RankDomain):
+        self.view = view
+        self.space = space = view.space
         self.domain = domain
-        self.universe = universe
-        self.sets: dict = {}
-        for r in domain.iterate():
-            self.sets[r] = space.copy(universe) if r == domain.zero else space.empty_set()
+        self.sets = {r: space.copy(view.universe) if r == domain.zero else space.empty_set()
+                     for r in domain.iterate()}
 
-    def snapshot(self, r) -> VertexSet:
+    def read(self, r) -> VertexSet:
         return self.space.copy(self.sets[r])
-
-    def read(self, r) -> tuple[VertexSet, bool]:
-        return self.sets[r], False
 
     def commit(self, r, working: VertexSet, old: VertexSet, chain) -> None:
         space = self.space
@@ -125,9 +121,6 @@ class DirectFamilyState:
             self.sets[rp] = grown
         space.release(self.sets[r], old)
         self.sets[r] = working
-
-    def update(self, r, s_new: VertexSet) -> None:
-        self.commit(r, self.space.copy(s_new), self.snapshot(r), ())
 
     def raw_rank_of(self, v: int):
         rank = None
@@ -152,29 +145,23 @@ class LinearSpaceState:
     lies inside the one before it.
     """
 
-    kind = "linear"
-
-    def __init__(self, space: SetSpace, domain: RankDomain, universe: VertexSet):
-        self.space = space
+    def __init__(self, view: _View, domain: RankDomain):
+        self.view = view
+        self.space = space = view.space
+        self.universe = view.universe
         self.domain = domain
-        self.universe = universe
         self.eff_caps = tuple(
             cap if domain.bound is None else min(cap, domain.bound) for cap in domain.caps
         )
         self.coordinate: list[list[VertexSet]] = []
         for cap in self.eff_caps:
-            row = [space.copy(universe)]
+            row = [space.copy(self.universe)]
             row.extend(space.empty_set() for _ in range(cap))
             self.coordinate.append(row)
         self.top = space.empty_set()
 
-    def snapshot(self, r) -> VertexSet:
+    def read(self, r) -> VertexSet:
         return self._reconstruct(r)
-
-    def read(self, r) -> tuple[VertexSet, bool]:
-        if r is TOP:
-            return self.top, False
-        return self._reconstruct(r), True
 
     def _reconstruct(self, r) -> VertexSet:
         """S_r from the coordinates: vertices at least r at every more
@@ -243,9 +230,6 @@ class LinearSpaceState:
             space.release(row[x])
             row[x] = changed
 
-    def update(self, r, s_new: VertexSet) -> None:
-        self.commit(r, self.space.copy(s_new), self.snapshot(r), ())
-
     def rank_of(self, v: int):
         space = self.space
         probe = space.singleton(v)
@@ -308,7 +292,7 @@ class _InvariantChecker:
         domain = self.domain
         raw_ids = state.space.raw_ids
         # The family is anti-monotone / each coordinate's rows are nested.
-        if state.kind == "direct":
+        if isinstance(state, DirectFamilyState):
             prev = None
             for r in domain.iterate():
                 cur = frozenset(raw_ids(state.sets[r]))
@@ -401,13 +385,10 @@ def _pm_run(
         trace = stderr_trace
     view = _View(space, universe, swap)
     domain = RankDomain(c=view.c, caps=view.caps, bound=bound)
-    if representation == "linear":
-        state = LinearSpaceState(space, domain, universe)
-    elif representation == "direct":
-        state = DirectFamilyState(space, domain, universe)
-    else:
+    encodings = {"linear": LinearSpaceState, "direct": DirectFamilyState}
+    if representation not in encodings:
         raise ValueError(f"unknown representation {representation!r}")
-    state.view = view  # strategy extraction reads the run's window from here
+    state = encodings[representation](view, domain)
     checker = _InvariantChecker(view, domain) if check_invariants else None
 
     positions = domain.positions
@@ -418,7 +399,7 @@ def _pm_run(
         iterations += 1
         if iterations > guard:
             raise AssertionError("progress measure iteration exceeded its bound")
-        old = state.snapshot(r)
+        old = state.read(r)
         old_count = old.count()
         working = space.copy(old)
 
@@ -434,10 +415,9 @@ def _pm_run(
             cls = view.class_at(level)
             if cls is None:
                 continue
-            source, owned = state.read(domain.decr_at(r, level))
+            source = state.read(domain.decr_at(r, level))
             step = space.cpre(view.odd_role, source, within=universe)
-            if owned:
-                space.release(source)
+            space.release(source)
             seeded = space.intersect(step, cls)
             grown = space.union(working, seeded)
             space.release(step, seeded, working)
@@ -479,10 +459,9 @@ def _pm_run(
         chain = []
         rp = domain.decr(r)
         while True:
-            held, owned = state.read(rp)
+            held = state.read(rp)
             contained = space.is_subset(working, held)
-            if owned:
-                space.release(held)
+            space.release(held)
             if contained:
                 break
             chain.append(rp)
@@ -513,10 +492,9 @@ def _pm_run(
             break
         r = next_rank
 
-    top_set, owned = state.read(TOP)
+    top_set = state.read(TOP)
     winning = space.difference(universe, top_set)
-    if owned:
-        space.release(top_set)
+    space.release(top_set)
     return PmRun(
         space=space,
         winning=winning,
@@ -566,9 +544,10 @@ def symbolic_parity_dominion(
 def dominion(game: ParityGame, player: Player, h: int, backend: str = "bits") -> frozenset[int]:
     """A dominion of `player` containing all of that player's dominions of
     size at most h+1; vertex ids of the input game."""
-    target = game if player is Player.EVEN else swap_roles_increment(game)
-    run = symbolic_parity_dominion(target, bound=h, backend=backend)
-    return frozenset(run.winning_even.ids())
+    norm, _ = normalize_priorities(game)
+    space = SetSpace(norm, backend=backend)
+    run = _pm_run(space, space.full, bound=h, swap=player is Player.ODD)
+    return frozenset(run.winning.ids())
 
 
 def solve_pm_symbolic(
@@ -591,12 +570,12 @@ def solve_pm_symbolic(
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
     if strategies:
-        strategy_even = extract_strategy_from_pm(norm, run.state)
+        strategy_even = extract_strategy_from_pm(run.state)
         space_odd = SetSpace(norm, backend=backend)
         run_odd = _pm_run(
             space_odd, space_odd.full, swap=True, check_invariants=check_invariants
         )
-        strategy_odd = extract_strategy_from_pm(norm, run_odd.state)
+        strategy_odd = extract_strategy_from_pm(run_odd.state)
         run_odd.state.release_all()
         space_odd.release(run_odd.winning)
     run.state.release_all()

@@ -102,12 +102,17 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
 
 
 def emit_pgsolver(game: ParityGame) -> str:
+    """The game file text; ValueError for a name the format cannot quote (one
+    holding `"` or a line break)."""
     lines = [f"parity {game.vertex_count - 1};"]
     for v in range(game.vertex_count):
         succ = ",".join(str(w) for w in game.successors[v])
         name = ""
         if game.names is not None and game.names[v]:
-            name = f' "{game.names[v]}"'
+            name = game.names[v]
+            if '"' in name or name.splitlines() != [name]:
+                raise ValueError(f"vertex {v}: name {name!r} holds a quote or a line break")
+            name = f' "{name}"'
         lines.append(f"{v} {game.priority[v]} {int(game.owner[v])} {succ}{name};")
     return "\n".join(lines) + "\n"
 

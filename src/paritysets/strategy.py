@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import ParityGame, Player
+from .game import GameError, ParityGame, Player
 from .explicit import _wins_everywhere
 from .ranks import TOP
 
@@ -43,12 +43,12 @@ class Strategy:
             raise IncompleteStrategy("choice map does not cover the domain exactly")
 
 
-def extract_strategy_from_pm(game: ParityGame, state) -> Strategy:
+def extract_strategy_from_pm(state) -> Strategy:
     """Read a winning strategy for the rank-bounded player off a finished run.
 
-    `state` is a rank state produced by a measure run; under a swapped view
-    the extracted strategy belongs to the odd player of the base game. One
-    controlled-predecessor operation per winning vertex.
+    `state` is a finished run's rank state, which carries the run's view;
+    under a swapped view the strategy belongs to the base game's odd player.
+    One controlled-predecessor operation per winning vertex.
     """
     view = state.view
     space = state.space
@@ -56,17 +56,16 @@ def extract_strategy_from_pm(game: ParityGame, state) -> Strategy:
     player = Player.ODD if view.swap else Player.EVEN
     mine = space.odds if view.swap else space.evens
 
-    top_set, top_owned = state.read(TOP)
+    top_set = state.read(TOP)
     uncovered = space.difference(view.universe, top_set)
-    if top_owned:
-        space.release(top_set)
+    space.release(top_set)
     choice: dict[int, int] = {}
     for v in uncovered.ids():
         rank_v = state.rank_of(v)
         one = space.singleton(v)
         preds = space.cpre(view.odd_role.opponent(), one, within=view.universe)
         space.release(one)
-        levels = sorted({view.priority_of(u) for u in game.predecessors[v]})
+        levels = sorted({view.priority_of(u) for u in space.game.predecessors[v]})
         for level in levels:
             target = domain.incr_at(rank_v, level)
             if target is TOP:
@@ -74,10 +73,9 @@ def extract_strategy_from_pm(game: ParityGame, state) -> Strategy:
             cls = view.class_at(level)
             if cls is None:
                 continue
-            holders, owned = state.read(target)
+            holders = state.read(target)
             cand = space.intersect(preds, holders)
-            if owned:
-                space.release(holders)
+            space.release(holders)
             cand2 = space.intersect(cand, mine)
             cand3 = space.intersect(cand2, cls)
             cand4 = space.intersect(cand3, uncovered)
@@ -134,15 +132,19 @@ def _region_ids(region) -> frozenset[int]:
 def verify_strategy(game: ParityGame, player: Player, region, strategy: Strategy) -> bool:
     """True iff `strategy` wins every play from `region` for `player`.
 
-    Raises StrategyLeavesW when a choice exits the region. Returns False
-    when a player vertex lacks a choice, when the opponent can leave the
-    region, or when some play consistent with the strategy loses.
+    Raises GameError for a region vertex the game lacks and StrategyLeavesW
+    when a choice exits the region. Returns False when a player vertex lacks
+    a choice, when the opponent can leave the region, or when some play
+    consistent with the strategy loses.
     """
     if strategy.player is not player:
         raise ValueError("strategy belongs to the other player")
     w = _region_ids(region)
     if not w:
         return True
+    for v in sorted(w):
+        if not 0 <= v < game.vertex_count:
+            raise GameError(f"vertex {v} outside the game")
     for v in w:
         if game.owner[v] is player:
             pick = strategy.choice.get(v)

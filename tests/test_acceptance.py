@@ -144,10 +144,9 @@ def test_criterion_2_symbolic_iteration(sample, capsys, monkeypatch):
         problems.append("missing the roll-back to (1, 0) at step 4")
     family = {}
     for r in run.domain.iterate():
-        s, owned = run.state.read(r)
+        s = run.state.read(r)
         family[r] = ids(s)
-        if owned:
-            run.space.release(s)
+        run.space.release(s)
     if family != EXPECTED_FAMILY:
         problems.append("final rank sets differ")
     if ids(run.winning_even) != SAMPLE_EVEN:
@@ -177,10 +176,9 @@ def test_criterion_3_linear_reconstruction(sample, capsys):
     worst = 0
     for r in run.domain.iterate():
         before = run.space.counters.snapshot()
-        s, owned = run.state.read(r)
+        s = run.state.read(r)
         got = ids(s)
-        if owned:
-            run.space.release(s)
+        run.space.release(s)
         after = run.space.counters
         one_step = (after.pre_ops - before.pre_ops) + (after.cpre_ops - before.cpre_ops)
         basic = after.basic_total - before.basic_total

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from paritysets import (
     Player,
     RankDomain,
@@ -59,6 +61,18 @@ def test_order_independence_on_random_games():
         order = list(range(g.vertex_count))
         rng.shuffle(order)
         assert solve_explicit_pm(g, order=tuple(order)).rho == baseline
+
+
+def test_order_must_be_a_permutation_of_the_vertex_ids():
+    # Two odd self-loops: odd wins both, and an order that skips vertex 1
+    # would leave it unlifted, below TOP, and so even's.
+    g = build_game([0, 0], [1, 1], [[0], [1]])
+    assert solve_explicit_pm(g, order=[1, 0]).winning_even == frozenset()
+    for order in ([0], [0, 0], [0, 1, 2], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="permutation"):
+            solve_explicit_pm(g, order=order)
+        with pytest.raises(ValueError, match="permutation"):
+            lift_fixpoint(g, RankDomain(c=2, caps=(2,)), order)
 
 
 def test_winning_sets_partition():

@@ -10,6 +10,7 @@ from paritysets.measure import (
     LinearSpaceState,
     PreconditionViolated,
     _InvariantChecker,
+    _View,
     _pm_run,
     dominion,
     solve_pm_symbolic,
@@ -17,6 +18,7 @@ from paritysets.measure import (
     symbolic_parity_dominion,
 )
 from paritysets.sets import SetSpace
+from paritysets.strategy import extract_strategy_from_pm
 
 from conftest import corpus, ids
 
@@ -62,10 +64,9 @@ def test_sample_trace_is_exact(sample_game):
 def _family(run) -> dict:
     family = {}
     for r in run.domain.iterate():
-        s, owned = run.state.read(r)
+        s = run.state.read(r)
         family[r] = ids(s)
-        if owned:
-            run.space.release(s)
+        run.space.release(s)
     return family
 
 
@@ -130,6 +131,24 @@ def test_direct_representation_on_random_games():
                 assert runs["linear"] == runs["direct"], (bound, swap)
 
 
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_finished_runs_leave_only_the_pinned_sets(representation):
+    # Every read hands out a set its caller releases, so once the run's state
+    # and winning set are released only the base sets stay live.
+    for g in corpus(20, seed0=880):
+        for bound in (None, 0, 2):
+            for swap in (False, True):
+                space = SetSpace(g)
+                pinned = space.counters.live_sets
+                run = _pm_run(space, space.full, bound=bound, swap=swap,
+                              representation=representation)
+                if representation == "linear":  # extraction reads ranks off the rows
+                    extract_strategy_from_pm(run.state)
+                run.state.release_all()
+                space.release(run.winning)
+                assert space.counters.live_sets == pinned, (bound, swap)
+
+
 @pytest.mark.parametrize("bound", [None, 3])
 def test_reads_cost_three_ops_per_position(bound):
     g = gen_random(96, 5, 1, 3, 7)
@@ -140,9 +159,7 @@ def test_reads_cost_three_ops_per_position(bound):
         if r is TOP:
             continue
         before = space.counters.snapshot()
-        s, owned = run.state.read(r)
-        assert owned
-        space.release(s)
+        space.release(run.state.read(r))
         after = space.counters
         assert after.cpre_ops == before.cpre_ops
         assert after.basic_total - before.basic_total <= budget, r
@@ -253,44 +270,40 @@ def test_bounded_dominions(sample_game):
 def _tiny_state():
     g = build_game([0, 0], [1, 1], [[1], [0]])
     space = SetSpace(g)
-    state = LinearSpaceState(space, RankDomain(c=2, caps=(1,)), space.full)
+    state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=2, caps=(1,)))
     return space, state
+
+
+def _grow(state, r, vertices):
+    """Commit S_r grown to exactly `vertices`, without a roll-back chain."""
+    state.commit(r, state.space.from_ids(vertices), state.read(r), ())
 
 
 def test_state_update_and_rank_queries():
     space, state = _tiny_state()
     assert state.rank_of(0) == (0,) and state.raw_rank_of(1) == (0,)
-    one = space.singleton(0)
-    state.update((1,), one)
-    space.release(one)
+    _grow(state, (1,), [0])
     assert state.rank_of(0) == (1,)
     assert state.rank_of(1) == (0,)
-    top_set = space.singleton(1)
-    state.update(TOP, top_set)
-    space.release(top_set)
+    _grow(state, TOP, [1])
     assert state.rank_of(1) is TOP
     assert state.raw_rank_of(1) is TOP
 
 
 def test_commits_walk_every_row_they_change():
-    # One counter with cap 3; each update below moves a vertex over several rows.
+    # One counter with cap 3; each commit below moves a vertex over several rows.
     g = build_game([0, 0, 0], [1, 1, 1], [[1], [2], [0]])
     space = SetSpace(g)
-    state = LinearSpaceState(space, RankDomain(c=2, caps=(3,)), space.full)
-
-    def update(r, vertices):
-        s = space.from_ids(vertices)
-        state.update(r, s)
-        space.release(s)
+    state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=2, caps=(3,)))
 
     def rows():
         return [ids(s) for s in state.coordinate[0]]
 
-    update((2,), [0])
+    _grow(state, (2,), [0])
     assert rows() == [{0, 1, 2}, {0}, {0}, set()]
-    update((3,), [0, 1])
+    _grow(state, (3,), [0, 1])
     assert rows() == [{0, 1, 2}, {0, 1}, {0, 1}, {0, 1}]
-    update(TOP, [1])
+    _grow(state, TOP, [1])
     assert rows() == [{0, 2}, {0}, {0}, {0}]
     assert ids(state.top) == {1}
     assert [state.rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
@@ -299,18 +312,13 @@ def test_commits_walk_every_row_they_change():
 
 def test_rank_sets_may_only_grow():
     space, state = _tiny_state()
-    one = space.singleton(0)
-    state.update((1,), one)
-    space.release(one)
-    empty = space.empty_set()
+    _grow(state, (1,), [0])
     with pytest.raises(PreconditionViolated, match="only grow"):
-        state.update((1,), empty)
+        _grow(state, (1,), [])
 
 
 def test_top_vertices_cannot_rejoin_finite_ranks():
     space, state = _tiny_state()
-    top_set = space.singleton(0)
-    state.update(TOP, top_set)
-    space.release(top_set)
+    _grow(state, TOP, [0])
     with pytest.raises(PreconditionViolated, match="finite rank"):
         state.commit((1,), space.singleton(0), space.empty_set(), ())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paritysets import Player, build_game
 from paritysets.pgsolver import (
@@ -61,6 +63,44 @@ def test_round_trip_on_random_games():
         assert back.priority == g.priority
         assert back.successors == g.successors
         assert back.names is None
+
+
+# Every character str.splitlines breaks at; a name holding one cannot be quoted.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+NAMES = st.text(
+    st.one_of(st.sampled_from(" ;,"), st.characters(exclude_characters='"' + LINE_BREAKS,
+                                                      exclude_categories=("Cs",))),
+    min_size=1, max_size=6,
+)
+
+
+@st.composite
+def named_games(draw):
+    n = draw(st.integers(1, 8))
+    owners = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    priorities = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    succs = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+             for _ in range(n)]
+    names = draw(st.lists(st.none() | NAMES, min_size=n, max_size=n))
+    return build_game(owners, priorities, succs, names)
+
+
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(named_games())
+@example(build_game([0, 1], [0, 1], [[1], [0]], ["a;b", "two words"]))
+@example(build_game([0], [3], [[0]], [" ; "]))
+def test_round_trip_keeps_names(g):
+    back = parse_pgsolver(emit_pgsolver(g))
+    assert (back.owner, back.priority, back.successors) == (g.owner, g.priority, g.successors)
+    unnamed = (None,) * g.vertex_count
+    assert (back.names or unnamed) == (g.names or unnamed)
+
+
+def test_emit_rejects_names_it_cannot_quote():
+    for bad in ('say "hi"', "two\nlines", "cr\r", "sep\u2028"):
+        g = build_game([0, 1], [0, 1], [[1], [0]], ["fine", bad])
+        with pytest.raises(ValueError, match="vertex 1"):
+            emit_pgsolver(g)
 
 
 def test_header_is_optional():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from paritysets import Player, build_game, solve_explicit_pm
+from paritysets import GameError, Player, build_game, solve_explicit_pm
 from paritysets.measure import solve_pm_symbolic, symbolic_parity_dominion
 from paritysets.strategy import (
     IncompleteStrategy,
@@ -24,7 +24,7 @@ ODD_REGION = frozenset({0, 1})
 
 def test_extraction_from_the_sample_run(sample_game):
     run = symbolic_parity_dominion(sample_game)
-    strat = extract_strategy_from_pm(run.space.game, run.state)
+    strat = extract_strategy_from_pm(run.state)
     assert strat.player is Player.EVEN
     assert strat.choice == {2: 3, 3: 5, 6: 4, 7: 2}
     assert strat.domain == frozenset({2, 3, 6, 7})
@@ -118,6 +118,13 @@ def test_verify_fails_on_missing_or_losing_choices(sample_game):
     looping = build_game([0, 1], [1, 0], [[0, 1], [0]])
     bad = Strategy(player=Player.EVEN, domain=frozenset({0}), choice={0: 0})
     assert not verify_strategy(looping, Player.EVEN, frozenset({0, 1}), bad)
+
+
+def test_verify_rejects_region_vertices_outside_the_game(sample_game):
+    strat = Strategy(player=Player.EVEN, domain=frozenset(), choice={})
+    for region in ({8}, {2, 3, 4, 5, 6, 7, 8}, {-1}):
+        with pytest.raises(GameError, match="outside the game"):
+            verify_strategy(sample_game, Player.EVEN, region, strat)
 
 
 def test_verify_accepts_empty_region(sample_game):
