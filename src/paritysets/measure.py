@@ -14,15 +14,23 @@ Two interchangeable encodings of the whole family {S_r}:
   (the set of vertices whose rank has at least that counter there), plus
   the set of TOP vertices: linear space, and each position's rows are
   nested. Any S_r is reconstructed on demand in at most 3c/2 + 1 basic
-  operations. An update walks each position's rows from the new counter
-  and stops at the first row it leaves unchanged. Updating rank r's set
-  implicitly updates every lower rank's set, which is what makes the
-  roll-back walk free of explicit unions in this encoding.
+  operations. An update without a roll-back raises vertices that all sat
+  at decr(r), so it touches exactly the rows between the two counters and
+  probes none; after a roll-back it walks each position's rows from the
+  new counter and stops at the first row it leaves unchanged. Updating
+  rank r's set implicitly updates every lower rank's set, which is what
+  makes the roll-back walk free of explicit unions in this encoding.
 
 Both encodings are built from the run's view and run through the same
 control loop, which needs two operations of them: `read(r)` hands out a
 fresh S_r that the caller releases, and `commit` stores S_r's growth. So
 preimage and containment counts agree between them by construction.
+
+The loop carries one set between iterations, S_decr(r). It seeds position
+0 (decr_at(r, 1) is decr(r)) and is the first set the roll-back walk tests.
+The next iteration's S_decr is then already in hand: the committed S_r when
+nothing rolled back, and otherwise the last set the walk tested, which the
+commit leaves unchanged.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -122,6 +130,20 @@ class DirectFamilyState:
         space.release(self.sets[r], old)
         self.sets[r] = working
 
+    def rank_of(self, v: int):
+        """v's rank by counted singleton containment tests, lowest rank first."""
+        space = self.space
+        probe = space.singleton(v)
+        rank = None
+        for r in self.domain.iterate():
+            if not space.is_subset(probe, self.sets[r]):
+                break
+            rank = r
+        space.release(probe)
+        if rank is None:
+            raise PreconditionViolated(f"vertex {v} missing from the rank family")
+        return rank
+
     def raw_rank_of(self, v: int):
         rank = None
         for r in self.domain.iterate():
@@ -172,46 +194,77 @@ class LinearSpaceState:
             return space.copy(self.top)
         intersect = space.intersect
         release = space.release
-        acc = space.copy(self.top)
+        copy = space.copy
+        acc = copy(self.top)
         # Vertices at least r at every position so far. It may keep TOP
         # vertices, which S_r holds anyway, so a zero counter narrows nothing.
-        running = space.copy(self.universe)
+        # None stands for the untouched universe, whose meet with a row is
+        # the row itself.
+        running = None
         for p in range(len(self.eff_caps) - 1, -1, -1):
             row = self.coordinate[p]
             x = r[p]
             if x < self.eff_caps[p]:
-                seg = intersect(running, row[x + 1])
+                seg = copy(row[x + 1]) if running is None else intersect(running, row[x + 1])
                 joined = space.union(acc, seg)
                 release(acc, seg)
                 acc = joined
             if x:
-                narrowed = intersect(running, row[x])
-                release(running)
+                narrowed = copy(row[x]) if running is None else intersect(running, row[x])
+                if running is not None:
+                    release(running)
                 running = narrowed
+        if running is None:
+            running = copy(self.universe)
         joined = space.union(acc, running)
         release(acc, running)
         return joined
 
     def commit(self, r, working: VertexSet, old: VertexSet, chain) -> None:
-        # `chain` is unused: raising the delta's counters to r also moves it,
-        # implicitly, into every reconstruction at lower ranks.
+        """Raise the vertices `working` gains over `old` to rank r; consumes
+        both sets.
+
+        An empty `chain` (no roll-back) means working lies inside S_decr(r),
+        so every raised vertex had rank d = decr(r) exactly and the rows to
+        change are known: no probes. After a roll-back the raised vertices
+        come from unknown ranks, so each position's rows are walked. The
+        chain's ranks need no work of their own: raising the delta's counters
+        to r also moves it, implicitly, into every lower rank's set.
+        """
         space = self.space
-        if not space._backend.is_subset(old.payload, working.payload):
+        backend = space._backend
+        if not backend.is_subset(old.payload, working.payload):
             raise PreconditionViolated("rank set may only grow")
         delta = space.difference(working, old)
         space.release(working, old)
-        if r is not TOP and space._backend.intersect(delta.payload, self.top.payload) != space._backend.empty():
+        empty = backend.empty()
+        if r is not TOP and backend.intersect(delta.payload, self.top.payload) != empty:
             raise PreconditionViolated("a TOP vertex cannot take a finite rank")
-        # The delta joins rows x <= r[p], walking down (row 0 holds it
-        # already), and leaves the rows above, walking up; a TOP commit leaves
-        # every row.
-        for p, row in enumerate(self.coordinate):
-            if r is TOP:
-                above = 0
-            else:
-                self._walk(row, space.union, delta, range(r[p], 0, -1))
-                above = r[p] + 1
-            self._walk(row, space.difference, delta, range(above, len(row)))
+        if not chain:
+            # A TOP commit counts as counter -1: the delta leaves rows 0..d[p].
+            d = self.domain.decr(r)
+            for p, row in enumerate(self.coordinate):
+                x, y = d[p], -1 if r is TOP else r[p]
+                if not backend.is_subset(delta.payload, row[x].payload) or (
+                    x + 1 < len(row) and backend.intersect(delta.payload, row[x + 1].payload) != empty
+                ):
+                    raise PreconditionViolated("without a roll-back the delta must sit at decr(r)")
+                op = space.union if y > x else space.difference
+                for i in range(min(x, y) + 1, max(x, y) + 1):
+                    changed = op(row[i], delta)
+                    space.release(row[i])
+                    row[i] = changed
+        else:
+            # The delta joins rows x <= r[p], walking down (row 0 holds it
+            # already), and leaves the rows above, walking up; a TOP commit
+            # leaves every row.
+            for p, row in enumerate(self.coordinate):
+                if r is TOP:
+                    above = 0
+                else:
+                    self._walk(row, space.union, delta, range(r[p], 0, -1))
+                    above = r[p] + 1
+                self._walk(row, space.difference, delta, range(above, len(row)))
         if r is TOP:
             grown = space.union(self.top, delta)
             space.release(self.top)
@@ -288,7 +341,7 @@ class _InvariantChecker:
         self.game = swap_roles_increment(game) if view.swap else game
         self.oracle, _ = lift_fixpoint(self.game, domain)
 
-    def boundary(self, state, processed_rank, next_rank, rolled_back) -> None:
+    def boundary(self, state, processed_rank, next_rank, rolled_back, below) -> None:
         domain = self.domain
         raw_ids = state.space.raw_ids
         # The family is anti-monotone / each coordinate's rows are nested.
@@ -315,6 +368,12 @@ class _InvariantChecker:
             if rv is None:
                 raise InvariantViolation(f"vertex {v} lost from the rank state")
             ranks.append(rv)
+        # The carried set is S_decr(next_rank).
+        if next_rank is not None:
+            floor = domain.decr(next_rank)
+            want = {v for v, rank in zip(self.ids, ranks) if domain.compare(rank, floor) >= 0}
+            if set(raw_ids(below)) != want:
+                raise InvariantViolation(f"carried set is not the set of rank {floor}")
         # Never above the explicit least fixpoint.
         for v, rank, bound in zip(self.ids, ranks, self.oracle):
             if domain.compare(rank, bound) > 0:
@@ -394,6 +453,8 @@ def _pm_run(
     positions = domain.positions
     guard = (universe.count() + 1) * domain.size() + 2
     r = domain.incr(domain.zero)
+    # S_decr(r), carried from one iteration to the next.
+    below = space.copy(universe)
     iterations = 0
     while True:
         iterations += 1
@@ -415,9 +476,11 @@ def _pm_run(
             cls = view.class_at(level)
             if cls is None:
                 continue
-            source = state.read(domain.decr_at(r, level))
+            # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
+            source = state.read(domain.decr_at(r, level)) if p else below
             step = space.cpre(view.odd_role, source, within=universe)
-            space.release(source)
+            if p:
+                space.release(source)
             seeded = space.intersect(step, cls)
             grown = space.union(working, seeded)
             space.release(step, seeded, working)
@@ -458,14 +521,12 @@ def _pm_run(
         # sets must absorb it (directly, or implicitly through the commit).
         chain = []
         rp = domain.decr(r)
-        while True:
-            held = state.read(rp)
-            contained = space.is_subset(working, held)
-            space.release(held)
-            if contained:
-                break
+        held = below
+        while not space.is_subset(working, held):
             chain.append(rp)
             rp = domain.decr(rp)
+            space.release(held)
+            held = state.read(rp)
 
         added = working.count() - old_count
         if chain:
@@ -485,9 +546,16 @@ def _pm_run(
                 }
             )
 
+        # The next iteration's `below` is S_decr(next_rank). After a roll-back
+        # that is S_rp, which the commit leaves alone since working lies
+        # inside it; otherwise it is S_r, which the commit makes `working`.
+        if not chain:
+            space.release(held)
+            held = space.copy(working) if next_rank is not None else None
+        below = held
         state.commit(r, working, old, tuple(chain))
         if checker is not None:
-            checker.boundary(state, r, next_rank, bool(chain))
+            checker.boundary(state, r, next_rank, bool(chain), below)
         if next_rank is None:
             break
         r = next_rank

@@ -95,7 +95,7 @@ def test_sample_coordinate_rows(sample_game):
 def test_sample_operation_counts(sample_game):
     run = symbolic_parity_dominion(sample_game)
     c = run.space.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 407, 22, 17)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 200, 23, 17)
     run.state.release_all()
     run.space.release(run.winning_even)
     assert c.live_sets == 9  # the pinned base sets
@@ -142,8 +142,7 @@ def test_finished_runs_leave_only_the_pinned_sets(representation):
                 pinned = space.counters.live_sets
                 run = _pm_run(space, space.full, bound=bound, swap=swap,
                               representation=representation)
-                if representation == "linear":  # extraction reads ranks off the rows
-                    extract_strategy_from_pm(run.state)
+                extract_strategy_from_pm(run.state)
                 run.state.release_all()
                 space.release(run.winning)
                 assert space.counters.live_sets == pinned, (bound, swap)
@@ -168,7 +167,7 @@ def test_reads_cost_three_ops_per_position(bound):
 def _finished_sample_run(sample_game):
     run = symbolic_parity_dominion(sample_game)
     checker = _InvariantChecker(run.state.view, run.domain)
-    checker.boundary(run.state, TOP, None, False)
+    checker.boundary(run.state, TOP, None, False, None)
     return run, checker
 
 
@@ -179,7 +178,7 @@ def test_invariant_checker_catches_rows_out_of_nesting(sample_game):
     run.space.release(row[1])
     row[1] = run.space.from_ids([2])
     with pytest.raises(InvariantViolation, match="coordinate 0 not nested at row 2"):
-        checker.boundary(run.state, TOP, None, False)
+        checker.boundary(run.state, TOP, None, False, None)
 
 
 def test_invariant_checker_catches_a_short_row_zero(sample_game):
@@ -188,7 +187,7 @@ def test_invariant_checker_catches_a_short_row_zero(sample_game):
     run.space.release(row[0])
     row[0] = run.space.from_ids([2, 3, 4, 5, 6])
     with pytest.raises(InvariantViolation, match="coordinate 1 row 0"):
-        checker.boundary(run.state, TOP, None, False)
+        checker.boundary(run.state, TOP, None, False, None)
 
 
 def test_unknown_representation_rejected(sample_game):
@@ -212,7 +211,7 @@ def test_solve_report_shape(sample_game):
     assert rep.wall_time >= 0.0
     c = rep.counters
     # one extra difference computes the odd region; the run state is freed
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 408, 22, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 201, 23, 11)
 
 
 def test_solve_with_strategies_releases_everything(sample_game):
@@ -250,6 +249,28 @@ def test_invariant_checks_pass_on_clean_runs(sample_game):
         symbolic_parity_dominion(g, check_invariants=True)
 
 
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_invariant_checks_leave_the_counters_alone(representation):
+    # The checker reads raw membership only, the carried set included.
+    for g in corpus(12, seed0=760):
+        for bound, swap in ((None, False), (2, False), (None, True), (1, True)):
+            counters = []
+            for check in (False, True):
+                space = SetSpace(g)
+                _pm_run(space, space.full, bound=bound, swap=swap,
+                        representation=representation, check_invariants=check)
+                counters.append(space.counters)
+            assert counters[0] == counters[1], (bound, swap)
+
+
+def test_invariant_checker_catches_a_stale_carried_set(sample_game):
+    run, checker = _finished_sample_run(sample_game)
+    # After the first iteration the carried set is S_(1,0), not the universe.
+    stale = run.space.copy(run.space.full)
+    with pytest.raises(InvariantViolation, match=r"carried set is not the set of rank \(1, 0\)"):
+        checker.boundary(run.state, (1, 0), (2, 0), False, stale)
+
+
 def test_invariant_checker_needs_a_closed_universe(sample_game):
     space = SetSpace(sample_game)
     # vertex 0 moves only to 1, which lies outside
@@ -274,9 +295,10 @@ def _tiny_state():
     return space, state
 
 
-def _grow(state, r, vertices):
-    """Commit S_r grown to exactly `vertices`, without a roll-back chain."""
-    state.commit(r, state.space.from_ids(vertices), state.read(r), ())
+def _grow(state, r, vertices, chain=()):
+    """Commit S_r grown to exactly `vertices`. An empty `chain` claims that
+    every added vertex sits at decr(r); a roll-back chain claims nothing."""
+    state.commit(r, state.space.from_ids(vertices), state.read(r), chain)
 
 
 def test_state_update_and_rank_queries():
@@ -285,13 +307,14 @@ def test_state_update_and_rank_queries():
     _grow(state, (1,), [0])
     assert state.rank_of(0) == (1,)
     assert state.rank_of(1) == (0,)
-    _grow(state, TOP, [1])
+    _grow(state, TOP, [1], chain=((1,),))
     assert state.rank_of(1) is TOP
     assert state.raw_rank_of(1) is TOP
 
 
 def test_commits_walk_every_row_they_change():
-    # One counter with cap 3; each commit below moves a vertex over several rows.
+    # One counter with cap 3; each roll-back commit below moves a vertex over
+    # several rows, so its walks must not stop early.
     g = build_game([0, 0, 0], [1, 1, 1], [[1], [2], [0]])
     space = SetSpace(g)
     state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=2, caps=(3,)))
@@ -299,15 +322,54 @@ def test_commits_walk_every_row_they_change():
     def rows():
         return [ids(s) for s in state.coordinate[0]]
 
-    _grow(state, (2,), [0])
+    _grow(state, (2,), [0], chain=((1,),))
     assert rows() == [{0, 1, 2}, {0}, {0}, set()]
-    _grow(state, (3,), [0, 1])
+    _grow(state, (3,), [0, 1], chain=((2,), (1,)))
     assert rows() == [{0, 1, 2}, {0, 1}, {0, 1}, {0, 1}]
-    _grow(state, TOP, [1])
+    _grow(state, TOP, [1], chain=((3,), (2,), (1,)))
     assert rows() == [{0, 2}, {0}, {0}, {0}]
     assert ids(state.top) == {1}
     assert [state.rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
     assert [state.raw_rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
+
+
+def test_commits_without_a_roll_back_touch_known_rows():
+    # Counters capped at 2 and 1: (0,0) < (1,0) < (2,0) < (0,1) < (1,1) < (2,1) < TOP.
+    g = build_game([0, 0, 0], [1, 1, 1], [[1], [2], [0]])
+    space = SetSpace(g)
+    state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=4, caps=(2, 1)))
+
+    def rows():
+        return [[ids(s) for s in row] for row in state.coordinate]
+
+    def commit(r, vertices):
+        """Commit without a roll-back; the ops the commit itself spends."""
+        old = state.read(r)
+        before = space.counters.snapshot()
+        state.commit(r, space.from_ids(vertices), old, ())
+        c = space.counters
+        return (c.unions - before.unions, c.differences - before.differences,
+                c.intersections - before.intersections, c.equality_tests - before.equality_tests)
+
+    # From (0,0) to (1,0): the delta joins row 1 at position 0.
+    assert commit((1, 0), [0, 1, 2]) == (1, 1, 0, 0)
+    assert commit((2, 0), [0, 1]) == (1, 1, 0, 0)
+    assert rows() == [[{0, 1, 2}, {0, 1, 2}, {0, 1}], [{0, 1, 2}, set()]]
+    # A carry from (2,0) to (0,1): vertex 0 leaves rows 2 and 1 at position 0
+    # and joins row 1 at position 1.
+    assert commit((0, 1), [0]) == (1, 3, 0, 0)
+    assert rows() == [[{0, 1, 2}, {1, 2}, {1}], [{0, 1, 2}, {0}]]
+    assert [state.rank_of(v) for v in range(3)] == [(0, 1), (2, 0), (1, 0)]
+    commit((1, 1), [0])
+    commit((2, 1), [0])
+    # A TOP commit from (2,1): vertex 0 leaves every row.
+    assert commit(TOP, [0]) == (1, 6, 0, 0)
+    assert rows() == [[{1, 2}, {1, 2}, {1}], [{1, 2}, set()]]
+    assert ids(state.top) == {0}
+    assert [state.raw_rank_of(v) for v in range(3)] == [TOP, (2, 0), (1, 0)]
+    # Without a roll-back the delta must come from decr(r): vertex 2 sits at (1,0).
+    with pytest.raises(PreconditionViolated, match="decr"):
+        _grow(state, (0, 1), [0, 1, 2])
 
 
 def test_rank_sets_may_only_grow():
@@ -319,6 +381,6 @@ def test_rank_sets_may_only_grow():
 
 def test_top_vertices_cannot_rejoin_finite_ranks():
     space, state = _tiny_state()
-    _grow(state, TOP, [0])
+    _grow(state, TOP, [0], chain=((1,),))
     with pytest.raises(PreconditionViolated, match="finite rank"):
         state.commit((1,), space.singleton(0), space.empty_set(), ())

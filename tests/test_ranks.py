@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -171,6 +172,21 @@ def test_restricted_step_identities():
                 assert dom.incr_at(down, level) == up
                 if dom.project(x, level) != dom.zero:
                     assert dom.decr_at(dom.incr_at(x, level), level) == dom.project(x, level)
+
+
+def test_decr_undoes_incr_and_level_one_steps_like_decr():
+    # The measure loop carries S_decr(r) into the next iteration and seeds
+    # position 0 from S_decr_at(r, 1); both rest on these two identities.
+    ranks = 0
+    for caps in product(range(4), repeat=3):
+        for bound in (None, 0, 1, 2, 3, 5):
+            dom = RankDomain(c=6, caps=caps, bound=bound)
+            for r in dom.iterate():
+                assert dom.decr_at(r, 1) == dom.decr(r), (caps, bound, r)
+                if r is not TOP:
+                    assert dom.decr(dom.incr(r)) == r, (caps, bound, r)
+                    ranks += 1
+    assert ranks == 3231
 
 
 def test_max_vector_and_edges():

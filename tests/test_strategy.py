@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from paritysets import GameError, Player, build_game, solve_explicit_pm
-from paritysets.measure import solve_pm_symbolic, symbolic_parity_dominion
+from paritysets import GameError, Player, build_game, normalize_priorities, solve_explicit_pm
+from paritysets.measure import _pm_run, solve_pm_symbolic, symbolic_parity_dominion
+from paritysets.sets import SetSpace
 from paritysets.strategy import (
     IncompleteStrategy,
     Strategy,
@@ -81,6 +82,20 @@ def test_measure_solver_strategies_verify():
         rep = solve_pm_symbolic(g, strategies=True)
         assert verify_strategy(rep.game, Player.EVEN, ids(rep.winning_even), rep.strategy_even)
         assert verify_strategy(rep.game, Player.ODD, ids(rep.winning_odd), rep.strategy_odd)
+
+
+def test_direct_runs_give_the_linear_strategies(sample_game):
+    # The direct encoding reads ranks by counted singleton probes of its sets.
+    for g in [sample_game, *corpus(20, seed0=1700)]:
+        norm, _ = normalize_priorities(g)
+        for swap, player in ((False, Player.EVEN), (True, Player.ODD)):
+            found = {}
+            for representation in ("linear", "direct"):
+                space = SetSpace(norm)
+                run = _pm_run(space, space.full, swap=swap, representation=representation)
+                found[representation] = extract_strategy_from_pm(run.state)
+                assert verify_strategy(norm, player, ids(run.winning), found[representation])
+            assert found["direct"] == found["linear"]
 
 
 def test_choice_map_must_cover_domain_exactly():
