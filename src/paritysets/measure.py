@@ -14,12 +14,12 @@ Two interchangeable encodings of the whole family {S_r}:
   (the set of vertices whose rank has at least that counter there), plus
   the set of TOP vertices: linear space, and each position's rows are
   nested. Any S_r is reconstructed on demand in at most 3c/2 + 1 basic
-  operations. An update without a roll-back raises vertices that all sat
-  at decr(r), so it touches exactly the rows between the two counters and
-  probes none; after a roll-back it walks each position's rows from the
-  new counter and stops at the first row it leaves unchanged. Updating
-  rank r's set implicitly updates every lower rank's set, which is what
-  makes the roll-back walk free of explicit unions in this encoding.
+  operations. An update raises vertices whose ranks lie between the rank
+  the roll-back walk stopped at and decr(r) (the same rank without a
+  roll-back), which bounds each position's old counter; the update
+  touches the rows between those bounds and the new counter and probes
+  none. Updating rank r's set implicitly updates every lower rank's set,
+  which is what makes a roll-back free of explicit unions in this encoding.
 
 Both encodings are built from the run's view and run through the same
 control loop, which needs two operations of them: `read(r)` hands out a
@@ -224,12 +224,17 @@ class LinearSpaceState:
         """Raise the vertices `working` gains over `old` to rank r; consumes
         both sets.
 
-        An empty `chain` (no roll-back) means working lies inside S_decr(r),
-        so every raised vertex had rank d = decr(r) exactly and the rows to
-        change are known: no probes. After a roll-back the raised vertices
-        come from unknown ranks, so each position's rows are walked. The
-        chain's ranks need no work of their own: raising the delta's counters
-        to r also moves it, implicitly, into every lower rank's set.
+        The raised vertices lie outside S_r and inside S_floor, where floor
+        is the rank the roll-back walk stopped at: decr(chain[-1]) after a
+        roll-back, decr(r) without one. So their ranks lie in [floor, d]
+        with d = decr(r). Scanning from the most significant position, the
+        counter is d[p] while floor and d agree, in [floor[p], d[p]] where
+        they first differ, and anywhere in [0, cap] below that. At each
+        position the delta joins rows lo+1..r[p] and leaves rows
+        r[p]+1..hi of its counter's range [lo, hi], with no probes; a TOP
+        commit counts as counter -1.
+        The chain's ranks need no work of their own: raising the delta's
+        counters to r also moves it, implicitly, into every lower rank's set.
         """
         space = self.space
         backend = space._backend
@@ -240,48 +245,30 @@ class LinearSpaceState:
         empty = backend.empty()
         if r is not TOP and backend.intersect(delta.payload, self.top.payload) != empty:
             raise PreconditionViolated("a TOP vertex cannot take a finite rank")
-        if not chain:
-            # A TOP commit counts as counter -1: the delta leaves rows 0..d[p].
-            d = self.domain.decr(r)
-            for p, row in enumerate(self.coordinate):
-                x, y = d[p], -1 if r is TOP else r[p]
-                if not backend.is_subset(delta.payload, row[x].payload) or (
-                    x + 1 < len(row) and backend.intersect(delta.payload, row[x + 1].payload) != empty
-                ):
-                    raise PreconditionViolated("without a roll-back the delta must sit at decr(r)")
-                op = space.union if y > x else space.difference
-                for i in range(min(x, y) + 1, max(x, y) + 1):
-                    changed = op(row[i], delta)
-                    space.release(row[i])
-                    row[i] = changed
-        else:
-            # The delta joins rows x <= r[p], walking down (row 0 holds it
-            # already), and leaves the rows above, walking up; a TOP commit
-            # leaves every row.
-            for p, row in enumerate(self.coordinate):
-                if r is TOP:
-                    above = 0
-                else:
-                    self._walk(row, space.union, delta, range(r[p], 0, -1))
-                    above = r[p] + 1
-                self._walk(row, space.difference, delta, range(above, len(row)))
+        d = self.domain.decr(r)
+        floor = self.domain.decr(chain[-1]) if chain else d
+        split = False
+        for p in range(len(self.coordinate) - 1, -1, -1):
+            row = self.coordinate[p]
+            if split:
+                lo, hi = 0, len(row) - 1
+            else:
+                lo, hi = floor[p], d[p]
+                split = lo != hi
+            if not backend.is_subset(delta.payload, row[lo].payload) or (
+                hi + 1 < len(row) and backend.intersect(delta.payload, row[hi + 1].payload) != empty
+            ):
+                raise PreconditionViolated("the delta must sit between the floor and decr(r)")
+            y = -1 if r is TOP else r[p]
+            for i in range(min(lo, y) + 1, max(hi, y) + 1):
+                changed = (space.union if i <= y else space.difference)(row[i], delta)
+                space.release(row[i])
+                row[i] = changed
         if r is TOP:
             grown = space.union(self.top, delta)
             space.release(self.top)
             self.top = grown
         space.release(delta)
-
-    def _walk(self, row, op, delta: VertexSet, xs) -> None:
-        """Apply `op(row[x], delta)` along `xs`. The rows are nested, so the
-        first row left unchanged means every later one is unchanged too."""
-        space = self.space
-        for x in xs:
-            changed = op(row[x], delta)
-            if space.equals(changed, row[x]):
-                space.release(changed)
-                return
-            space.release(row[x])
-            row[x] = changed
 
     def rank_of(self, v: int):
         space = self.space
@@ -461,7 +448,6 @@ def _pm_run(
         if iterations > guard:
             raise AssertionError("progress measure iteration exceeded its bound")
         old = state.read(r)
-        old_count = old.count()
         working = space.copy(old)
 
         # Seed from the sets one step down at each odd priority up to the
@@ -528,7 +514,6 @@ def _pm_run(
             space.release(held)
             held = state.read(rp)
 
-        added = working.count() - old_count
         if chain:
             next_rank = domain.incr(rp)
         elif r is TOP:
@@ -540,7 +525,7 @@ def _pm_run(
                 {
                     "iteration": iterations,
                     "rank": r,
-                    "added": added,
+                    "added": working.count() - old.count(),
                     "next_rank": next_rank,
                     "rolled_back": bool(chain),
                 }

@@ -70,7 +70,7 @@ def test_stats_reports_counters(game_file, capsys):
     assert rows["winning_even"] == "2 3 4 5 6 7"
     assert rows["winning_odd"] == "0 1"
     assert rows["cpre_ops"] == "35"
-    assert rows["basic_ops"] == "201"
+    assert rows["basic_ops"] == "197"
     assert rows["peak_live_sets"] == "23"
     assert float(rows["wall_time_ms"]) >= 0.0
 

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysets import Player, RankDomain, TOP, build_game, gen_random, solve_explicit_pm
+from paritysets.explicit import lift_fixpoint
+from paritysets.game import swap_roles_increment
 from paritysets.measure import (
     InvariantViolation,
     LinearSpaceState,
@@ -95,7 +99,8 @@ def test_sample_coordinate_rows(sample_game):
 def test_sample_operation_counts(sample_game):
     run = symbolic_parity_dominion(sample_game)
     c = run.space.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 200, 23, 17)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 196, 23, 17)
+    assert c.equality_tests == 0  # commits never probe a row
     run.state.release_all()
     run.space.release(run.winning_even)
     assert c.live_sets == 9  # the pinned base sets
@@ -115,7 +120,7 @@ def test_direct_representation_agrees(sample_game):
 
 
 def test_direct_representation_on_random_games():
-    # Bounded and swapped runs take every early stop of the linear commit.
+    # Bounded and swapped runs roll back to floors at many distances below decr(r).
     for g in corpus(25, seed0=430):
         for bound in (None, 0, 1, 2, 3):
             for swap in (False, True):
@@ -211,7 +216,7 @@ def test_solve_report_shape(sample_game):
     assert rep.wall_time >= 0.0
     c = rep.counters
     # one extra difference computes the odd region; the run state is freed
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 201, 23, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 197, 23, 11)
 
 
 def test_solve_with_strategies_releases_everything(sample_game):
@@ -296,8 +301,9 @@ def _tiny_state():
 
 
 def _grow(state, r, vertices, chain=()):
-    """Commit S_r grown to exactly `vertices`. An empty `chain` claims that
-    every added vertex sits at decr(r); a roll-back chain claims nothing."""
+    """Commit S_r grown to exactly `vertices`. The added vertices must rank
+    between the chain's floor, decr(chain[-1]), and decr(r); an empty
+    `chain` puts the floor at decr(r) itself."""
     state.commit(r, state.space.from_ids(vertices), state.read(r), chain)
 
 
@@ -314,7 +320,7 @@ def test_state_update_and_rank_queries():
 
 def test_commits_walk_every_row_they_change():
     # One counter with cap 3; each roll-back commit below moves a vertex over
-    # several rows, so its walks must not stop early.
+    # several rows, all of which must change.
     g = build_game([0, 0, 0], [1, 1, 1], [[1], [2], [0]])
     space = SetSpace(g)
     state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=2, caps=(3,)))
@@ -372,6 +378,47 @@ def test_commits_without_a_roll_back_touch_known_rows():
         _grow(state, (0, 1), [0, 1, 2])
 
 
+def test_roll_back_commits_bound_counters_by_the_floor():
+    # Counters capped at 2, 3 and 1. Vertices 0..3 sit at (2,2,0), (1,1,0),
+    # (2,1,0) and (0,2,0); vertex 4 stays at zero.
+    g = build_game([0] * 5, [1] * 5, [[1], [2], [3], [4], [0]])
+    space = SetSpace(g)
+    state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=6, caps=(2, 3, 1)))
+    for r, vertices in (((1, 0, 0), [0, 1, 2, 3]), ((2, 0, 0), [0, 1, 2, 3]),
+                        ((0, 1, 0), [0, 1, 2, 3]), ((1, 1, 0), [0, 1, 2, 3]),
+                        ((2, 1, 0), [0, 2, 3]), ((0, 2, 0), [0, 3]), ((1, 2, 0), [0]),
+                        ((2, 2, 0), [0])):
+        _grow(state, r, vertices)
+    assert [state.rank_of(v) for v in range(5)] == [
+        (2, 2, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0), (0, 0, 0)]
+
+    def rows():
+        return [[ids(s) for s in row] for row in state.coordinate]
+
+    every = set(range(5))
+    assert rows() == [[every, {0, 1, 2}, {0, 2}], [every, {0, 1, 2, 3}, {0, 3}, set()],
+                      [every, set()]]
+    # Rolling back from (0,3,0) to the floor (1,1,0): floor and decr(r) =
+    # (2,2,0) agree at position 2, so the delta's counter there is 0; they
+    # differ at position 1, where it lies in [1, 2]; at position 0 it is
+    # anywhere in [0, 2]. The delta joins rows 2..3 at position 1 and leaves
+    # rows 1..2 at position 0; no row is probed.
+    old = state.read((0, 3, 0))
+    before = space.counters.snapshot()
+    state.commit((0, 3, 0), space.from_ids([0, 1, 2, 3]), old,
+                 ((2, 2, 0), (1, 2, 0), (0, 2, 0), (2, 1, 0)))
+    c = space.counters
+    assert (c.unions - before.unions, c.differences - before.differences,
+            c.intersections - before.intersections,
+            c.equality_tests - before.equality_tests) == (2, 3, 0, 0)
+    four = {0, 1, 2, 3}
+    assert rows() == [[every, set(), set()], [every, four, four, four], [every, set()]]
+    assert [state.rank_of(v) for v in range(5)] == [(0, 3, 0)] * 4 + [(0, 0, 0)]
+    # Vertex 4 sits at (0,0,0), below the claimed floor (2,2,0).
+    with pytest.raises(PreconditionViolated, match="between the floor and decr"):
+        _grow(state, (1, 3, 0), list(range(5)), chain=((0, 3, 0),))
+
+
 def test_rank_sets_may_only_grow():
     space, state = _tiny_state()
     _grow(state, (1,), [0])
@@ -384,3 +431,32 @@ def test_top_vertices_cannot_rejoin_finite_ranks():
     _grow(state, TOP, [0], chain=((1,),))
     with pytest.raises(PreconditionViolated, match="finite rank"):
         state.commit((1,), space.singleton(0), space.empty_set(), ())
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 8))
+    owners = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    priorities = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    succs = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+             for _ in range(n)]
+    return build_game(owners, priorities, succs)
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(small_games(), st.none() | st.integers(0, 4), st.booleans())
+def test_checked_encodings_agree_with_the_oracle(g, bound, swap):
+    # The oracle: the bounded least fixpoint of the view's game.
+    view_game = swap_roles_increment(g) if swap else g
+    rho, _ = lift_fixpoint(view_game, RankDomain.for_game(view_game, bound))
+    want = frozenset(v for v, rank in enumerate(rho) if rank is not TOP)
+    runs = {}
+    for representation in ("linear", "direct"):
+        space = SetSpace(g)
+        events = []
+        run = _pm_run(space, space.full, bound=bound, swap=swap, representation=representation,
+                      check_invariants=True, trace=events.append)
+        assert ids(run.winning) == want, representation
+        c = space.counters
+        runs[representation] = (events, c.cpre_ops, c.containment_tests)
+    assert runs["linear"] == runs["direct"]
