@@ -125,6 +125,8 @@ def symbolic_big_step(
 ) -> "SolveReport":
     """Big-step solve; PARITY_TRACE=1 streams every dominion run to stderr.
     Past Python's recursion limit it raises RecursionDepthExceeded."""
+    if not isinstance(policy, (SqrtPolicy, GammaPolicy, Fixed)):
+        raise TypeError(f"unknown policy {policy!r}")
     norm, _ = normalize_priorities(game)
     started = time.perf_counter()
     space = SetSpace(norm, backend=backend)

@@ -23,8 +23,10 @@ Two interchangeable encodings of the whole family {S_r}:
 
 Both encodings are built from the run's view and run through the same
 control loop, which needs two operations of them: `read(r)` hands out a
-fresh S_r that the caller releases, and `commit` stores S_r's growth. So
-preimage and containment counts agree between them by construction.
+fresh S_r that the caller releases, and `commit(r, working, old, d, floor)`
+stores S_r's growth, given the ranks the loop's walk-down already holds:
+d = decr(r) and the floor the walk stopped at. So preimage and containment
+counts agree between them by construction.
 
 The loop carries one set between iterations, S_decr(r). It seeds position
 0 (decr_at(r, 1) is decr(r)) and is the first set the roll-back walk tests.
@@ -119,14 +121,18 @@ class DirectFamilyState:
     def read(self, r) -> VertexSet:
         return self.space.copy(self.sets[r])
 
-    def commit(self, r, working: VertexSet, old: VertexSet, chain) -> None:
+    def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
+        """Store `working` as S_r and join it into every set from d down to,
+        not including, floor; consumes both sets."""
         space = self.space
         if not space._backend.is_subset(old.payload, working.payload):
             raise PreconditionViolated("rank set may only grow")
-        for rp in chain:
+        rp = d
+        while rp != floor:
             grown = space.union(self.sets[rp], working)
             space.release(self.sets[rp])
             self.sets[rp] = grown
+            rp = self.domain.decr(rp)
         space.release(self.sets[r], old)
         self.sets[r] = working
 
@@ -142,14 +148,6 @@ class DirectFamilyState:
         space.release(probe)
         if rank is None:
             raise PreconditionViolated(f"vertex {v} missing from the rank family")
-        return rank
-
-    def raw_rank_of(self, v: int):
-        rank = None
-        for r in self.domain.iterate():
-            if not self.sets[r].contains(v):
-                break
-            rank = r
         return rank
 
     def release_all(self) -> None:
@@ -220,21 +218,20 @@ class LinearSpaceState:
         release(acc, running)
         return joined
 
-    def commit(self, r, working: VertexSet, old: VertexSet, chain) -> None:
+    def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
         """Raise the vertices `working` gains over `old` to rank r; consumes
         both sets.
 
-        The raised vertices lie outside S_r and inside S_floor, where floor
-        is the rank the roll-back walk stopped at: decr(chain[-1]) after a
-        roll-back, decr(r) without one. So their ranks lie in [floor, d]
-        with d = decr(r). Scanning from the most significant position, the
-        counter is d[p] while floor and d agree, in [floor[p], d[p]] where
-        they first differ, and anywhere in [0, cap] below that. At each
-        position the delta joins rows lo+1..r[p] and leaves rows
-        r[p]+1..hi of its counter's range [lo, hi], with no probes; a TOP
-        commit counts as counter -1.
-        The chain's ranks need no work of their own: raising the delta's
-        counters to r also moves it, implicitly, into every lower rank's set.
+        d is decr(r) and floor the rank the roll-back walk stopped at (d
+        itself without a roll-back). The raised vertices lie outside S_r and
+        inside S_floor, so their ranks lie in [floor, d]. Scanning from the
+        most significant position, the counter is d[p] while floor and d
+        agree, in [floor[p], d[p]] where they first differ, and anywhere in
+        [0, cap] below that. At each position the delta joins rows
+        lo+1..r[p] and leaves rows r[p]+1..hi of its counter's range
+        [lo, hi], with no probes; a TOP commit counts as counter -1.
+        The ranks between floor and r need no work of their own: raising the
+        delta's counters to r also moves it, implicitly, into their sets.
         """
         space = self.space
         backend = space._backend
@@ -245,8 +242,6 @@ class LinearSpaceState:
         empty = backend.empty()
         if r is not TOP and backend.intersect(delta.payload, self.top.payload) != empty:
             raise PreconditionViolated("a TOP vertex cannot take a finite rank")
-        d = self.domain.decr(r)
-        floor = self.domain.decr(chain[-1]) if chain else d
         split = False
         for p in range(len(self.coordinate) - 1, -1, -1):
             row = self.coordinate[p]
@@ -288,17 +283,6 @@ class LinearSpaceState:
         space.release(probe)
         return tuple(vec)
 
-    def raw_rank_of(self, v: int):
-        if self.top.contains(v):
-            return TOP
-        vec = []
-        for row in self.coordinate:
-            hit = next((x for x in range(len(row) - 1, -1, -1) if row[x].contains(v)), None)
-            if hit is None:
-                return None
-            vec.append(hit)
-        return tuple(vec)
-
     def release_all(self) -> None:
         for row in self.coordinate:
             for s in row:
@@ -314,9 +298,9 @@ class _InvariantChecker:
     """Boundary checks against the explicit solver on the same view.
 
     The oracle is the explicit least fixpoint on the view's game: the
-    universe's subgame, role-swapped under a swapped view. All reads go
-    through raw membership, never counted operations, so debug runs report
-    the same operation counts as plain runs.
+    universe's subgame, role-swapped under a swapped view. Every read, the
+    ranks included, goes through raw copies of the state's sets, never
+    counted operations, so debug runs report the same counts as plain runs.
     """
 
     def __init__(self, view: _View, domain: RankDomain):
@@ -331,16 +315,22 @@ class _InvariantChecker:
     def boundary(self, state, processed_rank, next_rank, rolled_back, below) -> None:
         domain = self.domain
         raw_ids = state.space.raw_ids
-        # The family is anti-monotone / each coordinate's rows are nested.
+        # The family is anti-monotone / each coordinate's rows are nested;
+        # either shape lets the ranks be read off the raw sets.
         if isinstance(state, DirectFamilyState):
+            rank_at = {}
             prev = None
             for r in domain.iterate():
                 cur = frozenset(raw_ids(state.sets[r]))
                 if prev is not None and not cur <= prev:
                     raise InvariantViolation(f"family not anti-monotone at {r}")
+                # A vertex's rank is the last rank whose set holds it.
+                rank_at.update(dict.fromkeys(cur, r))
                 prev = cur
         else:
-            rest = frozenset(self.ids) - frozenset(raw_ids(state.top))
+            top = frozenset(raw_ids(state.top))
+            rest = frozenset(self.ids) - top
+            held = []
             for p, row in enumerate(state.coordinate):
                 cells = [frozenset(raw_ids(cell)) for cell in row]
                 if cells[0] != rest:
@@ -348,13 +338,16 @@ class _InvariantChecker:
                 for x in range(1, len(cells)):
                     if not cells[x] <= cells[x - 1]:
                         raise InvariantViolation(f"coordinate {p} not nested at row {x}")
+                held.append(Counter(v for cell in cells for v in cell))
+            # A finite counter is the number of rows holding the vertex, less 1.
+            rank_at = {v: tuple(n[v] - 1 for n in held) for v in rest}
+            rank_at.update(dict.fromkeys(top, TOP))
         # Ranks by subgame position: position i is vertex self.ids[i].
         ranks = []
         for v in self.ids:
-            rv = state.raw_rank_of(v)
-            if rv is None:
+            if v not in rank_at:
                 raise InvariantViolation(f"vertex {v} lost from the rank state")
-            ranks.append(rv)
+            ranks.append(rank_at[v])
         # The carried set is S_decr(next_rank).
         if next_rank is not None:
             floor = domain.decr(next_rank)
@@ -503,19 +496,19 @@ def _pm_run(
         if forbidden is not None:
             space.release(forbidden)
 
-        # Walk down while the grown set is not yet contained; those ranks'
-        # sets must absorb it (directly, or implicitly through the commit).
-        chain = []
-        rp = domain.decr(r)
+        # Walk down while the grown set is not yet contained; the ranks from
+        # decr(r) down to the floor it stops at must absorb it (directly, or
+        # implicitly through the commit).
+        d = floor = domain.decr(r)
         held = below
         while not space.is_subset(working, held):
-            chain.append(rp)
-            rp = domain.decr(rp)
+            floor = domain.decr(floor)
             space.release(held)
-            held = state.read(rp)
+            held = state.read(floor)
+        rolled_back = floor != d
 
-        if chain:
-            next_rank = domain.incr(rp)
+        if rolled_back:
+            next_rank = domain.incr(floor)
         elif r is TOP:
             next_rank = None
         else:
@@ -527,20 +520,20 @@ def _pm_run(
                     "rank": r,
                     "added": working.count() - old.count(),
                     "next_rank": next_rank,
-                    "rolled_back": bool(chain),
+                    "rolled_back": rolled_back,
                 }
             )
 
         # The next iteration's `below` is S_decr(next_rank). After a roll-back
-        # that is S_rp, which the commit leaves alone since working lies
+        # that is S_floor, which the commit leaves alone since working lies
         # inside it; otherwise it is S_r, which the commit makes `working`.
-        if not chain:
+        if not rolled_back:
             space.release(held)
             held = space.copy(working) if next_rank is not None else None
         below = held
-        state.commit(r, working, old, tuple(chain))
+        state.commit(r, working, old, d, floor)
         if checker is not None:
-            checker.boundary(state, r, next_rank, bool(chain), below)
+            checker.boundary(state, r, next_rank, rolled_back, below)
         if next_rank is None:
             break
         r = next_rank

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from paritysets import build_game, gen_random
 
@@ -32,6 +33,17 @@ def corpus(count: int, *, n_lo: int = 2, n_span: int = 11, c_span: int = 6,
             max_deg=max_deg,
             seed=seed0 + seed,
         )
+
+
+@st.composite
+def small_games(draw):
+    """Games of up to eight vertices, priorities up to 6, out-degree 1-3."""
+    n = draw(st.integers(1, 8))
+    owners = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    priorities = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    succs = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+             for _ in range(n)]
+    return build_game(owners, priorities, succs)
 
 
 def ids(vertex_set) -> frozenset[int]:

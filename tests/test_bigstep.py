@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysets import Player, bigstep, gen_random, solve_explicit_pm
 from paritysets.bigstep import (
@@ -21,7 +23,7 @@ from paritysets.bigstep import (
 from paritysets.strategy import verify_strategy
 from paritysets.zielonka import RecursionDepthExceeded
 
-from conftest import corpus, ids
+from conftest import corpus, ids, small_games
 
 
 def test_exponent_values_are_exact():
@@ -72,6 +74,18 @@ def test_parameter_schedule():
         choose_h("nope", 1, 1, 3)
 
 
+@pytest.mark.parametrize("priorities", [2, 5])
+def test_unknown_policy_rejected_before_solving(monkeypatch, priorities):
+    # With two priorities no level asks the policy for h, so only the
+    # up-front check stops it; with five the recursion never starts.
+    def no_solve(*args):
+        raise AssertionError("solved with an unknown policy")
+
+    monkeypatch.setattr(bigstep, "_solve", no_solve)
+    with pytest.raises(TypeError, match="unknown policy 'nonsense'"):
+        symbolic_big_step(gen_random(12, priorities, 1, 3, 1), policy="nonsense")
+
+
 def test_sample_run(sample_game):
     rep = symbolic_big_step(sample_game)
     assert ids(rep.winning_even) == frozenset({2, 3, 4, 5, 6, 7})
@@ -115,6 +129,20 @@ def test_many_priorities_agree_and_strategies_verify():
         assert verify_strategy(rep.game, Player.EVEN, even, rep.strategy_even)
         assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
         assert rep.diagnostics["violations"] == []
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(small_games(),
+       st.sampled_from([SqrtPolicy(), GammaPolicy(), Fixed(0), Fixed(1), Fixed(2), Fixed(4)]),
+       st.sampled_from(["bits", "bdd"]))
+def test_winners_and_strategies_match_the_oracle(g, policy, backend):
+    rep = symbolic_big_step(g, policy=policy, strategies=True, backend=backend)
+    even, odd = ids(rep.winning_even), ids(rep.winning_odd)
+    assert even == solve_explicit_pm(g).winning_even
+    assert not even & odd and len(even | odd) == g.vertex_count
+    assert verify_strategy(rep.game, Player.EVEN, even, rep.strategy_even)
+    assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
+    assert rep.diagnostics["violations"] == []
 
 
 def test_space_stays_linear():

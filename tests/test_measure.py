@@ -24,7 +24,7 @@ from paritysets.measure import (
 from paritysets.sets import SetSpace
 from paritysets.strategy import extract_strategy_from_pm
 
-from conftest import corpus, ids
+from conftest import corpus, ids, small_games
 
 
 EXPECTED_TRACE = [
@@ -119,6 +119,20 @@ def test_direct_representation_agrees(sample_game):
     assert direct.space.counters.containment_tests == linear.space.counters.containment_tests
 
 
+@pytest.mark.parametrize("kwargs, counts", [
+    ({}, (113, 35, 35, 24)),
+    ({"bound": 1}, (45, 16, 14, 19)),
+    ({"swap": True}, (287, 82, 82, 28)),
+])
+def test_direct_operation_counts(sample_game, kwargs, counts):
+    # The golden trajectories cover only the linear encoding; these pin the
+    # direct one: basic ops, cpre, containment tests and peak live sets.
+    space = SetSpace(sample_game)
+    _pm_run(space, space.full, representation="direct", **kwargs)
+    c = space.counters
+    assert (c.basic_total, c.cpre_ops, c.containment_tests, c.peak_live_sets) == counts
+
+
 def test_direct_representation_on_random_games():
     # Bounded and swapped runs roll back to floors at many distances below decr(r).
     for g in corpus(25, seed0=430):
@@ -169,8 +183,8 @@ def test_reads_cost_three_ops_per_position(bound):
         assert after.basic_total - before.basic_total <= budget, r
 
 
-def _finished_sample_run(sample_game):
-    run = symbolic_parity_dominion(sample_game)
+def _finished_sample_run(sample_game, representation="linear"):
+    run = symbolic_parity_dominion(sample_game, representation=representation)
     checker = _InvariantChecker(run.state.view, run.domain)
     checker.boundary(run.state, TOP, None, False, None)
     return run, checker
@@ -192,6 +206,27 @@ def test_invariant_checker_catches_a_short_row_zero(sample_game):
     run.space.release(row[0])
     row[0] = run.space.from_ids([2, 3, 4, 5, 6])
     with pytest.raises(InvariantViolation, match="coordinate 1 row 0"):
+        checker.boundary(run.state, TOP, None, False, None)
+
+
+def test_invariant_checker_catches_a_family_out_of_order(sample_game):
+    run, checker = _finished_sample_run(sample_game, "direct")
+    sets = run.state.sets
+    # S_(2,0) gains vertex 3, which S_(1,0) lacks.
+    grown = run.space.union(sets[(2, 0)], run.space.singleton(3))
+    run.space.release(sets[(2, 0)])
+    sets[(2, 0)] = grown
+    with pytest.raises(InvariantViolation, match=r"family not anti-monotone at \(2, 0\)"):
+        checker.boundary(run.state, TOP, None, False, None)
+
+
+def test_invariant_checker_catches_a_vertex_missing_from_zero(sample_game):
+    run, checker = _finished_sample_run(sample_game, "direct")
+    sets = run.state.sets
+    # Vertex 3 ranks (0, 0), so no other set holds it either.
+    run.space.release(sets[(0, 0)])
+    sets[(0, 0)] = run.space.from_ids([0, 1, 2, 4, 5, 6, 7])
+    with pytest.raises(InvariantViolation, match="vertex 3 lost from the rank state"):
         checker.boundary(run.state, TOP, None, False, None)
 
 
@@ -300,22 +335,23 @@ def _tiny_state():
     return space, state
 
 
-def _grow(state, r, vertices, chain=()):
+def _grow(state, r, vertices, floor=None):
     """Commit S_r grown to exactly `vertices`. The added vertices must rank
-    between the chain's floor, decr(chain[-1]), and decr(r); an empty
-    `chain` puts the floor at decr(r) itself."""
-    state.commit(r, state.space.from_ids(vertices), state.read(r), chain)
+    between `floor`, the rank a roll-back walk stopped at, and decr(r);
+    without a floor nothing rolled back and it is decr(r) itself."""
+    d = state.domain.decr(r)
+    state.commit(r, state.space.from_ids(vertices), state.read(r), d,
+                 d if floor is None else floor)
 
 
 def test_state_update_and_rank_queries():
     space, state = _tiny_state()
-    assert state.rank_of(0) == (0,) and state.raw_rank_of(1) == (0,)
+    assert state.rank_of(0) == (0,) and state.rank_of(1) == (0,)
     _grow(state, (1,), [0])
     assert state.rank_of(0) == (1,)
     assert state.rank_of(1) == (0,)
-    _grow(state, TOP, [1], chain=((1,),))
+    _grow(state, TOP, [1], floor=(0,))
     assert state.rank_of(1) is TOP
-    assert state.raw_rank_of(1) is TOP
 
 
 def test_commits_walk_every_row_they_change():
@@ -328,15 +364,14 @@ def test_commits_walk_every_row_they_change():
     def rows():
         return [ids(s) for s in state.coordinate[0]]
 
-    _grow(state, (2,), [0], chain=((1,),))
+    _grow(state, (2,), [0], floor=(0,))
     assert rows() == [{0, 1, 2}, {0}, {0}, set()]
-    _grow(state, (3,), [0, 1], chain=((2,), (1,)))
+    _grow(state, (3,), [0, 1], floor=(0,))
     assert rows() == [{0, 1, 2}, {0, 1}, {0, 1}, {0, 1}]
-    _grow(state, TOP, [1], chain=((3,), (2,), (1,)))
+    _grow(state, TOP, [1], floor=(0,))
     assert rows() == [{0, 2}, {0}, {0}, {0}]
     assert ids(state.top) == {1}
     assert [state.rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
-    assert [state.raw_rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
 
 
 def test_commits_without_a_roll_back_touch_known_rows():
@@ -352,7 +387,8 @@ def test_commits_without_a_roll_back_touch_known_rows():
         """Commit without a roll-back; the ops the commit itself spends."""
         old = state.read(r)
         before = space.counters.snapshot()
-        state.commit(r, space.from_ids(vertices), old, ())
+        d = state.domain.decr(r)
+        state.commit(r, space.from_ids(vertices), old, d, d)
         c = space.counters
         return (c.unions - before.unions, c.differences - before.differences,
                 c.intersections - before.intersections, c.equality_tests - before.equality_tests)
@@ -372,7 +408,7 @@ def test_commits_without_a_roll_back_touch_known_rows():
     assert commit(TOP, [0]) == (1, 6, 0, 0)
     assert rows() == [[{1, 2}, {1, 2}, {1}], [{1, 2}, set()]]
     assert ids(state.top) == {0}
-    assert [state.raw_rank_of(v) for v in range(3)] == [TOP, (2, 0), (1, 0)]
+    assert [state.rank_of(v) for v in range(3)] == [TOP, (2, 0), (1, 0)]
     # Without a roll-back the delta must come from decr(r): vertex 2 sits at (1,0).
     with pytest.raises(PreconditionViolated, match="decr"):
         _grow(state, (0, 1), [0, 1, 2])
@@ -405,8 +441,7 @@ def test_roll_back_commits_bound_counters_by_the_floor():
     # rows 1..2 at position 0; no row is probed.
     old = state.read((0, 3, 0))
     before = space.counters.snapshot()
-    state.commit((0, 3, 0), space.from_ids([0, 1, 2, 3]), old,
-                 ((2, 2, 0), (1, 2, 0), (0, 2, 0), (2, 1, 0)))
+    state.commit((0, 3, 0), space.from_ids([0, 1, 2, 3]), old, (2, 2, 0), (1, 1, 0))
     c = space.counters
     assert (c.unions - before.unions, c.differences - before.differences,
             c.intersections - before.intersections,
@@ -416,7 +451,7 @@ def test_roll_back_commits_bound_counters_by_the_floor():
     assert [state.rank_of(v) for v in range(5)] == [(0, 3, 0)] * 4 + [(0, 0, 0)]
     # Vertex 4 sits at (0,0,0), below the claimed floor (2,2,0).
     with pytest.raises(PreconditionViolated, match="between the floor and decr"):
-        _grow(state, (1, 3, 0), list(range(5)), chain=((0, 3, 0),))
+        _grow(state, (1, 3, 0), list(range(5)), floor=(2, 2, 0))
 
 
 def test_rank_sets_may_only_grow():
@@ -428,19 +463,9 @@ def test_rank_sets_may_only_grow():
 
 def test_top_vertices_cannot_rejoin_finite_ranks():
     space, state = _tiny_state()
-    _grow(state, TOP, [0], chain=((1,),))
+    _grow(state, TOP, [0], floor=(0,))
     with pytest.raises(PreconditionViolated, match="finite rank"):
-        state.commit((1,), space.singleton(0), space.empty_set(), ())
-
-
-@st.composite
-def small_games(draw):
-    n = draw(st.integers(1, 8))
-    owners = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    priorities = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
-    succs = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-             for _ in range(n)]
-    return build_game(owners, priorities, succs)
+        state.commit((1,), space.singleton(0), space.empty_set(), (0,), (0,))
 
 
 @settings(derandomize=True, max_examples=300, database=None, deadline=None)

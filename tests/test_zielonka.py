@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from paritysets import Player, gen_random, solve_explicit_pm
 from paritysets.sets import SetSpace
 from paritysets.strategy import verify_strategy
@@ -17,7 +20,7 @@ from paritysets.zielonka import (
     is_trap,
 )
 
-from conftest import corpus, ids, ladder
+from conftest import corpus, ids, ladder, small_games
 
 
 def test_attractor_on_the_sample(sample_game):
@@ -170,6 +173,17 @@ def test_many_priorities_agree_and_strategies_verify(backend, n):
         # seconds to minutes per game at n=80.
         if n <= 40:
             assert even == solve_explicit_pm(g).winning_even
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(small_games(), st.sampled_from(["bits", "bdd"]))
+def test_winners_and_strategies_match_the_oracle(g, backend):
+    rep = classic_parity(g, strategies=True, backend=backend)
+    even, odd = ids(rep.winning_even), ids(rep.winning_odd)
+    assert even == solve_explicit_pm(g).winning_even
+    assert not even & odd and len(even | odd) == g.vertex_count
+    assert verify_strategy(rep.game, Player.EVEN, even, rep.strategy_even)
+    assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
 
 
 def test_deep_ladder_raises_depth_error():
