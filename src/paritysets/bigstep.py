@@ -58,6 +58,10 @@ class GammaPolicy:
 class Fixed:
     h: int
 
+    def __post_init__(self):
+        if not isinstance(self.h, int) or isinstance(self.h, bool):
+            raise TypeError(f"Fixed needs an int h, got {self.h!r}")
+
     def __str__(self) -> str:
         return f"fixed:{self.h}"
 

@@ -590,6 +590,7 @@ def symbolic_parity_dominion(
 def dominion(game: ParityGame, player: Player, h: int, backend: str = "bits") -> frozenset[int]:
     """A dominion of `player` containing all of that player's dominions of
     size at most h+1; vertex ids of the input game."""
+    player = Player(player)
     norm, _ = normalize_priorities(game)
     space = SetSpace(norm, backend=backend)
     run = _pm_run(space, space.full, bound=h, swap=player is Player.ODD)

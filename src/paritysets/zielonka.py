@@ -11,9 +11,10 @@ point ahead of the classic body lets the big-step solver peel an opponent
 dominion first; the plain solver passes no hook.
 
 Set lifetimes are kept deliberately short: the recursion consumes its input
-mask, winning accumulators are allocated on first use, and the class and
-attractor sets of a pass are dropped before recursing. The peak number of
-live sets stays linear in the priority count.
+mask, winning accumulators are allocated on first use (a side that wins
+nothing stays None, never an empty set), and the class and attractor sets of
+a pass are dropped before recursing. The peak number of live sets stays
+linear in the priority count.
 
 Strategy fragments are produced functionally: every recursive call returns
 the winning sets together with choice maps for both players. Opponent-side
@@ -52,10 +53,12 @@ def attractor(
 ) -> AttractorResult:
     """Least fixpoint of target + controlled predecessor for `player`.
 
-    One cpre per growth round plus one for the final emptiness check. Strategy
-    edges send each attracted vertex of `player` to its lowest-id successor
-    one layer closer to the target; target vertices get no edge here.
+    One cpre and one containment test per growth round, and one more of each
+    for the final containment test. Strategy edges send each attracted
+    vertex of `player` to its lowest-id successor one layer closer to the
+    target; target vertices get no edge here.
     """
+    player = Player(player)
     space = target.space
     current = space.copy(target)
     edges: dict[int, int] | None = {} if want_strategy else None
@@ -63,17 +66,15 @@ def attractor(
     owner = game.owner
     while True:
         step = space.cpre(player, current, within=within)
-        delta = space.difference(step, current)
-        space.release(step)
-        if space.is_empty(delta):
-            space.release(delta)
+        if space.is_subset(step, current):
+            space.release(step)
             break
         if edges is not None:
-            for v in delta.ids():
-                if owner[v] is player:
+            for v in step.ids():
+                if owner[v] is player and not current.contains(v):
                     edges[v] = next(w for w in sorted(succs[v]) if current.contains(w))
-        grown = space.union(current, delta)
-        space.release(current, delta)
+        grown = space.union(current, step)
+        space.release(current, step)
         current = grown
     return AttractorResult(attractor=current, strategy_edges=edges)
 
@@ -81,7 +82,7 @@ def attractor(
 def is_trap(game: ParityGame, player: Player, region: VertexSet) -> bool:
     """True when `player` cannot force the play out of `region`."""
     space = region.space
-    held = space.cpre(player.opponent(), region)
+    held = space.cpre(Player(player).opponent(), region)
     ok = space.is_subset(region, held)
     space.release(held)
     return ok
@@ -111,13 +112,13 @@ def _solve(
     level_sink=None,
     hi=None,
 ):
-    """Returns (winning_even, winning_odd, choices_even, choices_odd).
+    """Returns (wins, choices), two dicts keyed by Player.
 
-    Takes ownership of `live` and releases it. The returned sets are fresh;
-    choice dicts are populated only when `record`. When `level_sink` is a
-    list, each level appends `{"n_start": ..., "passes": [(h, removed), ...]}`
-    with h the dominion hook's parameter (None when the hook did not run).
-    `hi` bounds the priorities in `live` (None: the top class).
+    Takes ownership of `live` and releases it. A win is a fresh set, or None
+    when that side won nothing; choice dicts are populated only when
+    `record`. When `level_sink` is a list, each level appends `{"n_start":
+    ..., "passes": [(h, removed), ...]}` with h the dominion hook's parameter
+    (None when the hook did not run). `hi` bounds the priorities in `live`.
     """
     if depth > max_depth:
         space.release(live)
@@ -180,15 +181,13 @@ def _solve(
         pull_edges = pull.strategy_edges
         space.release(pull.attractor)
         # The attractor took the whole p_star class, so `rest` lies below it.
-        sub_even, sub_odd, sub_ce, sub_co = _solve(
+        sub_wins, sub_choices = _solve(
             game, space, rest, depth + 1, max_depth, record, dominion_hook, level_sink,
             p_star - 1,
         )
-        sub_wins = {Player.EVEN: sub_even, Player.ODD: sub_odd}
-        sub_choices = {Player.EVEN: sub_ce, Player.ODD: sub_co}
-        if space.is_empty(sub_wins[op]):
+        if sub_wins[op] is None:
             # Final pass: everything still live belongs to pl.
-            space.release(sub_even, sub_odd)
+            space.release(*(s for s in sub_wins.values() if s is not None))
             if record:
                 choices[pl].update(sub_choices[pl])
                 choices[pl].update(pull_edges)
@@ -203,7 +202,7 @@ def _solve(
                 level["passes"].append((hook_h, removed_this_pass))
             break
         grab = attractor(game, op, sub_wins[op], within=current, want_strategy=record)
-        space.release(sub_even, sub_odd)
+        space.release(*(s for s in sub_wins.values() if s is not None))
         if record:
             choices[op].update(sub_choices[op])
             choices[op].update(grab.strategy_edges)
@@ -214,19 +213,18 @@ def _solve(
         current = shrunk
         if level is not None:
             level["passes"].append((hook_h, removed_this_pass))
-    out_even = wins[Player.EVEN] if wins[Player.EVEN] is not None else space.empty_set()
-    out_odd = wins[Player.ODD] if wins[Player.ODD] is not None else space.empty_set()
-    return out_even, out_odd, choices[Player.EVEN], choices[Player.ODD]
+    return wins, choices
 
 
 def _report(norm, space, started, algorithm, solved, strategies, diagnostics=None):
     """Stop the clock on a recursive solve and package what `_solve` returned."""
-    w_even, w_odd, ce, co = solved
+    wins, choices = solved
+    w_even, w_odd = (space.empty_set() if wins[p] is None else wins[p] for p in Player)
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
     if strategies:
         strategy_even, strategy_odd = extract_attractor_strategies(
-            norm, w_even.ids(), w_odd.ids(), ce, co
+            norm, w_even.ids(), w_odd.ids(), choices[Player.EVEN], choices[Player.ODD]
         )
     return SolveReport(
         winning_even=w_even,

@@ -86,13 +86,23 @@ def test_unknown_policy_rejected_before_solving(monkeypatch, priorities):
         symbolic_big_step(gen_random(12, priorities, 1, 3, 1), policy="nonsense")
 
 
+@pytest.mark.parametrize("h", [1.5, "2", None, True])
+def test_non_integer_fixed_h_rejected_before_solving(monkeypatch, h):
+    def no_solve(*args):
+        raise AssertionError("solved with a non-integer h")
+
+    monkeypatch.setattr(bigstep, "_solve", no_solve)
+    with pytest.raises(TypeError, match="Fixed needs an int h"):
+        symbolic_big_step(gen_random(12, 5, 1, 3, 1), policy=Fixed(h))
+
+
 def test_sample_run(sample_game):
     rep = symbolic_big_step(sample_game)
     assert ids(rep.winning_even) == frozenset({2, 3, 4, 5, 6, 7})
     assert ids(rep.winning_odd) == frozenset({0, 1})
     assert rep.algorithm == "bigstep"
     c = rep.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (69, 471, 25, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (69, 465, 25, 11)
     d = rep.diagnostics
     assert d["policy"] == "sqrt"
     assert d["violations"] == []

@@ -235,6 +235,16 @@ def test_unknown_representation_rejected(sample_game):
         symbolic_parity_dominion(sample_game, representation="compressed")
 
 
+def test_dominion_takes_players_as_ints():
+    g = gen_random(12, 5, 1, 3, 1)
+    for h in (0, 1, 3):
+        assert dominion(g, 0, h) == dominion(g, Player.EVEN, h)
+        assert dominion(g, 1, h) == dominion(g, Player.ODD, h)
+    assert dominion(g, 0, 3) != dominion(g, 1, 3)
+    with pytest.raises(ValueError):
+        dominion(g, 2, 1)
+
+
 def test_stderr_trace_format(capsys):
     stderr_trace(EXPECTED_TRACE[3])
     err = capsys.readouterr().err

@@ -9,7 +9,8 @@ golden file with
     PYTHONPATH=src python tests/test_trajectories.py
 
 which first prints, per field, how many records moved against the old
-file, and say so in CHANGES.md.
+file, and per counter its sum over all records before and after and how
+many records rose; say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -103,6 +104,18 @@ def moved(old: dict, new: dict) -> dict:
     return counts
 
 
+def counter_sums(old: dict, new: dict) -> dict:
+    """Per `counters.*` field: (sum over `old`, sum over `new`, how many
+    records present in both rose)."""
+    out = {}
+    for name in sorted({name for rec in new.values() for name in rec["counters"]}):
+        before = {key: rec["counters"].get(name, 0) for key, rec in old.items()}
+        after = {key: rec["counters"][name] for key, rec in new.items()}
+        rose = sum(key in before and value > before[key] for key, value in after.items())
+        out[f"counters.{name}"] = (sum(before.values()), sum(after.values()), rose)
+    return out
+
+
 if __name__ == "__main__":
     data = {key: record(SOLVERS[solver](game, "bits")) for key, game, solver in cases()}
     if GOLDEN.exists():
@@ -111,5 +124,7 @@ if __name__ == "__main__":
               f"{len(set(data) - set(old))} added, {len(set(old) - set(data))} removed")
         for name, count in sorted(moved(old, data).items()):
             print(f"{name}: {count} of {len(data)} records changed")
+        for name, (before, after, rose) in counter_sums(old, data).items():
+            print(f"{name}: sum {before} -> {after}, {rose} records rose")
     GOLDEN.write_text(json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n")
     print(f"wrote {len(data)} records to {GOLDEN}")
