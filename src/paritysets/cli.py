@@ -5,8 +5,8 @@ Verbs: solve (print a solution), stats (structured counters), dominion
 solve), gen (seeded random game). Exit codes: 0 fine, 1 verification
 disagreement, 2 parse or usage trouble, or a game whose priorities nest
 deeper than the recursive solvers can go. Set PARITY_TRACE=1 to stream every
-measure run to stderr (pm's role-swapped strategy run and bigstep's dominion
-runs included).
+measure run to stderr (pm's role-swapped strategy run over the odd region and
+bigstep's dominion runs included).
 """
 
 from __future__ import annotations

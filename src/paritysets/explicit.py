@@ -121,6 +121,7 @@ def enumerate_dominions_bruteforce(
 
     Exponential; intended for cross-checking on small games only.
     """
+    player = Player(player)
     out = []
     n = game.vertex_count
     for size in range(1, min(max_size, n) + 1):
@@ -136,6 +137,7 @@ def enumerate_dominions_bruteforce(
 
 def is_dominion(game: ParityGame, player: Player, vertices) -> bool:
     """Explicit check: nonempty opponent trap on which `player` wins everywhere."""
+    player = Player(player)
     cand = frozenset(vertices)
     if not cand:
         return False

@@ -605,34 +605,31 @@ def solve_pm_symbolic(
 ):
     """Full solve via the set-based measure iteration.
 
-    Reported counters cover the even-side run; when strategies are requested
-    the odd player's strategy comes from a second, role-swapped run in its
-    own operation space.
+    Reported counters cover every counted operation of the solve. When
+    strategies are requested, the odd player's strategy comes from a
+    role-swapped run in the same space over the odd region alone: that
+    region is closed and the odd player wins all of it.
     """
     started = time.perf_counter()
     run = symbolic_parity_dominion(game, backend=backend, check_invariants=check_invariants)
     space = run.space
-    norm = space.game
     winning_odd = space.difference(space.full, run.winning)
     elapsed = time.perf_counter() - started
-    strategy_even = strategy_odd = None
+    strategy_even = extract_strategy_from_pm(run.state) if strategies else None
+    run.state.release_all()
+    strategy_odd = None
     if strategies:
-        strategy_even = extract_strategy_from_pm(run.state)
-        space_odd = SetSpace(norm, backend=backend)
-        run_odd = _pm_run(
-            space_odd, space_odd.full, swap=True, check_invariants=check_invariants
-        )
+        run_odd = _pm_run(space, winning_odd, swap=True, check_invariants=check_invariants)
         strategy_odd = extract_strategy_from_pm(run_odd.state)
         run_odd.state.release_all()
-        space_odd.release(run_odd.winning)
-    run.state.release_all()
+        space.release(run_odd.winning)
     return SolveReport(
         winning_even=run.winning,
         winning_odd=winning_odd,
         counters=space.counters,
         algorithm="pm",
         wall_time=elapsed,
-        game=norm,
+        game=space.game,
         strategy_even=strategy_even,
         strategy_odd=strategy_odd,
         diagnostics={"iterations": run.iterations, "domain_size": run.domain.size()},

@@ -80,6 +80,14 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     if not rows:
         raise ParseError(1, "no vertices")
     n = max_id + 1
+    if n > len(rows) and not add_self_loops:
+        # Some id below n is undeclared, and the smallest is at most len(rows),
+        # so it is found before any per-vertex list is built. Blame the first
+        # vertex line naming it; failing that, the header whose range holds
+        # it, or the line naming the largest id.
+        v = next(v for v in range(len(rows) + 1) if v not in rows)
+        line = named.get(v, header_line or named.get(max_id))
+        raise ParseError(line, f"vertex {v} is used but never declared")
     owners = [1] * n
     priorities = [0] * n
     successor_lists: list[list[int]] = [[] for _ in range(n)]
@@ -91,11 +99,6 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
         names[vid] = name
     for v in range(n):
         if not successor_lists[v]:
-            if not add_self_loops:
-                # Blame the first vertex line naming v; failing that, the
-                # header whose range holds v, or the line naming the largest id.
-                line = named.get(v, header_line or named.get(max_id))
-                raise ParseError(line, f"vertex {v} is used but never declared")
             successor_lists[v] = [v]
     has_names = any(name for name in names)
     return build_game(owners, priorities, successor_lists, names if has_names else None)

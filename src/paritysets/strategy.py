@@ -39,6 +39,7 @@ class Strategy:
     choice: dict[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "player", Player(self.player))
         if frozenset(self.choice) != self.domain:
             raise IncompleteStrategy("choice map does not cover the domain exactly")
 
@@ -137,6 +138,7 @@ def verify_strategy(game: ParityGame, player: Player, region, strategy: Strategy
     a choice, when the opponent can leave the region, or when some play
     consistent with the strategy loses.
     """
+    player = Player(player)
     if strategy.player is not player:
         raise ValueError("strategy belongs to the other player")
     w = _region_ids(region)

@@ -214,12 +214,13 @@ def test_trace_environment_variable(game_file):
             3: "pm-trace iter=4 rank=(0, 1) added=4 next=(1, 0) rollback=True",
             11: "pm-trace iter=12 rank=TOP added=2 next=None rollback=False",
         }),
-        # with strategies, pm also streams its role-swapped odd-player run
+        # with strategies, pm also streams its role-swapped odd-player run,
+        # which covers only the odd region {0, 1}: one counter, two iterations
         (["--algo", "pm", "--strategies"], {
             0: "pm-trace iter=1 rank=(1, 0) added=4 next=(2, 0) rollback=False",
             11: "pm-trace iter=12 rank=TOP added=2 next=None rollback=False",
-            12: "pm-trace iter=1 rank=(1, 0, 0) added=2 next=(2, 0, 0) rollback=False",
-            41: "pm-trace iter=30 rank=TOP added=0 next=None rollback=False",
+            12: "pm-trace iter=1 rank=(1,) added=1 next=TOP rollback=False",
+            13: "pm-trace iter=2 rank=TOP added=0 next=None rollback=False",
         }),
         # big-step streams its one dominion run: role-swapped, three counters
         (["--algo", "bigstep"], {

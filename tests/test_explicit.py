@@ -11,6 +11,7 @@ from paritysets import (
     RankDomain,
     TOP,
     build_game,
+    gen_random,
     solve_explicit_pm,
 )
 from paritysets.explicit import (
@@ -117,6 +118,23 @@ def test_brute_force_matches_is_dominion():
             if player is Player.EVEN:
                 for d in doms:
                     assert d <= full
+
+
+def test_players_given_as_ints_match_the_enum():
+    g = gen_random(12, 5, 1, 3, 1)
+    winning_even = solve_explicit_pm(g).winning_even
+    regions = {Player.EVEN: winning_even, Player.ODD: frozenset(range(12)) - winning_even}
+    for player, region in regions.items():
+        doms = enumerate_dominions_bruteforce(g, int(player), 3)
+        assert doms == enumerate_dominions_bruteforce(g, player, 3)
+        assert is_dominion(g, int(player), region) and is_dominion(g, player, region)
+        for d in doms:
+            assert is_dominion(g, int(player), d)
+    assert not is_dominion(g, 0, regions[Player.ODD])
+    with pytest.raises(ValueError):
+        is_dominion(g, 2, winning_even)
+    with pytest.raises(ValueError):
+        enumerate_dominions_bruteforce(g, 2, 1)
 
 
 def test_bounded_solve_is_a_dominion_inside_the_full_answer():

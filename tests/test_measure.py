@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritysets import Player, RankDomain, TOP, build_game, gen_random, solve_explicit_pm
+from paritysets import measure
 from paritysets.explicit import lift_fixpoint
 from paritysets.game import swap_roles_increment
 from paritysets.measure import (
@@ -271,6 +272,28 @@ def test_solve_with_strategies_releases_everything(sample_game):
     c = rep.counters
     assert c.peak_live_sets == 24
     assert c.live_sets == 11  # two result sets over the pinned nine
+
+
+def test_odd_strategy_run_shares_the_space_and_covers_the_odd_region(monkeypatch):
+    spaces, calls = [], []
+    real_space, real_run = measure.SetSpace, measure._pm_run
+
+    def space_recorder(*args, **kwargs):
+        spaces.append(real_space(*args, **kwargs))
+        return spaces[-1]
+
+    def run_recorder(space, universe, **kwargs):
+        calls.append((space, ids(universe), kwargs))
+        return real_run(space, universe, **kwargs)
+
+    monkeypatch.setattr(measure, "SetSpace", space_recorder)
+    monkeypatch.setattr(measure, "_pm_run", run_recorder)
+    rep = solve_pm_symbolic(gen_random(12, 5, 1, 3, 1), strategies=True)
+    assert len(spaces) == 1 and len(calls) == 2
+    space, universe, kwargs = calls[1]
+    assert space is spaces[0] and space.counters is rep.counters
+    assert universe == ids(rep.winning_odd) != frozenset()
+    assert kwargs["swap"] is True
 
 
 def test_agrees_with_explicit_solver():

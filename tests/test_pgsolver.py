@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -157,6 +159,21 @@ def test_undeclared_target_rejected():
         with pytest.raises(ParseError) as err:
             parse_pgsolver(text)
         assert str(err.value) == f"{where} is used but never declared"
+
+
+def test_undeclared_vertices_rejected_before_per_vertex_lists():
+    # a huge id with nothing declared below it: the smallest undeclared id
+    # is known from the rows alone, so no list of 2,000,001 entries is built
+    for text in ("0 0 0 2000000;\n", "parity 2000000;\n0 0 0 0;\n"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_pgsolver(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "line 1: vertex 1 is used but never declared"
+        assert peak < 1_000_000
 
 
 def test_ids_above_the_header_maximum_rejected():

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from paritysets import GameError, Player, build_game, normalize_priorities, solve_explicit_pm
+from paritysets import (
+    GameError,
+    Player,
+    build_game,
+    gen_random,
+    normalize_priorities,
+    solve_explicit_pm,
+)
 from paritysets.measure import _pm_run, solve_pm_symbolic, symbolic_parity_dominion
 from paritysets.sets import SetSpace
 from paritysets.strategy import (
@@ -109,6 +116,20 @@ def test_verify_rejects_wrong_player(sample_game):
     strat = Strategy(player=Player.EVEN, domain=frozenset(), choice={})
     with pytest.raises(ValueError):
         verify_strategy(sample_game, Player.ODD, EVEN_REGION, strat)
+
+
+def test_players_given_as_ints_match_the_enum():
+    rep = solve_pm_symbolic(gen_random(12, 5, 1, 3, 1), strategies=True)
+    sides = ((rep.winning_even, rep.strategy_even), (rep.winning_odd, rep.strategy_odd))
+    for player, (region, strat) in zip(Player, sides):
+        as_int = Strategy(player=int(player), domain=strat.domain, choice=strat.choice)
+        assert as_int == strat and as_int.player is player
+        assert verify_strategy(rep.game, int(player), region, strat)
+        assert verify_strategy(rep.game, player, region, strat)
+    with pytest.raises(ValueError):
+        verify_strategy(rep.game, 2, rep.winning_even, rep.strategy_even)
+    with pytest.raises(ValueError):
+        Strategy(player=2, domain=frozenset(), choice={})
 
 
 def test_verify_raises_when_a_choice_exits_the_region(sample_game):

@@ -8,9 +8,9 @@ golden file with
 
     PYTHONPATH=src python tests/test_trajectories.py
 
-which first prints, per field, how many records moved against the old
-file, and per counter its sum over all records before and after and how
-many records rose; say so in CHANGES.md.
+which first prints, per solver, how many of its records moved in each
+field against the old file, and per counter its sum over all records
+before and after and how many records rose; say so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -95,12 +95,14 @@ def fields(rec: dict) -> dict:
 
 
 def moved(old: dict, new: dict) -> dict:
-    """Per field, how many records of `new` differ from `old` in it."""
+    """Per solver, then per field, how many records of `new` differ from
+    `old` in it."""
     counts: dict = {}
     for key, rec in new.items():
+        per_field = counts.setdefault(key.split("/")[1], {})
         before = fields(old[key]) if key in old else {}
         for name, value in fields(rec).items():
-            counts[name] = counts.get(name, 0) + (before.get(name) != value)
+            per_field[name] = per_field.get(name, 0) + (before.get(name) != value)
     return counts
 
 
@@ -122,8 +124,10 @@ if __name__ == "__main__":
         old = json.loads(GOLDEN.read_text())
         print(f"records: {len(old)} before, {len(data)} now, "
               f"{len(set(data) - set(old))} added, {len(set(old) - set(data))} removed")
-        for name, count in sorted(moved(old, data).items()):
-            print(f"{name}: {count} of {len(data)} records changed")
+        for solver, per_field in moved(old, data).items():
+            total = sum(key.endswith(f"/{solver}") for key in data)
+            changed = [f"{name} {count}" for name, count in sorted(per_field.items()) if count]
+            print(f"{solver} ({total} records): {', '.join(changed) or 'no field moved'}")
         for name, (before, after, rose) in counter_sums(old, data).items():
             print(f"{name}: sum {before} -> {after}, {rose} records rose")
     GOLDEN.write_text(json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n")
