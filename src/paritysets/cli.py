@@ -12,6 +12,7 @@ bigstep's dominion runs included).
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globmod
 import sys
 
@@ -123,6 +124,7 @@ def _cmd_verify(args) -> int:
     with open(args.solution, "r", encoding="utf-8") as fh:
         claimed = parse_solution(fh.read())
     report = _run(game, args)
+    solved_even = set(report.winning_even.ids())
     problems = [f"vertex {v} is not in the game" for v in claimed if v >= game.vertex_count]
     claimed = {v: entry for v, entry in claimed.items() if v < game.vertex_count}
     for v in range(game.vertex_count):
@@ -131,7 +133,7 @@ def _cmd_verify(args) -> int:
             problems.append(f"vertex {v} missing from the solution")
             continue
         winner, pick = want
-        actual = 0 if report.winning_even.contains(v) else 1
+        actual = 0 if v in solved_even else 1
         if winner != actual:
             problems.append(f"vertex {v}: claimed winner {winner}, solved {actual}")
         if pick is not None and pick not in game.successors[v]:
@@ -176,7 +178,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call and kept."""
     parser = argparse.ArgumentParser(prog="paritysets", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
 
@@ -208,8 +212,11 @@ def main(argv=None) -> int:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default=None)
     p_gen.set_defaults(fn=_cmd_gen)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, GameError, OSError, RecursionDepthExceeded) as exc:

@@ -7,8 +7,10 @@ count c is one past the largest priority in use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
+from itertools import chain
 
 
 class GameError(Exception):
@@ -49,21 +51,24 @@ class Player(IntEnum):
         return Player.ODD if self is Player.EVEN else Player.EVEN
 
 
+_PLAYERS = {0: Player.EVEN, 1: Player.ODD}
+
+
 @dataclass(frozen=True)
 class ParityGame:
     owner: tuple[Player, ...]
     priority: tuple[int, ...]
     successors: tuple[tuple[int, ...], ...]
     names: tuple[str | None, ...] | None = None
-    # filled in __post_init__
-    predecessors: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
-    def __post_init__(self):
+    @cached_property
+    def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """The inverted edges, built on first use."""
         preds: list[list[int]] = [[] for _ in range(len(self.owner))]
         for v, succs in enumerate(self.successors):
             for w in succs:
                 preds[w].append(v)
-        object.__setattr__(self, "predecessors", tuple(tuple(p) for p in preds))
+        return tuple(map(tuple, preds))
 
     @property
     def vertex_count(self) -> int:
@@ -84,33 +89,34 @@ def build_game(
     """Validate and freeze a game.
 
     Duplicate edges are dropped (first occurrence kept). Raises
-    VertexWithoutSuccessor, PriorityOutOfRange or DanglingEdge.
+    VertexWithoutSuccessor, PriorityOutOfRange or DanglingEdge, and
+    ValueError for an owner that is not a player.
     """
     n = len(owners)
     if not (len(priorities) == len(successor_lists) == n):
         raise GameError("owners, priorities and successor lists must have equal length")
     if names is not None and len(names) != n:
         raise GameError("names must match the vertex count")
-    for v, p in enumerate(priorities):
-        if p < 0:
-            raise PriorityOutOfRange(v, p)
-    cleaned: list[tuple[int, ...]] = []
-    for v, succs in enumerate(successor_lists):
-        seen: set[int] = set()
-        keep: list[int] = []
-        for w in succs:
-            if not 0 <= w < n:
-                raise DanglingEdge(v, w)
-            if w not in seen:
-                seen.add(w)
-                keep.append(w)
-        if not keep:
-            raise VertexWithoutSuccessor(v)
-        cleaned.append(tuple(keep))
+    if priorities and min(priorities) < 0:
+        v = next(v for v, p in enumerate(priorities) if p < 0)
+        raise PriorityOutOfRange(v, priorities[v])
+    cleaned = tuple(map(tuple, map(dict.fromkeys, successor_lists)))
+    targets = list(chain.from_iterable(cleaned))
+    if not all(cleaned) or targets and (min(targets) < 0 or max(targets) >= n):
+        for v, succs in enumerate(cleaned):  # blame the first bad vertex
+            for w in succs:
+                if not 0 <= w < n:
+                    raise DanglingEdge(v, w)
+            if not succs:
+                raise VertexWithoutSuccessor(v)
+    try:
+        owner = tuple(map(_PLAYERS.__getitem__, owners))
+    except (KeyError, TypeError):
+        owner = tuple(Player(o) for o in owners)  # ValueError naming the bad owner
     return ParityGame(
-        owner=tuple(Player(o) for o in owners),
+        owner=owner,
         priority=tuple(priorities),
-        successors=tuple(cleaned),
+        successors=cleaned,
         names=tuple(names) if names is not None else None,
     )
 
@@ -118,30 +124,23 @@ def build_game(
 def normalize_priorities(game: ParityGame) -> tuple[ParityGame, dict[int, int]]:
     """Compact priorities so every class strictly between 0 and c-1 is nonempty.
 
-    Repeatedly: drop c to one past the largest present priority, then shift
-    everything above the smallest empty interior class down by 2. Parity of
-    every vertex is preserved, so winners and strategies are unchanged.
+    One pass over the distinct priorities in ascending order: the smallest p
+    maps to p % 2, and each next one to its predecessor's new value, plus 1
+    when their parities differ. Parity of every vertex and the order of the
+    classes are preserved, so winners and strategies are unchanged.
     Returns the new game and the old-priority -> new-priority map. Idempotent.
     """
-    current = list(game.priority)
-    remap = {p: p for p in set(game.priority)}
-    while True:
-        c = max(current) + 1 if current else 0
-        present = set(current)
-        gap = next((i for i in range(1, c) if i not in present), None)
-        if gap is None:
-            break
-        for v, p in enumerate(current):
-            if p > gap:
-                current[v] = p - 2
-        for old, new in list(remap.items()):
-            if new > gap:
-                remap[old] = new - 2
-    if current == list(game.priority):
+    remap: dict[int, int] = {}
+    prev = None
+    for p in sorted(set(game.priority)):
+        remap[p] = p % 2 if prev is None else remap[prev] + (p - prev) % 2
+        prev = p
+    priority = tuple(map(remap.__getitem__, game.priority))
+    if priority == game.priority:
         return game, remap
     out = ParityGame(
         owner=game.owner,
-        priority=tuple(current),
+        priority=priority,
         successors=game.successors,
         names=game.names,
     )

@@ -30,12 +30,13 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {reason}")
 
 
+# ASCII only: \d and \s would otherwise take any Unicode digit or space.
 _VERTEX = re.compile(
-    r"^(\d+)\s+(\d+)\s+([01])((?:\s+\d+(?:\s*,\s*\d+)*)?)\s*(?:\"([^\"]*)\")?\s*;$"
+    r"^(\d+)\s+(\d+)\s+([01])((?:\s+\d+(?:\s*,\s*\d+)*)?)\s*(?:\"([^\"]*)\")?\s*;$", re.ASCII
 )
-_HEADER = re.compile(r"^parity\s+(\d+)\s*;$")
-_SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$")
-_SOL_LINE = re.compile(r"^(\d+)\s+([01])(?:\s+(\d+))?\s*;$")
+_HEADER = re.compile(r"^parity\s+(\d+)\s*;$", re.ASCII)
+_SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$", re.ASCII)
+_SOL_LINE = re.compile(r"^(\d+)\s+([01])(?:\s+(\d+))?\s*;$", re.ASCII)
 
 
 def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
@@ -49,34 +50,40 @@ def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
     return None, 0
 
 
+def _vertex_lines(lines: list[str], header_line: int):
+    """(line number, match) for each non-blank vertex line after the header;
+    ParseError on the first malformed one."""
+    match = _VERTEX.match
+    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
+        line = raw.strip()
+        if line:
+            m = match(line)
+            if m is None:
+                raise ParseError(lineno, f"malformed vertex line: {line!r}")
+            yield lineno, m
+
+
 def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     rows: dict[int, tuple[int, int, list[int], str | None]] = {}
-    named: dict[int, int] = {}  # id -> first vertex line naming it
     lines = text.splitlines()
     header_max, header_line = _header(lines, _HEADER)
     max_id = -1 if header_max is None else header_max
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _VERTEX.match(line)
-        if m is None:
-            raise ParseError(lineno, f"malformed vertex line: {raw.strip()!r}")
-        vid = int(m.group(1))
-        priority = int(m.group(2))
-        owner = int(m.group(3))
-        succ_text = m.group(4).strip()
-        succs = [int(s) for s in succ_text.replace(",", " ").split()] if succ_text else []
+    for lineno, m in _vertex_lines(lines, header_line):
+        vid, priority, owner, succ_text, name = m.groups()
+        vid = int(vid)
+        # int() skips the spaces around each comma-separated id.
+        succs = list(map(int, succ_text.split(","))) if succ_text else []
         if not succs and not add_self_loops:
             raise ParseError(lineno, f"vertex {vid} has an empty successor list")
         if vid in rows:
             raise ParseError(lineno, f"vertex {vid} declared twice")
-        for w in (vid, *succs):
-            if header_max is not None and w > header_max:
+        top = max(vid, *succs) if succs else vid
+        if top > max_id:
+            if header_max is not None:
+                w = next(w for w in (vid, *succs) if w > header_max)
                 raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
-            named.setdefault(w, lineno)
-        rows[vid] = (priority, owner, succs, m.group(5))
-        max_id = max(max_id, vid, *(succs or [vid]))
+            max_id = top
+        rows[vid] = (int(priority), int(owner), succs, name)
     if not rows:
         raise ParseError(1, "no vertices")
     n = max_id + 1
@@ -84,24 +91,24 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
         # Some id below n is undeclared, and the smallest is at most len(rows),
         # so it is found before any per-vertex list is built. Blame the first
         # vertex line naming it; failing that, the header whose range holds
-        # it, or the line naming the largest id.
+        # it, or the line naming the largest id. Only this error needs to know
+        # where ids were first named, so only it scans the lines again.
         v = next(v for v in range(len(rows) + 1) if v not in rows)
-        line = named.get(v, header_line or named.get(max_id))
+
+        def first_naming(u: int) -> int | None:
+            for lineno, m in _vertex_lines(lines, header_line):
+                if int(m[1]) == u or m[4] and u in map(int, m[4].split(",")):
+                    return lineno
+            return None
+
+        line = first_naming(v) or header_line or first_naming(max_id)
         raise ParseError(line, f"vertex {v} is used but never declared")
-    owners = [1] * n
-    priorities = [0] * n
-    successor_lists: list[list[int]] = [[] for _ in range(n)]
-    names: list[str | None] = [None] * n
-    for vid, (priority, owner, succs, name) in rows.items():
-        owners[vid] = owner
-        priorities[vid] = priority
-        successor_lists[vid] = succs
-        names[vid] = name
-    for v in range(n):
-        if not successor_lists[v]:
-            successor_lists[v] = [v]
-    has_names = any(name for name in names)
-    return build_game(owners, priorities, successor_lists, names if has_names else None)
+    # An undeclared vertex (self-loop repair) is odd-owned with priority 0.
+    blank = (0, 1, [], None)
+    priorities, owners, successor_lists, names = zip(*[rows.get(v, blank) for v in range(n)])
+    if add_self_loops:
+        successor_lists = [succs or [v] for v, succs in enumerate(successor_lists)]
+    return build_game(owners, priorities, successor_lists, names if any(names) else None)
 
 
 def emit_pgsolver(game: ParityGame) -> str:
@@ -125,14 +132,15 @@ def emit_solution(report: SolveReport, form: str = "text") -> str:
     key:value dump including the operation counters."""
     if form == "text":
         n = report.game.vertex_count
+        winners = [1] * n
+        for v in report.winning_even.ids():
+            winners[v] = 0
+        choices = [s.choice if s is not None else {}
+                   for s in (report.strategy_even, report.strategy_odd)]
         lines = [f"paritysol {n - 1};"]
-        for v in range(n):
-            winner = 0 if report.winning_even.contains(v) else 1
-            strategy = report.strategy_even if winner == 0 else report.strategy_odd
-            pick = ""
-            if strategy is not None and v in strategy.choice:
-                pick = f" {strategy.choice[v]}"
-            lines.append(f"{v} {winner}{pick};")
+        for v, winner in enumerate(winners):
+            pick = choices[winner].get(v)
+            lines.append(f"{v} {winner};" if pick is None else f"{v} {winner} {pick};")
         return "\n".join(lines) + "\n"
     if form == "structured":
         c = report.counters

@@ -19,6 +19,7 @@ tests, traces and IO; solver logic sticks to the counted operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .game import ParityGame, Player
 
@@ -77,11 +78,26 @@ class VertexSet:
         return f"VertexSet{{{','.join(map(str, self.ids()))}}}{state}"
 
 
+# bin() digits to the bytes 0 and 1, for compress().
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+# _mask ORs fewer ids than this in one at a time. Each OR copies the growing
+# mask, so from here on writing binary digits and reading them with one int()
+# is faster: about level at 128 ids on masks 1,024-2,048 bits wide.
+_DIGITS_FROM = 128
+
+
 def _mask(ids) -> int:
-    m = 0
+    ids = tuple(ids)
+    if len(ids) < _DIGITS_FROM:
+        m = 0
+        for v in ids:
+            m |= 1 << v
+        return m
+    top = max(ids)
+    digits = bytearray(b"0") * (top + 1)
     for v in ids:
-        m |= 1 << v
-    return m
+        digits[top - v] = 49  # ord("1")
+    return int(digits, 2)
 
 
 class _BitsBackend:
@@ -91,14 +107,23 @@ class _BitsBackend:
         n = game.vertex_count
         self.n = n
         self.full_mask = (1 << n) - 1
-        self.succ = [_mask(succs) for succs in game.successors]
-        self.pred = [_mask(preds) for preds in game.predecessors]
+        # One pass over the edges gives both the successor and the
+        # predecessor masks.
+        succ = []
+        pred = [0] * n
+        for v, succs in enumerate(game.successors):
+            bit = 1 << v
+            m = 0
+            for w in succs:
+                m |= 1 << w
+                pred[w] |= bit
+            succ.append(m)
+        self.succ = succ
+        self.pred = pred
         # (for_even, within, b & within, result) of the last cpre call.
         self._last_cpre = None
-        self.even_mask = 0
-        for v, o in enumerate(game.owner):
-            if o is Player.EVEN:
-                self.even_mask |= 1 << v
+        even = Player.EVEN  # a local: looking the member up per vertex costs more
+        self.even_mask = _mask(v for v, o in enumerate(game.owner) if o is even)
 
     def empty(self):
         return 0
@@ -128,12 +153,10 @@ class _BitsBackend:
         return a.bit_count()
 
     def ids(self, a) -> tuple[int, ...]:
-        out = []
-        while a:
-            low = a & -a
-            out.append(low.bit_length() - 1)
-            a ^= low
-        return tuple(out)
+        # One pass over the binary digits, bit v being the v-th from the
+        # right; clearing the low bit one at a time copies the mask per bit.
+        bits = bin(a)[:1:-1].encode().translate(_BIT_VALUES)
+        return tuple(compress(range(len(bits)), bits))
 
     def contains(self, a, v: int) -> bool:
         return bool(a >> v & 1)
@@ -208,11 +231,12 @@ class SetSpace:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.full = self._pin(self._backend.full())
+        even, odd = Player.EVEN, Player.ODD  # locals, as in _BitsBackend
         self.evens = self._pin(
-            self._backend.from_ids(v for v, o in enumerate(game.owner) if o is Player.EVEN)
+            self._backend.from_ids(v for v, o in enumerate(game.owner) if o is even)
         )
         self.odds = self._pin(
-            self._backend.from_ids(v for v, o in enumerate(game.owner) if o is Player.ODD)
+            self._backend.from_ids(v for v, o in enumerate(game.owner) if o is odd)
         )
         self.empty = self._pin(self._backend.empty())
         classes: list[list[int]] = [[] for _ in range(game.priority_count)]

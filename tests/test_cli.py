@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from paritysets import cli
 from paritysets.cli import main
 from paritysets.pgsolver import emit_pgsolver
 
@@ -258,3 +259,49 @@ def test_too_many_priorities_exit_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: 1200 priorities nest deeper")
+
+
+def _output(argv, capsys, fresh: bool):
+    """Exit status (2 for a usage error), stdout and stderr of one main()
+    call, the timing row left out; `fresh` builds the parser anew first."""
+    if fresh:
+        cli._parser.cache_clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = "".join(l for l in captured.out.splitlines(True) if not l.startswith("wall_time_ms"))
+    return code, out, captured.err
+
+
+def test_cached_parser_leaks_nothing_between_calls(game_file, capsys):
+    calls = [
+        ["solve", game_file, "--algo", "bigstep", "--policy", "fixed:2"],
+        ["solve", game_file],
+        ["stats", game_file],
+        ["solve", game_file, "--algo", "nope"],
+        ["solve", game_file],
+    ]
+    want = [_output(argv, capsys, fresh=True) for argv in calls]
+    assert want[3][0] == 2 and "invalid choice" in want[3][2]
+    assert want[1][1] == "paritysol 7;\n0 1;\n1 1;\n2 0;\n3 0;\n4 0;\n5 0;\n6 0;\n7 0;\n"
+    assert [_output(argv, capsys, fresh=False) for argv in calls] == want
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import paritysets.cli as c; print(c._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout == "0\n"
+
+
+def test_huge_priorities_solve(tmp_path, capsys):
+    # normalization takes one step per distinct priority, not per unit of it
+    path = tmp_path / "huge.gm"
+    path.write_text(f"0 {10**12} 0 1;\n1 {10**12 + 1} 1 0;\n2 {10**12 + 4} 0 2,0;\n")
+    for algo in ("zielonka", "pm", "bigstep"):
+        assert main(["solve", str(path), "--algo", algo, "--strategies"]) == 0
+        assert capsys.readouterr().out == "paritysol 2;\n0 1;\n1 1 0;\n2 0 2;\n"

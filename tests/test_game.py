@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from paritysets import (
@@ -50,6 +52,10 @@ def test_priority_classes(sample_game):
 def test_duplicate_edges_are_dropped():
     g = build_game([0], [0], [[0, 0, 0]])
     assert g.successors[0] == (0,)
+    # the first occurrence keeps its place
+    g = build_game([0, 1], [0, 1], [[1, 0, 1, 1, 0], [1, 1]])
+    assert g.successors == ((1, 0), (1,))
+    assert g.predecessors == ((0,), (0, 1))
 
 
 def test_missing_successor_rejected():
@@ -69,11 +75,71 @@ def test_negative_priority_rejected():
         build_game([0], [-1], [[0]])
 
 
+def test_owners_are_players_and_bad_owners_rejected():
+    g = build_game([Player.ODD, 0, True], [0, 1, 2], [[1], [2], [0]])
+    assert g.owner == (Player.ODD, Player.EVEN, Player.ODD)
+    assert all(type(o) is Player for o in g.owner)
+    for bad in (2, -1, None, "1"):
+        with pytest.raises(ValueError, match="not a valid Player"):
+            build_game([0, bad], [0, 1], [[1], [0]])
+
+
+def test_the_first_bad_vertex_is_blamed():
+    # the checks run vertex by vertex, a dangling edge before an empty list
+    with pytest.raises(VertexWithoutSuccessor) as err:
+        build_game([0, 1, 0], [0, 1, 2], [[1], [], [5]])
+    assert err.value.vertex == 1
+    with pytest.raises(DanglingEdge) as err:
+        build_game([0, 1, 0], [0, 1, 2], [[1], [0, -1, 7], []])
+    assert (err.value.source, err.value.target) == (1, -1)
+    with pytest.raises(PriorityOutOfRange) as err:
+        build_game([0, 1, 0], [0, -2, -1], [[0], [1], [2]])
+    assert (err.value.vertex, err.value.priority) == (1, -2)
+
+
+def _normalize_by_shifting(priorities):
+    """The former normalization: close the smallest interior gap by shifting
+    every priority above it down by 2, until no gap is left."""
+    current = list(priorities)
+    remap = {p: p for p in set(priorities)}
+    while True:
+        c = max(current) + 1 if current else 0
+        present = set(current)
+        gap = next((i for i in range(1, c) if i not in present), None)
+        if gap is None:
+            break
+        for v, p in enumerate(current):
+            if p > gap:
+                current[v] = p - 2
+        for old, new in list(remap.items()):
+            if new > gap:
+                remap[old] = new - 2
+    return tuple(current), remap
+
+
+def test_normalize_matches_the_shifting_loop():
+    rng = random.Random(14)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        top = rng.choice((3, 10, 40))
+        priorities = [rng.randint(0, top) for _ in range(n)]
+        g = ParityGame(owner=(Player.EVEN,) * n, priority=tuple(priorities),
+                       successors=tuple((v,) for v in range(n)))
+        norm, remap = normalize_priorities(g)
+        assert (norm.priority, remap) == _normalize_by_shifting(priorities)
+        assert (norm is g) == (norm.priority == g.priority)
+
+
 def test_normalize_closes_every_gap():
     g = build_game([0, 1, 0], [0, 0, 4], [[1], [2], [0]])
     norm, remap = normalize_priorities(g)
     assert norm.priority == (0, 0, 0)
     assert remap == {0: 0, 4: 0}
+    # one step per distinct priority, however far apart they are
+    g = build_game([0, 1, 0], [10**12, 10**12 + 1, 10**15 + 4], [[1], [0], [2]])
+    norm, remap = normalize_priorities(g)
+    assert norm.priority == (0, 1, 2)
+    assert remap == {10**12: 0, 10**12 + 1: 1, 10**15 + 4: 2}
 
 
 def test_normalize_keeps_parity_and_order():

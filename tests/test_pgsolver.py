@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paritysets import Player, build_game
+from paritysets import Player, build_game, gen_random
 from paritysets.pgsolver import (
     ParseError,
     emit_pgsolver,
@@ -16,6 +16,8 @@ from paritysets.pgsolver import (
     parse_pgsolver,
     parse_solution,
 )
+from paritysets.bigstep import symbolic_big_step
+from paritysets.measure import solve_pm_symbolic
 from paritysets.zielonka import classic_parity
 
 from conftest import corpus
@@ -59,11 +61,10 @@ def test_round_trip_preserves_everything(sample_game):
 
 
 def test_round_trip_on_random_games():
-    for g in corpus(30, seed0=1700):
+    games = [*corpus(30, seed0=1700), *(gen_random(n, 5, 1, 3, n) for n in (300, 2048))]
+    for g in games:
         back = parse_pgsolver(emit_pgsolver(g))
-        assert back.owner == g.owner
-        assert back.priority == g.priority
-        assert back.successors == g.successors
+        assert back == g
         assert back.names is None
 
 
@@ -183,6 +184,96 @@ def test_ids_above_the_header_maximum_rejected():
     with pytest.raises(ParseError) as err:
         parse_pgsolver("parity 1;\n0 1 0 1,2;\n1 0 1 0;\n")
     assert str(err.value) == "line 2: vertex 2 exceeds the header maximum 1"
+
+
+def test_only_ascii_digits_and_spaces_count():
+    # \d and \s would take an Arabic-Indic zero, a fullwidth one or a
+    # non-breaking space
+    for text in ("\u0660 0 0 0;\n", "0 0 0 \uff10;\n", "0\u00a00 0 0;\n", "0 0\u20030 0;\n",
+                 "parity \u0660;\n0 0 0 0;\n"):
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(text)
+        assert err.value.line == 1
+        assert err.value.reason.startswith("malformed vertex line")
+    for text in ("\u0660 1;\n", "0\u00a01;\n", "0 1 \u0661;\n"):
+        with pytest.raises(ParseError) as err:
+            parse_solution(text)
+        assert (err.value.line, err.value.reason[:23]) == (1, "malformed solution line")
+
+
+def _long_file(last: str, header: int | None = None, skip: int | None = None) -> str:
+    """A 2048-line game file: the header if given, a cycle through the
+    vertices 0, 1, ... (leaving out `skip`) up to the line before the last,
+    then `last`."""
+    lines = [] if header is None else [f"parity {header};"]
+    v = 0
+    while len(lines) < 2047:
+        if v != skip:
+            nxt = v + 1 if v + 1 != skip else v + 2
+            lines.append(f"{v} {v % 5} {v % 2} {nxt};")
+        v += 1
+    lines.append(last)
+    return "\n".join(lines) + "\n"
+
+
+def test_errors_on_the_last_line_of_a_long_file():
+    # the first line naming the undeclared vertex is the last one
+    text = _long_file("2047 1 0 5,0;", header=2047, skip=5)
+    assert len(text.splitlines()) == 2048
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver(text)
+    assert str(err.value) == "line 2048: vertex 5 is used but never declared"
+    # without that line only the header's range holds it
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver(_long_file("2047 1 0 0;", header=2047, skip=5))
+    assert str(err.value) == "line 1: vertex 5 is used but never declared"
+    # a successor over the header maximum
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver(_long_file("2046 1 0 0,2047,9;", header=2046))
+    assert str(err.value) == "line 2048: vertex 2047 exceeds the header maximum 2046"
+    # no header: the last line names the largest id, and the gap below it
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver(_long_file("2047 0 1 4000;"))
+    assert str(err.value) == "line 2048: vertex 2048 is used but never declared"
+
+
+def test_hand_made_lines_load_like_built_games():
+    # duplicate edges, lines out of order, names, spacing
+    g = parse_pgsolver('parity 4;\n3 2 1 0,0,3 ;\n0 4 0 1,1 "zero";\n1 0 1 3, 0,3 "one";\n'
+                       '2 1 0 2;\n\n4 3 1 4 , 4,0;\n')
+    assert g == build_game([0, 1, 0, 1, 1], [4, 0, 1, 2, 3],
+                           [[1], [3, 0], [2], [0, 3], [4, 0]],
+                           ["zero", "one", None, None, None])
+    # self-loop repair: an empty list and two undeclared ids
+    g = parse_pgsolver("1 3 0 ;\n0 0 1 4,2,4;\n", add_self_loops=True)
+    assert g == build_game([1, 0, 1, 1, 1], [0, 3, 0, 0, 0],
+                           [[4, 2], [1], [2], [3], [4]])
+    assert g.names is None
+
+
+def _solution_by_lookups(report) -> str:
+    """The solution text, asking the winning set about one vertex at a time."""
+    n = report.game.vertex_count
+    lines = [f"paritysol {n - 1};"]
+    for v in range(n):
+        winner = 0 if report.winning_even.contains(v) else 1
+        strategy = report.strategy_even if winner == 0 else report.strategy_odd
+        pick = ""
+        if strategy is not None and v in strategy.choice:
+            pick = f" {strategy.choice[v]}"
+        lines.append(f"{v} {winner}{pick};")
+    return "\n".join(lines) + "\n"
+
+
+def test_solution_text_matches_per_vertex_lookups():
+    for i, g in enumerate(corpus(24, seed0=2200)):
+        solve = (classic_parity, solve_pm_symbolic, symbolic_big_step)[i % 3]
+        for strategies in (False, True):
+            for backend in ("bits", "bdd"):
+                rep = solve(g, strategies=strategies, backend=backend)
+                assert emit_solution(rep) == _solution_by_lookups(rep)
+    rep = classic_parity(gen_random(2048, 5, 1, 3, 3), strategies=True)
+    assert emit_solution(rep) == _solution_by_lookups(rep)
 
 
 def test_self_loop_repair():

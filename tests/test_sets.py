@@ -7,6 +7,8 @@ import random
 import pytest
 
 from paritysets import Player, SetSpace, UniverseMismatch, build_game, gen_random
+from paritysets.pgsolver import parse_pgsolver
+from paritysets.sets import _mask
 from paritysets.zielonka import attractor
 
 from conftest import corpus, ids, ladder
@@ -277,3 +279,74 @@ def test_bits_attractor_kernel_work_is_linear_on_a_chain():
         assert result.attractor.count() == n
         assert space.counters.cpre_ops == n
         assert succ.lookups <= 2 * n
+
+
+def _loader_games():
+    """Random games up to n = 2048, a ladder, and parsed hand-made games with
+    duplicate edges, out-of-order lines, names and self-loop repair."""
+    games = [gen_random(n, 5, 1, 3, seed) for seed, n in enumerate((1, 2, 7, 64, 65, 300, 2048))]
+    games += corpus(40, seed0=2300)
+    games.append(ladder(300))
+    games.append(parse_pgsolver(
+        'parity 4;\n3 2 1 0,0,3 ;\n0 4 0 1,1 "zero";\n1 0 1 3, 0,3 "one";\n'
+        '2 1 0 2;\n4 3 1 4,4,0;\n'))
+    games.append(parse_pgsolver("1 3 0 ;\n0 0 1 4,2,4;\n", add_self_loops=True))
+    return games
+
+
+def _mask_bit_by_bit(ids) -> int:
+    m = 0
+    for v in ids:
+        m |= 1 << v
+    return m
+
+
+def test_bits_masks_match_the_id_lists():
+    for g in _loader_games():
+        space = SetSpace(g)
+        backend = space._backend
+        evens = [v for v, o in enumerate(g.owner) if o is Player.EVEN]
+        odds = [v for v, o in enumerate(g.owner) if o is Player.ODD]
+        assert backend.succ == [_mask_bit_by_bit(succs) for succs in g.successors]
+        assert backend.pred == [_mask_bit_by_bit(preds) for preds in g.predecessors]
+        assert backend.even_mask == _mask_bit_by_bit(evens)
+        assert space.evens.payload == _mask_bit_by_bit(evens)
+        assert space.odds.payload == _mask_bit_by_bit(odds)
+        assert [s.payload for s in space.priority_sets] == [
+            _mask_bit_by_bit(v for v, p in enumerate(g.priority) if p == q)
+            for q in range(g.priority_count)
+        ]
+
+
+def test_mask_matches_the_bit_loop():
+    rng = random.Random(9)
+    cases = [(), (0,), (2047,), range(2048), [5, 5, 0, 5]]
+    # either side of the switch to the digit path, in any order, with repeats
+    for k in (127, 128, 129, 1000):
+        ids = rng.sample(range(3000), k)
+        cases += [ids, sorted(ids), ids + ids[: k // 3]]
+    for ids in cases:
+        assert _mask(ids) == _mask_bit_by_bit(ids)
+        assert _mask(iter(ids)) == _mask_bit_by_bit(ids)
+    for bad in ([-1], list(range(200)) + [-1]):
+        with pytest.raises((ValueError, IndexError)):
+            _mask(bad)
+
+
+def _ids_bit_by_bit(a: int) -> tuple[int, ...]:
+    out = []
+    while a:
+        low = a & -a
+        out.append(low.bit_length() - 1)
+        a ^= low
+    return tuple(out)
+
+
+def test_bits_ids_match_the_bit_loop():
+    backend = SetSpace(gen_random(2048, 5, 1, 3, 0))._backend
+    rng = random.Random(8)
+    masks = [0, 1, 1 << 2047, (1 << 2048) - 1, rng.getrandbits(2048), rng.getrandbits(70)]
+    masks += [_mask_bit_by_bit(rng.sample(range(2048), k)) for k in (1, 2, 64, 500, 2000)]
+    for a in masks:
+        assert backend.ids(a) == _ids_bit_by_bit(a)
+        assert backend.count(a) == len(backend.ids(a))
