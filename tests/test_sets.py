@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from paritysets import Player, SetSpace, UniverseMismatch, build_game, gen_random
+from paritysets import (
+    Player, SetSpace, UniverseMismatch, build_game, classic_parity, gen_random, sets,
+)
 from paritysets.pgsolver import parse_pgsolver
 from paritysets.sets import _mask
 from paritysets.zielonka import attractor
@@ -26,6 +28,19 @@ def test_pinned_base_sets(space):
     assert ids(space.empty) == frozenset()
     assert ids(space.priority_sets[1]) == {0, 2, 7}
     assert len(space.priority_sets) == 5
+
+
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+def test_empty_priority_classes_share_the_empty_set(backend):
+    # Priorities 1 and 10**6 leave every other class empty: each is the
+    # pinned empty set, still counted as one live set as its own set was.
+    g = build_game([0, 1], [1, 10**6], [[0], [1]])
+    space = SetSpace(g, backend=backend)
+    classes = space.priority_sets
+    assert len(classes) == 10**6 + 1
+    assert ids(classes[1]) == {0} and ids(classes[10**6]) == {1}
+    assert sum(s is space.empty for s in classes) == 10**6 - 1
+    assert space.counters.live_sets == space.counters.peak_live_sets == 4 + 10**6 + 1
 
 
 def test_each_operation_counts_once(space):
@@ -226,26 +241,28 @@ def test_bits_cpre_memo_skips_work_on_an_unchanged_target(sample_game):
     succ = space._backend.succ = _CountingList(space._backend.succ)
     b = space.from_ids((3, 5))
     first = space.cpre(Player.ODD, b)
-    # a miss checks only predecessors of the target inside the view: {1, 2, 3, 4}
-    assert succ.lookups == 4
+    # A miss takes the predecessors of the target inside the view, {1, 2, 3,
+    # 4}, and looks up only the opponent's: odd's 1 and 4 qualify unread.
+    assert succ.lookups == 2
     again = space.cpre(Player.ODD, b)
-    assert succ.lookups == 4  # nothing grew, nothing to recheck
+    assert succ.lookups == 2  # nothing grew, nothing to recheck
     assert ids(again) == ids(first)
     other = space.cpre(Player.EVEN, b)
-    assert succ.lookups == 8  # another player misses
+    assert succ.lookups == 4  # another player misses: odd's 1 and 4
     assert ids(other) == cpre_oracle(sample_game, Player.EVEN, {3, 5}, range(8))
 
 
 @pytest.mark.parametrize("player", [Player.EVEN, Player.ODD])
 def test_bits_cpre_miss_checks_only_predecessors_of_the_target(player):
-    # On the ladder, vertex 1000's predecessors are 1000 and 1001, so a
-    # first cpre of {1000} over all 2000 vertices looks up two masks.
+    # On the ladder, vertex 1000's predecessors are 1000 and 1001, one of
+    # each player, so a first cpre of {1000} over all 2000 vertices looks up
+    # only the opponent's mask.
     g = ladder(2000)
     space = SetSpace(g)
     bdd = SetSpace(g, backend="bdd")
     succ = space._backend.succ = _CountingList(space._backend.succ)
     got = space.cpre(player, space.singleton(1000))
-    assert succ.lookups == 2
+    assert succ.lookups == 1
     want = bdd.cpre(player, bdd.singleton(1000))
     assert ids(got) == ids(want) == cpre_oracle(g, player, {1000}, range(2000))
 
@@ -279,6 +296,59 @@ def test_bits_attractor_kernel_work_is_linear_on_a_chain():
         assert result.attractor.count() == n
         assert space.counters.cpre_ops == n
         assert succ.lookups <= 2 * n
+
+
+@pytest.mark.parametrize("make", [lambda: ladder(300), lambda: gen_random(2048, 5, 1, 3, 0)],
+                         ids=["ladder-300", "random-2048"])
+def test_bits_cpre_decodes_dense_and_sparse_masks_alike(make, monkeypatch):
+    # A miss reads its growth and its candidates, both dense here, in one
+    # pass each; growing the target by one vertex then leaves one-bit masks
+    # to the low-bit loop. Either player, the whole game or a view that cuts
+    # edges.
+    g = make()
+    n = g.vertex_count
+    read = []
+    one_pass = sets._set_bits
+    monkeypatch.setattr(sets, "_set_bits", lambda a: read.append(a) or one_pass(a))
+    rng = random.Random(17)
+    bits = SetSpace(g, backend="bits")
+    bdd = SetSpace(g, backend="bdd")
+    cut = frozenset(v for v in range(n) if rng.random() < 0.7)
+    for player in (Player.EVEN, Player.ODD):
+        for w_ids in (None, cut):
+            view = frozenset(range(n)) if w_ids is None else w_ids
+            w1 = w2 = None
+            if w_ids is not None:
+                w1, w2 = bits.from_ids(w_ids), bdd.from_ids(w_ids)
+            b_ids = {v for v in view if rng.random() < 0.5}
+            growth = rng.sample(sorted(view - b_ids), 3)
+            for k, v in enumerate([None, *growth]):
+                if v is not None:
+                    b_ids.add(v)
+                target = bits.from_ids(b_ids)
+                read.clear()
+                got = bits.cpre(player, target, within=w1)
+                assert len(read) == (0 if k else 2), (player, w_ids is None, k)
+                want = bdd.cpre(player, bdd.from_ids(b_ids), within=w2)
+                assert ids(got) == ids(want) == cpre_oracle(g, player, b_ids, view)
+
+
+def test_bits_kernel_lookups_on_a_ladder_solve(monkeypatch):
+    # Only the opponent's candidates are looked up; checking the acting
+    # player's one by one as well reads 22,950 masks here.
+    backends = []
+
+    class Counted(sets._BitsBackend):
+        def __init__(self, game):
+            super().__init__(game)
+            self.succ = _CountingList(self.succ)
+            backends.append(self)
+
+    monkeypatch.setattr(sets, "_BitsBackend", Counted)
+    report = classic_parity(ladder(300))
+    assert len(backends) == 1
+    assert backends[0].succ.lookups == 11625
+    assert report.counters.cpre_ops == 600
 
 
 def _loader_games():
