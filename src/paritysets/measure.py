@@ -28,11 +28,12 @@ stores S_r's growth, given the ranks the loop's walk-down already holds:
 d = decr(r) and the floor the walk stopped at. So preimage and containment
 counts agree between them by construction.
 
-The loop carries one set between iterations, S_decr(r). It seeds position
-0 (decr_at(r, 1) is decr(r)) and is the first set the roll-back walk tests.
-The next iteration's S_decr is then already in hand: the committed S_r when
-nothing rolled back, and otherwise the last set the walk tested, which the
-commit leaves unchanged.
+The loop carries decr(r) and S_decr(r) between iterations. The set seeds
+position 0 (decr_at(r, 1) is decr(r)) and is the first the roll-back walk
+tests. As decr(incr(x)) is x, both are in hand for the next rank: r and the
+committed S_r when nothing rolled back, else the walk's floor and last set,
+which the commit leaves unchanged. Per run, one descending pass of c - 3
+unions builds the at most c/2 sets of classes closure may not add.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -94,12 +95,12 @@ class _View:
         counts = Counter(priority[v] for v in space.raw_ids(universe))
         self.c = max(counts) + 1 + self.shift if counts else 0
         self.caps = tuple(counts[2 * p + 1 - self.shift] for p in range(self.c // 2))
+        # The game's class at each view level, None below the game's priorities.
+        classes = map(space.priority_sets.__getitem__, range(space.game.priority_count))
+        self.classes = (None,) * self.shift + tuple(classes)
 
     def class_at(self, level: int) -> VertexSet | None:
-        base = level - self.shift
-        if base < 0 or base >= len(self.space.priority_sets):
-            return None
-        return self.space.priority_sets[base]
+        return self.classes[level]
 
     def priority_of(self, v: int) -> int:
         return self.space.game.priority[v] + self.shift
@@ -431,9 +432,25 @@ def _pm_run(
     checker = _InvariantChecker(view, domain) if check_invariants else None
 
     positions = domain.positions
+    classes = view.classes
     guard = (universe.count() + 1) * domain.size() + 2
     r = domain.incr(domain.zero)
-    # S_decr(r), carried from one iteration to the next.
+    # above[m] unites the classes from level 2m up, which closure may not add
+    # once seeding stopped at position m - 1; a lone class is its pinned set.
+    # A run that starts at TOP stays there and never reads them.
+    above: list[VertexSet | None] = [None] * (positions + 1)
+    if r is not TOP:
+        acc = None
+        for level in range(view.c - 1, 1, -1):
+            joined = classes[level] if acc is None else space.union(acc, classes[level])
+            if level % 2 == 0:
+                # The odd level's union above only led here.
+                if acc is not None and not acc.pinned:
+                    space.release(acc)
+                above[level // 2] = joined
+            acc = joined
+    # decr(r) and S_decr(r), carried from one iteration to the next.
+    d = domain.zero
     below = space.copy(universe)
     iterations = 0
     while True:
@@ -444,42 +461,29 @@ def _pm_run(
         working = space.copy(old)
 
         # Seed from the sets one step down at each odd priority up to the
-        # highest level r survives projection at, lowest priority first.
+        # highest level r survives projection at (r's lowest nonzero counter;
+        # a finite r is never zero), lowest priority first.
         if r is TOP:
             max_pos = positions
         else:
-            lowest = next((p for p in range(positions) if r[p] > 0), positions)
-            max_pos = min(lowest + 1, positions)
+            max_pos = 1
+            while not r[max_pos - 1]:
+                max_pos += 1
         for p in range(max_pos):
             level = 2 * p + 1
-            cls = view.class_at(level)
-            if cls is None:
-                continue
             # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
             source = state.read(domain.decr_at(r, level)) if p else below
             step = space.cpre(view.odd_role, source, within=universe)
             if p:
                 space.release(source)
-            seeded = space.intersect(step, cls)
+            seeded = space.intersect(step, classes[level])
             grown = space.union(working, seeded)
             space.release(step, seeded, working)
             working = grown
 
         # Close under the rank-raising player's moves; vertices whose priority
         # exceeds the level cannot join at a finite rank this way.
-        forbidden = None
-        if r is not TOP:
-            level_cap = 2 * (max_pos - 1) + 1
-            for i in range(level_cap + 1, view.c):
-                cls = view.class_at(i)
-                if cls is None:
-                    continue
-                if forbidden is None:
-                    forbidden = space.copy(cls)
-                else:
-                    grown = space.union(forbidden, cls)
-                    space.release(forbidden)
-                    forbidden = grown
+        forbidden = None if r is TOP else above[max_pos]
         while True:
             step = space.cpre(view.odd_role, working, within=universe)
             if forbidden is not None:
@@ -493,13 +497,11 @@ def _pm_run(
             grown = space.union(working, add)
             space.release(add, working)
             working = grown
-        if forbidden is not None:
-            space.release(forbidden)
 
         # Walk down while the grown set is not yet contained; the ranks from
         # decr(r) down to the floor it stops at must absorb it (directly, or
         # implicitly through the commit).
-        d = floor = domain.decr(r)
+        floor = d
         held = below
         while not space.is_subset(working, held):
             floor = domain.decr(floor)
@@ -536,8 +538,9 @@ def _pm_run(
             checker.boundary(state, r, next_rank, rolled_back, below)
         if next_rank is None:
             break
-        r = next_rank
+        r, d = next_rank, floor if rolled_back else r
 
+    space.release(*(s for s in above if s is not None and not s.pinned))
     top_set = state.read(TOP)
     winning = space.difference(universe, top_set)
     space.release(top_set)

@@ -14,7 +14,7 @@ in a masked subgame view) freeze out naturally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, prod
 
 
@@ -37,6 +37,8 @@ class RankDomain:
     c: int
     caps: tuple[int, ...]
     bound: int | None = None
+    # Number of counters, stored once: every step reads it.
+    positions: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.caps) != self.c // 2:
@@ -45,6 +47,7 @@ class RankDomain:
             raise ValueError("caps must be naturals")
         if self.bound is not None and self.bound < 0:
             raise ValueError("bound must be a natural")
+        object.__setattr__(self, "positions", len(self.caps))
 
     @classmethod
     def for_game(cls, game, bound: int | None = None) -> "RankDomain":
@@ -55,10 +58,6 @@ class RankDomain:
         return cls(c=c, caps=caps, bound=bound)
 
     # -- basic shape -------------------------------------------------------
-
-    @property
-    def positions(self) -> int:
-        return len(self.caps)
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -161,11 +160,10 @@ class RankDomain:
         return self._pred(r, 0)
 
     def _pred(self, r: tuple[int, ...], start: int):
-        j = next((i for i in range(start, self.positions) if r[i] > 0), None)
-        if j is None:
-            return r
-        head = (r[j] - 1,) + r[j + 1 :]
-        return self._fill_from(start, head)
+        for j in range(start, self.positions):
+            if r[j]:
+                return self._fill_from(start, (r[j] - 1,) + r[j + 1 :])
+        return r
 
     def incr_at(self, r, level: int):
         """Smallest rank that beats r at `level`: >= for even, > for odd."""

@@ -240,6 +240,15 @@ class _BitsBackend:
         return out
 
 
+class _Classes(dict):
+    """Priority classes by priority; a missing priority reads as `empty`."""
+
+    __slots__ = ("empty",)
+
+    def __missing__(self, priority: int) -> VertexSet:
+        return self.empty
+
+
 class SetSpace:
     """Operation context for one run: counters plus the pinned base sets."""
 
@@ -267,14 +276,14 @@ class SetSpace:
         classes: dict[int, list[int]] = {}
         for v, p in enumerate(game.priority):
             classes.setdefault(p, []).append(v)
-        # An empty class is the pinned empty set, counted as one more live
-        # set as its own set would be; a game with a gap in its priorities
-        # then builds no set per missing priority.
-        self.priority_sets = tuple(
-            self._pin(self._backend.from_ids(classes[p])) if p in classes
-            else self._track(self.empty)
-            for p in range(game.priority_count)
+        self.priority_sets = _Classes(
+            (p, self._pin(self._backend.from_ids(ids))) for p, ids in sorted(classes.items())
         )
+        # A missing priority reads as the pinned empty set and costs nothing
+        # but one more live set in the count, as its own set would.
+        self.priority_sets.empty = self.empty
+        c = self.counters
+        c.live_sets = c.peak_live_sets = c.live_sets + game.priority_count - len(classes)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -135,7 +135,7 @@ def _solve(
             wins[player] = joined
 
     current = live
-    top = len(space.priority_sets) - 1 if hi is None else hi
+    top = game.priority_count - 1 if hi is None else hi
     level = None
     while True:
         p_star, cls = _top_priority(space, current, top)

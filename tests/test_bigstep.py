@@ -102,7 +102,7 @@ def test_sample_run(sample_game):
     assert ids(rep.winning_odd) == frozenset({0, 1})
     assert rep.algorithm == "bigstep"
     c = rep.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (69, 465, 25, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (69, 429, 27, 11)
     d = rep.diagnostics
     assert d["policy"] == "sqrt"
     assert d["violations"] == []

@@ -46,7 +46,7 @@ def test_predecessors_are_inverted_edges(sample_game):
 
 def test_priority_classes(sample_game):
     sets = SetSpace(sample_game).priority_sets
-    assert [s.ids() for s in sets] == [(1, 3), (0, 2, 7), (6,), (4,), (5,)]
+    assert [sets[p].ids() for p in range(5)] == [(1, 3), (0, 2, 7), (6,), (4,), (5,)]
 
 
 def test_duplicate_edges_are_dropped():

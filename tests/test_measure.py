@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from paritysets import Player, RankDomain, TOP, build_game, gen_random, solve_explicit_pm
 from paritysets import measure
+from paritysets.bigstep import Fixed, GammaPolicy, SqrtPolicy, symbolic_big_step
 from paritysets.explicit import lift_fixpoint
 from paritysets.game import swap_roles_increment
 from paritysets.measure import (
@@ -100,7 +101,7 @@ def test_sample_coordinate_rows(sample_game):
 def test_sample_operation_counts(sample_game):
     run = symbolic_parity_dominion(sample_game)
     c = run.space.counters
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 196, 23, 17)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 180, 24, 17)
     assert c.equality_tests == 0  # commits never probe a row
     run.state.release_all()
     run.space.release(run.winning_even)
@@ -121,9 +122,9 @@ def test_direct_representation_agrees(sample_game):
 
 
 @pytest.mark.parametrize("kwargs, counts", [
-    ({}, (113, 35, 35, 24)),
-    ({"bound": 1}, (45, 16, 14, 19)),
-    ({"swap": True}, (287, 82, 82, 28)),
+    ({}, (97, 35, 35, 25)),
+    ({"bound": 1}, (43, 16, 14, 20)),
+    ({"swap": True}, (224, 82, 82, 30)),
 ])
 def test_direct_operation_counts(sample_game, kwargs, counts):
     # The golden trajectories cover only the linear encoding; these pin the
@@ -151,21 +152,100 @@ def test_direct_representation_on_random_games():
                 assert runs["linear"] == runs["direct"], (bound, swap)
 
 
+def _games_c1_to_c8():
+    """Games with c = 1..8; for c >= 3 also the same game with its class
+    c - 2 moved up to c - 1, which leaves an empty class just below the top."""
+    for c in range(1, 9):
+        for i in range(3):
+            g = gen_random(6 + 3 * i, c, 1, 3, 5200 + 10 * c + i)
+            yield g
+            if c >= 3:
+                priorities = [c - 1 if p == c - 2 else p for p in g.priority]
+                yield build_game(list(g.owner), priorities, [list(s) for s in g.successors])
+
+
 @pytest.mark.parametrize("representation", ["linear", "direct"])
 def test_finished_runs_leave_only_the_pinned_sets(representation):
-    # Every read hands out a set its caller releases, so once the run's state
-    # and winning set are released only the base sets stay live.
-    for g in corpus(20, seed0=880):
+    # Every read hands out a set its caller releases, and the run-level
+    # `above` unions die with the run, so a run holds only its state and
+    # winning set; once those are released only the base sets stay live.
+    for g in [*corpus(20, seed0=880), *_games_c1_to_c8()]:
         for bound in (None, 0, 2):
             for swap in (False, True):
                 space = SetSpace(g)
                 pinned = space.counters.live_sets
                 run = _pm_run(space, space.full, bound=bound, swap=swap,
                               representation=representation)
+                state = run.state
+                held = (len(state.sets) if representation == "direct"
+                        else sum(map(len, state.coordinate)) + 1)
+                assert space.counters.live_sets == pinned + held + 1, (bound, swap)
                 extract_strategy_from_pm(run.state)
                 run.state.release_all()
                 space.release(run.winning)
                 assert space.counters.live_sets == pinned, (bound, swap)
+
+
+def test_solves_hold_only_their_results_and_the_pinned_sets():
+    for g in _games_c1_to_c8():
+        reports = [solve_pm_symbolic(g, strategies=True)]
+        reports += [symbolic_big_step(g, policy=policy, strategies=True)
+                    for policy in (SqrtPolicy(), GammaPolicy(), Fixed(1))]
+        for rep in reports:
+            # full, evens, odds, empty and one per class, plus both regions
+            assert rep.counters.live_sets == 4 + rep.game.priority_count + 2, rep.algorithm
+
+
+def test_runs_step_down_only_in_the_roll_back_walk(monkeypatch):
+    # decr(r) is carried between iterations: decr(incr(x)) is x, so the next
+    # rank's decr is r, or the floor after a roll-back. The walk from decr(r)
+    # down to the floor is then the only caller of decr.
+    calls = []
+    real_decr = RankDomain.decr
+
+    def decr(self, r):
+        calls.append(r)
+        return real_decr(self, r)
+
+    monkeypatch.setattr(RankDomain, "decr", decr)
+    walked = 0
+    for g in corpus(30, seed0=940):
+        for bound, swap in ((None, False), (2, False), (None, True)):
+            space = SetSpace(g)
+            events = []
+            calls.clear()
+            run = _pm_run(space, space.full, bound=bound, swap=swap, trace=events.append)
+            index = {r: i for i, r in enumerate(run.domain.iterate())}
+            steps = sum(index[e["rank"]] - index[e["next_rank"]]
+                        for e in events if e["rolled_back"])
+            assert len(calls) == steps, (bound, swap)
+            walked += steps
+    assert walked > 100
+
+
+def test_runs_unite_the_priority_classes_once(monkeypatch):
+    # Only the run-level `above` sets unite priority classes, which are
+    # pinned. One descending pass over levels c - 1 .. 2 builds them all,
+    # c - 3 unions whatever the iteration count; a run that starts at TOP
+    # never reads them and builds none.
+    class_unions = []
+    real_union = SetSpace.union
+
+    def union(self, a, b):
+        if a.pinned or b.pinned:
+            class_unions.append((a, b))
+        return real_union(self, a, b)
+
+    monkeypatch.setattr(SetSpace, "union", union)
+    for g in _games_c1_to_c8():
+        for bound in (None, 0, 1):
+            for swap in (False, True):
+                space = SetSpace(g)
+                class_unions.clear()
+                run = _pm_run(space, space.full, bound=bound, swap=swap)
+                domain = run.domain
+                want = 0 if domain.incr(domain.zero) is TOP else max(domain.c - 3, 0)
+                assert len(class_unions) == want, (bound, swap, run.iterations)
 
 
 @pytest.mark.parametrize("bound", [None, 3])
@@ -262,7 +342,7 @@ def test_solve_report_shape(sample_game):
     assert rep.wall_time >= 0.0
     c = rep.counters
     # one extra difference computes the odd region; the run state is freed
-    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 197, 23, 11)
+    assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 181, 24, 11)
 
 
 def test_solve_with_strategies_releases_everything(sample_game):

@@ -32,14 +32,16 @@ def test_pinned_base_sets(space):
 
 @pytest.mark.parametrize("backend", ["bits", "bdd"])
 def test_empty_priority_classes_share_the_empty_set(backend):
-    # Priorities 1 and 10**6 leave every other class empty: each is the
-    # pinned empty set, still counted as one live set as its own set was.
+    # Priorities 1 and 10**6 leave every other class empty: each reads as
+    # the pinned empty set, still counted as one live set as its own set
+    # would be, and none is stored.
     g = build_game([0, 1], [1, 10**6], [[0], [1]])
     space = SetSpace(g, backend=backend)
     classes = space.priority_sets
-    assert len(classes) == 10**6 + 1
+    assert sorted(classes) == [1, 10**6]
     assert ids(classes[1]) == {0} and ids(classes[10**6]) == {1}
-    assert sum(s is space.empty for s in classes) == 10**6 - 1
+    assert all(classes[p] is space.empty for p in (0, 2, 500_000, 10**6 - 1))
+    assert sorted(classes) == [1, 10**6]  # reads store nothing
     assert space.counters.live_sets == space.counters.peak_live_sets == 4 + 10**6 + 1
 
 
@@ -382,7 +384,7 @@ def test_bits_masks_match_the_id_lists():
         assert backend.even_mask == _mask_bit_by_bit(evens)
         assert space.evens.payload == _mask_bit_by_bit(evens)
         assert space.odds.payload == _mask_bit_by_bit(odds)
-        assert [s.payload for s in space.priority_sets] == [
+        assert [space.priority_sets[q].payload for q in range(g.priority_count)] == [
             _mask_bit_by_bit(v for v, p in enumerate(g.priority) if p == q)
             for q in range(g.priority_count)
         ]
