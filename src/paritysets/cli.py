@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import glob as globmod
 import sys
 
@@ -216,6 +217,28 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    A solve builds thousands of short-lived containers and frees them by
+    reference counting. A collection in the middle of it frees next to
+    nothing, yet a full one scans every tracked object of the process: in a
+    long-lived host (a test session, a server) that costs more than the solve.
+    The one cycle a solve leaves, a set space and its pinned sets, is still
+    young when the command ends, so collecting the youngest generation then
+    frees it without scanning the rest. A host that has already paused the
+    collector keeps it paused.
+    """
+    if not gc.isenabled():
+        return _main(argv)
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        gc.enable()
+        gc.collect(0)
+
+
+def _main(argv) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)

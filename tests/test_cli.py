@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -305,3 +306,30 @@ def test_huge_priorities_solve(tmp_path, capsys):
     for algo in ("zielonka", "pm", "bigstep"):
         assert main(["solve", str(path), "--algo", algo, "--strategies"]) == 0
         assert capsys.readouterr().out == "paritysol 2;\n0 1;\n1 1 0;\n2 0 2;\n"
+
+
+def test_main_pauses_the_collector_and_restores_it(game_file, capsys, monkeypatch):
+    seen = []
+    run = cli._run
+
+    def watched(game, args):
+        seen.append(gc.isenabled())
+        return run(game, args)
+
+    monkeypatch.setattr(cli, "_run", watched)
+    assert gc.isenabled()
+    gc.collect()
+    assert main(["solve", game_file]) == 0
+    assert gc.isenabled()
+    # The solve's set space, a cycle with its pinned sets, went before main returned.
+    assert gc.collect() == 0
+    assert main(["solve", "missing.gm"]) == 2
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert main(["solve", game_file]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+    capsys.readouterr()
