@@ -5,7 +5,8 @@ with k next-state variables (bit j of the id maps to variable 2j, its primed
 copy to 2j+1). One transition relation over both ranks is built up front;
 preimages are relational products, and the controlled predecessor is
 assembled from two preimages but still reported as a single operation by the
-counting layer.
+counting layer. The backend holds only the relation and the node algebra: cpre
+gets the acting player's set from the space, which owns it.
 
 Node ids are ints: 0 is the false terminal, 1 the true terminal. Sets are
 always interpreted relative to the domain predicate (valid vertex ids), so
@@ -14,7 +15,7 @@ complements go through difference, never raw negation.
 
 from __future__ import annotations
 
-from .game import ParityGame, Player
+from .game import ParityGame
 
 
 class _Manager:
@@ -42,14 +43,8 @@ class _Manager:
         return idx
 
     def apply(self, op: str, a: int, b: int) -> int:
-        if a < 2 and b < 2:
-            x, y = bool(a), bool(b)
-            if op == "and":
-                return int(x and y)
-            if op == "or":
-                return int(x or y)
-            return int(x and not y)  # diff
-        # Short circuits keep the caches small.
+        # Short circuits keep the caches small; they also settle every pair
+        # of terminals.
         if op == "and":
             if a == 0 or b == 0:
                 return 0
@@ -129,7 +124,6 @@ class BddBackend:
         self.bits = max(1, (n - 1).bit_length()) if n else 1
         self.man = _Manager(2 * self.bits)
         self.full_node = self.from_ids(range(n))
-        self.even_node = self.from_ids(v for v, o in enumerate(game.owner) if o is Player.EVEN)
         trans = 0
         for v, succs in enumerate(game.successors):
             row = 0
@@ -196,10 +190,9 @@ class BddBackend:
     def pre(self, b, within):
         return self.man.apply("and", within, self._preimage(b))
 
-    def cpre(self, for_even: bool, b, within):
-        # within AND [ pre(within AND b) minus (opponents AND pre(within minus b)) ]
+    def cpre(self, mine, b, within):
+        # within AND [ pre(within AND b) minus (pre(within minus b) minus mine) ]
         may = self._preimage(self.man.apply("and", within, b))
         escape = self._preimage(self.man.apply("diff", within, b))
-        acting = self.even_node if for_even else self.man.apply("diff", self.full_node, self.even_node)
-        forced = self.man.apply("diff", may, self.man.apply("diff", escape, acting))
+        forced = self.man.apply("diff", may, self.man.apply("diff", escape, mine))
         return self.man.apply("and", within, forced)

@@ -99,12 +99,6 @@ class _View:
         classes = map(space.priority_sets.__getitem__, range(space.game.priority_count))
         self.classes = (None,) * self.shift + tuple(classes)
 
-    def class_at(self, level: int) -> VertexSet | None:
-        return self.classes[level]
-
-    def priority_of(self, v: int) -> int:
-        return self.space.game.priority[v] + self.shift
-
 
 # -- Rank-state encodings ---------------------------------------------------------
 

@@ -50,16 +50,16 @@ def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
     return None, 0
 
 
-def _vertex_lines(lines: list[str], header_line: int):
-    """(line number, match) for each non-blank vertex line after the header;
-    ParseError on the first malformed one."""
-    match = _VERTEX.match
+def _entries(lines: list[str], header_line: int, pattern: re.Pattern, noun: str):
+    """(line number, match) for each non-blank line after the header;
+    ParseError, naming a malformed `noun` line, on the first `pattern` misses."""
+    match = pattern.match
     for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
         line = raw.strip()
         if line:
             m = match(line)
             if m is None:
-                raise ParseError(lineno, f"malformed vertex line: {line!r}")
+                raise ParseError(lineno, f"malformed {noun} line: {line!r}")
             yield lineno, m
 
 
@@ -68,7 +68,7 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     lines = text.splitlines()
     header_max, header_line = _header(lines, _HEADER)
     max_id = -1 if header_max is None else header_max
-    for lineno, m in _vertex_lines(lines, header_line):
+    for lineno, m in _entries(lines, header_line, _VERTEX, "vertex"):
         vid, priority, owner, succ_text, name = m.groups()
         vid = int(vid)
         # int() skips the spaces around each comma-separated id.
@@ -96,7 +96,7 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
         v = next(v for v in range(len(rows) + 1) if v not in rows)
 
         def first_naming(u: int) -> int | None:
-            for lineno, m in _vertex_lines(lines, header_line):
+            for lineno, m in _entries(lines, header_line, _VERTEX, "vertex"):
                 if int(m[1]) == u or m[4] and u in map(int, m[4].split(",")):
                     return lineno
             return None
@@ -170,13 +170,7 @@ def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
     out: dict[int, tuple[int, int | None]] = {}
     lines = text.splitlines()
     header_max, header_line = _header(lines, _SOL_HEADER)
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _SOL_LINE.match(line)
-        if m is None:
-            raise ParseError(lineno, f"malformed solution line: {raw.strip()!r}")
+    for lineno, m in _entries(lines, header_line, _SOL_LINE, "solution"):
         vid = int(m.group(1))
         if vid in out:
             raise ParseError(lineno, f"vertex {vid} listed twice")

@@ -7,10 +7,11 @@ released by the code that created it. Live-set accounting feeds the peak
 space measurements, so leaks show up as budget violations, not just waste.
 
 Two interchangeable representations sit behind the same interface: plain
-int bit masks (default) and a small reduced ordered BDD. Counters record
-logical operations, never representation internals; in particular the BDD
-controlled-predecessor costs one cpre_op even though it is assembled from
-two relational preimages.
+int bit masks (default) and a small reduced ordered BDD. A backend holds only
+the edges and the payload algebra; its cpre gets the acting player's set from
+the space's `owned`. Counters record logical operations, never representation
+internals; in particular the BDD controlled-predecessor costs one cpre_op even
+though it is assembled from two relational preimages.
 
 count()/ids()/contains() on a VertexSet are uncounted instrumentation for
 tests, traces and IO; solver logic sticks to the counted operations.
@@ -120,7 +121,6 @@ class _BitsBackend:
 
     def __init__(self, game: ParityGame):
         n = game.vertex_count
-        self.n = n
         self.full_mask = (1 << n) - 1
         # One pass over the edges gives both the successor and the
         # predecessor masks.
@@ -135,10 +135,8 @@ class _BitsBackend:
             succ.append(m)
         self.succ = succ
         self.pred = pred
-        # (for_even, within, b & within, result) of the last cpre call.
+        # (mine, within, b & within, result) of the last cpre call.
         self._last_cpre = None
-        even = Player.EVEN  # a local: looking the member up per vertex costs more
-        self.even_mask = _mask(v for v, o in enumerate(game.owner) if o is even)
 
     def empty(self):
         return 0
@@ -185,8 +183,8 @@ class _BitsBackend:
             m ^= low
         return out
 
-    def cpre(self, for_even: bool, b, within):
-        # v of the acting player: some successor inside the view lands in b;
+    def cpre(self, mine, b, within):
+        # v of the acting player (in mine): some successor inside the view lands in b;
         # v of the opponent: at least one successor stays inside and every
         # one that does lands in b. Vertices with no move inside the view
         # never qualify, matching the relational (BDD) formulation.
@@ -203,7 +201,7 @@ class _BitsBackend:
         # opponent's qualifies unless it can leave b inside the view.
         bw = b & within
         last = self._last_cpre
-        if (last is not None and last[0] == for_even and last[1] == within
+        if (last is not None and mine is last[0] and last[1] == within
                 and last[2] & ~bw == 0):
             out = last[3]
             grew = bw ^ last[2]
@@ -221,7 +219,6 @@ class _BitsBackend:
                 m |= pred[low.bit_length() - 1]
                 grew ^= low
         m &= within & ~out
-        mine = self.even_mask if for_even else self.full_mask ^ self.even_mask
         out |= m & mine
         m &= ~mine
         leave = within & ~b
@@ -236,7 +233,7 @@ class _BitsBackend:
                 if not succ[low.bit_length() - 1] & leave:
                     out |= low
                 m ^= low
-        self._last_cpre = (for_even, within, bw, out)
+        self._last_cpre = (mine, within, bw, out)
         return out
 
 
@@ -265,13 +262,11 @@ class SetSpace:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.full = self._pin(self._backend.full())
-        even, odd = Player.EVEN, Player.ODD  # locals, as in _BitsBackend
-        self.evens = self._pin(
-            self._backend.from_ids(v for v, o in enumerate(game.owner) if o is even)
-        )
-        self.odds = self._pin(
-            self._backend.from_ids(v for v, o in enumerate(game.owner) if o is odd)
-        )
+        even = Player.EVEN  # a local: looking the member up per vertex costs more
+        evens = self._backend.from_ids(v for v, o in enumerate(game.owner) if o is even)
+        # Each player's vertices, keyed by Player; its values 0 and 1 work too.
+        self.owned = {Player.EVEN: self._pin(evens),
+                      Player.ODD: self._pin(self._backend.difference(self.full.payload, evens))}
         self.empty = self._pin(self._backend.empty())
         classes: dict[int, list[int]] = {}
         for v, p in enumerate(game.priority):
@@ -413,12 +408,16 @@ class SetSpace:
         return out
 
     def cpre(self, player: Player, b: VertexSet, within: VertexSet | None = None) -> VertexSet:
+        try:
+            mine = self.owned[player].payload
+        except (KeyError, TypeError):
+            raise ValueError(f"not a player: {player!r}") from None
         if b.space is not self or not b.alive:
             self._arg(b)
         w = self._arg(within) if within is not None else self._backend.full()
         c = self.counters
         c.cpre_ops += 1
-        out = VertexSet(self, self._backend.cpre(player is Player.EVEN, b.payload, w))
+        out = VertexSet(self, self._backend.cpre(mine, b.payload, w))
         c.live_sets += 1
         if c.live_sets > c.peak_live_sets:
             c.peak_live_sets = c.live_sets

@@ -55,7 +55,8 @@ def extract_strategy_from_pm(state) -> Strategy:
     space = state.space
     domain = state.domain
     player = Player.ODD if view.swap else Player.EVEN
-    mine = space.odds if view.swap else space.evens
+    mine = space.owned[player]
+    priority, shift = space.game.priority, view.shift
 
     top_set = state.read(TOP)
     uncovered = space.difference(view.universe, top_set)
@@ -66,12 +67,12 @@ def extract_strategy_from_pm(state) -> Strategy:
         one = space.singleton(v)
         preds = space.cpre(view.odd_role.opponent(), one, within=view.universe)
         space.release(one)
-        levels = sorted({view.priority_of(u) for u in space.game.predecessors[v]})
+        levels = sorted({priority[u] + shift for u in space.game.predecessors[v]})
         for level in levels:
             target = domain.incr_at(rank_v, level)
             if target is TOP:
                 continue
-            cls = view.class_at(level)
+            cls = view.classes[level]
             if cls is None:
                 continue
             holders = state.read(target)

@@ -63,16 +63,17 @@ def attractor(
     current = space.copy(target)
     edges: dict[int, int] | None = {} if want_strategy else None
     succs = game.successors
-    owner = game.owner
+    backend = space._backend
+    mine = space.owned[player].payload
     while True:
         step = space.cpre(player, current, within=within)
         if space.is_subset(step, current):
             space.release(step)
             break
         if edges is not None:
-            for v in step.ids():
-                if owner[v] is player and not current.contains(v):
-                    edges[v] = next(w for w in sorted(succs[v]) if current.contains(w))
+            new = backend.intersect(backend.difference(step.payload, current.payload), mine)
+            for v in backend.ids(new):
+                edges[v] = min(w for w in succs[v] if current.contains(w))
         grown = space.union(current, step)
         space.release(current, step)
         current = grown
@@ -174,7 +175,8 @@ def _solve(
         top = p_star
         pl = Player.EVEN if p_star % 2 == 0 else Player.ODD
         op = pl.opponent()
-        cls_ids = space.raw_ids(cls) if record else ()
+        # The class's pl vertices, each of which a final pass gives an edge.
+        pl_cls = space._backend.intersect(cls.payload, space.owned[pl].payload) if record else None
         pull = attractor(game, pl, cls, within=current, want_strategy=record)
         space.release(cls)
         rest = space.difference(current, pull.attractor)
@@ -191,11 +193,8 @@ def _solve(
             if record:
                 choices[pl].update(sub_choices[pl])
                 choices[pl].update(pull_edges)
-                for v in cls_ids:
-                    if game.owner[v] is pl:
-                        choices[pl][v] = next(
-                            w for w in sorted(game.successors[v]) if current.contains(w)
-                        )
+                for v in space._backend.ids(pl_cls):
+                    choices[pl][v] = min(w for w in game.successors[v] if current.contains(w))
             absorb(pl, current)
             space.release(current)
             if level is not None:

@@ -23,8 +23,8 @@ def space(sample_game):
 
 def test_pinned_base_sets(space):
     assert ids(space.full) == frozenset(range(8))
-    assert ids(space.evens) == {0, 2, 3, 6, 7}
-    assert ids(space.odds) == {1, 4, 5}
+    assert ids(space.owned[Player.EVEN]) == {0, 2, 3, 6, 7}
+    assert ids(space.owned[Player.ODD]) == {1, 4, 5}
     assert ids(space.empty) == frozenset()
     assert ids(space.priority_sets[1]) == {0, 2, 7}
     assert len(space.priority_sets) == 5
@@ -184,6 +184,24 @@ def test_cpre_without_within_uses_the_full_game(sample_game):
     got = space.cpre(Player.ODD, b)
     want = cpre_oracle(sample_game, Player.ODD, {3}, frozenset(range(8)))
     assert ids(got) == want
+
+
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+def test_cpre_reads_0_and_1_as_the_players_and_refuses_other_values(backend):
+    # The players' values act as the players, as attractor takes them; no
+    # other value may pass for the odd player.
+    g = gen_random(12, 5, 1, 3, 1)
+    space = SetSpace(g, backend=backend)
+    t = space.priority_sets[2]
+    for player in Player:
+        by_int = space.cpre(int(player), t)
+        assert ids(by_int) == ids(space.cpre(player, t))
+        assert ids(by_int) == cpre_oracle(g, player, ids(t), range(12))
+    assert ids(space.cpre(0, t)) == {9, 11}
+    for bad in (2, -1, "0", None, [0]):
+        with pytest.raises(ValueError):
+            space.cpre(bad, t)
+    assert space.counters.cpre_ops == 5
 
 
 class _CountingList(list):
@@ -381,9 +399,8 @@ def test_bits_masks_match_the_id_lists():
         odds = [v for v, o in enumerate(g.owner) if o is Player.ODD]
         assert backend.succ == [_mask_bit_by_bit(succs) for succs in g.successors]
         assert backend.pred == [_mask_bit_by_bit(preds) for preds in g.predecessors]
-        assert backend.even_mask == _mask_bit_by_bit(evens)
-        assert space.evens.payload == _mask_bit_by_bit(evens)
-        assert space.odds.payload == _mask_bit_by_bit(odds)
+        assert space.owned[Player.EVEN].payload == _mask_bit_by_bit(evens)
+        assert space.owned[Player.ODD].payload == _mask_bit_by_bit(odds)
         assert [space.priority_sets[q].payload for q in range(g.priority_count)] == [
             _mask_bit_by_bit(v for v, p in enumerate(g.priority) if p == q)
             for q in range(g.priority_count)

@@ -7,8 +7,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritysets import Player, gen_random, solve_explicit_pm
-from paritysets.sets import SetSpace
+from paritysets import Player, build_game, gen_random, solve_explicit_pm
+from paritysets.sets import SetSpace, VertexSet
 from paritysets.strategy import verify_strategy
 import pytest
 
@@ -86,6 +86,25 @@ def test_players_given_as_ints_match_the_enum():
         assert is_trap(g, int(player), region) == is_trap(g, player, region)
     with pytest.raises(ValueError):
         attractor(g, 2, space.singleton(0))
+
+
+@pytest.mark.parametrize("player", list(Player))
+def test_attractor_strategy_probes_only_the_new_vertices_successors(player, monkeypatch):
+    # The player owns every vertex; vertex v moves only to v - 1 and vertex
+    # 0 to itself, so {0} grows by one vertex a round. Each attracted vertex
+    # is probed on its own successors once, not on every round after.
+    n = 12
+    chain = build_game([int(player)] * n, [0] * n,
+                       [[0]] + [[v - 1] for v in range(1, n)])
+    space = SetSpace(chain)
+    calls = []
+    real = VertexSet.contains
+    monkeypatch.setattr(VertexSet, "contains", lambda s, v: calls.append(v) or real(s, v))
+    res = attractor(chain, player, space.singleton(0), want_strategy=True)
+    monkeypatch.undo()
+    assert ids(res.attractor) == frozenset(range(n))
+    assert res.strategy_edges == {v: v - 1 for v in range(1, n)}
+    assert len(calls) <= sum(len(chain.successors[v]) for v in res.strategy_edges)
 
 
 def test_winning_regions_are_traps_for_the_loser():
