@@ -20,6 +20,9 @@ Two interchangeable encodings of the whole family {S_r}:
   touches the rows between those bounds and the new counter and probes
   none. Updating rank r's set implicitly updates every lower rank's set,
   which is what makes a roll-back free of explicit unions in this encoding.
+  Reads and commits compute on the backend's payloads, rows change in
+  place, and each call counts its operations in one `SetSpace.tally`, so
+  the counters and the peak read as if every intermediate had been a set.
 
 Both encodings are built from the run's view and run through the same
 control loop, which needs two operations of them: `read(r)` hands out a
@@ -185,33 +188,42 @@ class LinearSpaceState:
         space = self.space
         if r is TOP:
             return space.copy(self.top)
-        intersect = space.intersect
-        release = space.release
-        copy = space.copy
-        acc = copy(self.top)
+        backend = space._backend
+        union, intersect = backend.union, backend.intersect
+        caps, coordinate = self.eff_caps, self.coordinate
+        acc = self.top.payload
         # Vertices at least r at every position so far. It may keep TOP
         # vertices, which S_r holds anyway, so a zero counter narrows nothing.
         # None stands for the untouched universe, whose meet with a row is
         # the row itself.
         running = None
-        for p in range(len(self.eff_caps) - 1, -1, -1):
-            row = self.coordinate[p]
+        unions = 1
+        intersections = 0
+        # As sets, the accumulator, `running`, a segment and their union
+        # would be alive at once; without `running`, or at the last union,
+        # three of them.
+        held = 3
+        for p in range(len(caps) - 1, -1, -1):
+            row = coordinate[p]
             x = r[p]
-            if x < self.eff_caps[p]:
-                seg = copy(row[x + 1]) if running is None else intersect(running, row[x + 1])
-                joined = space.union(acc, seg)
-                release(acc, seg)
-                acc = joined
-            if x:
-                narrowed = copy(row[x]) if running is None else intersect(running, row[x])
+            if x < caps[p]:
+                seg = row[x + 1].payload
                 if running is not None:
-                    release(running)
-                running = narrowed
+                    seg = intersect(running, seg)
+                    intersections += 1
+                    held = 4
+                acc = union(acc, seg)
+                unions += 1
+            if x:
+                if running is None:
+                    running = row[x].payload
+                else:
+                    running = intersect(running, row[x].payload)
+                    intersections += 1
         if running is None:
-            running = copy(self.universe)
-        joined = space.union(acc, running)
-        release(acc, running)
-        return joined
+            running = self.universe.payload
+        return space.tally(unions=unions, intersections=intersections, held=held,
+                           result=union(acc, running))
 
     def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
         """Raise the vertices `working` gains over `old` to rank r; consumes
@@ -232,33 +244,42 @@ class LinearSpaceState:
         backend = space._backend
         if not backend.is_subset(old.payload, working.payload):
             raise PreconditionViolated("rank set may only grow")
-        delta = space.difference(working, old)
-        space.release(working, old)
+        union, intersect, difference = backend.union, backend.intersect, backend.difference
+        delta = difference(working.payload, old.payload)
         empty = backend.empty()
-        if r is not TOP and backend.intersect(delta.payload, self.top.payload) != empty:
+        if r is not TOP and intersect(delta, self.top.payload) != empty:
             raise PreconditionViolated("a TOP vertex cannot take a finite rank")
+        # Each changed row is one counted op, and the delta is the one set
+        # alive beside `working` and `old`; rows change in place.
+        unions = 0
+        differences = 1
         split = False
-        for p in range(len(self.coordinate) - 1, -1, -1):
-            row = self.coordinate[p]
+        coordinate = self.coordinate
+        for p in range(len(coordinate) - 1, -1, -1):
+            row = coordinate[p]
             if split:
                 lo, hi = 0, len(row) - 1
             else:
                 lo, hi = floor[p], d[p]
                 split = lo != hi
-            if not backend.is_subset(delta.payload, row[lo].payload) or (
-                hi + 1 < len(row) and backend.intersect(delta.payload, row[hi + 1].payload) != empty
+            if not backend.is_subset(delta, row[lo].payload) or (
+                hi + 1 < len(row) and intersect(delta, row[hi + 1].payload) != empty
             ):
                 raise PreconditionViolated("the delta must sit between the floor and decr(r)")
             y = -1 if r is TOP else r[p]
-            for i in range(min(lo, y) + 1, max(hi, y) + 1):
-                changed = (space.union if i <= y else space.difference)(row[i], delta)
-                space.release(row[i])
-                row[i] = changed
+            if y > lo:
+                for cell in row[lo + 1:y + 1]:
+                    cell.payload = union(cell.payload, delta)
+                unions += y - lo
+            if hi > y:
+                for cell in row[y + 1:hi + 1]:
+                    cell.payload = difference(cell.payload, delta)
+                differences += hi - y
         if r is TOP:
-            grown = space.union(self.top, delta)
-            space.release(self.top)
-            self.top = grown
-        space.release(delta)
+            self.top.payload = union(self.top.payload, delta)
+            unions += 1
+        space.tally(unions=unions, differences=differences, held=1)
+        space.release(working, old)
 
     def rank_of(self, v: int):
         space = self.space

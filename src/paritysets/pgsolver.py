@@ -37,6 +37,9 @@ _VERTEX = re.compile(
 _HEADER = re.compile(r"^parity\s+(\d+)\s*;$", re.ASCII)
 _SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$", re.ASCII)
 _SOL_LINE = re.compile(r"^(\d+)\s+([01])(?:\s+(\d+))?\s*;$", re.ASCII)
+# The patterns take ASCII digits only, so int() refuses one of them only past
+# the interpreter's limit on the digits of a literal.
+_TOO_LONG = "a number has too many digits"
 
 
 def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
@@ -46,7 +49,12 @@ def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
         line = raw.strip()
         if line:
             m = pattern.match(line)
-            return (int(m.group(1)), lineno) if m else (None, 0)
+            if m is None:
+                return None, 0
+            try:
+                return int(m.group(1)), lineno
+            except ValueError:
+                raise ParseError(lineno, _TOO_LONG) from None
     return None, 0
 
 
@@ -70,9 +78,12 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     max_id = -1 if header_max is None else header_max
     for lineno, m in _entries(lines, header_line, _VERTEX, "vertex"):
         vid, priority, owner, succ_text, name = m.groups()
-        vid = int(vid)
-        # int() skips the spaces around each comma-separated id.
-        succs = list(map(int, succ_text.split(","))) if succ_text else []
+        try:
+            vid, priority = int(vid), int(priority)
+            # int() skips the spaces around each comma-separated id.
+            succs = list(map(int, succ_text.split(","))) if succ_text else []
+        except ValueError:
+            raise ParseError(lineno, _TOO_LONG) from None
         if not succs and not add_self_loops:
             raise ParseError(lineno, f"vertex {vid} has an empty successor list")
         if vid in rows:
@@ -83,7 +94,7 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
                 w = next(w for w in (vid, *succs) if w > header_max)
                 raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
             max_id = top
-        rows[vid] = (int(priority), int(owner), succs, name)
+        rows[vid] = (priority, int(owner), succs, name)
     if not rows:
         raise ParseError(1, "no vertices")
     n = max_id + 1
@@ -171,10 +182,13 @@ def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
     lines = text.splitlines()
     header_max, header_line = _header(lines, _SOL_HEADER)
     for lineno, m in _entries(lines, header_line, _SOL_LINE, "solution"):
-        vid = int(m.group(1))
+        try:
+            vid = int(m.group(1))
+            pick = int(m.group(3)) if m.group(3) is not None else None
+        except ValueError:
+            raise ParseError(lineno, _TOO_LONG) from None
         if vid in out:
             raise ParseError(lineno, f"vertex {vid} listed twice")
-        pick = int(m.group(3)) if m.group(3) is not None else None
         for w in (vid, pick):
             if header_max is not None and w is not None and w > header_max:
                 raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")

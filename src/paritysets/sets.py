@@ -11,7 +11,9 @@ int bit masks (default) and a small reduced ordered BDD. A backend holds only
 the edges and the payload algebra; its cpre gets the acting player's set from
 the space's `owned`. Counters record logical operations, never representation
 internals; in particular the BDD controlled-predecessor costs one cpre_op even
-though it is assembled from two relational preimages.
+though it is assembled from two relational preimages. Code that runs a batch of
+basic operations on raw payloads counts them through `tally`, whose peak is the
+one the batch's intermediates would have reached had each been built as a set.
 
 count()/ids()/contains() on a VertexSet are uncounted instrumentation for
 tests, traces and IO; solver logic sticks to the counted operations.
@@ -294,6 +296,23 @@ class SetSpace:
 
     def _new(self, payload) -> VertexSet:
         return self._track(VertexSet(self, payload))
+
+    def tally(self, unions: int = 0, intersections: int = 0, differences: int = 0,
+              held: int = 0, result=None) -> VertexSet | None:
+        """Count a batch of basic operations run on raw payloads as if each
+        had built its set: the peak rises to the live sets plus `held`, the
+        most intermediates (the result included) alive at once. A `result`
+        payload comes back as one fresh live set."""
+        c = self.counters
+        c.unions += unions
+        c.intersections += intersections
+        c.differences += differences
+        if c.live_sets + held > c.peak_live_sets:
+            c.peak_live_sets = c.live_sets + held
+        if result is None:
+            return None
+        c.live_sets += 1
+        return VertexSet(self, result)
 
     def release(self, *sets: VertexSet) -> None:
         c = self.counters

@@ -1,0 +1,77 @@
+"""A reference for the linear encoding's reads and commits.
+
+`ReferenceLinearState` runs `_reconstruct` and `commit` one counted
+`SetSpace` operation at a time: each intermediate is a `VertexSet` that is
+built, counted, then released, and each changed row is a new set. The
+library's `LinearSpaceState` computes on raw payloads and counts each call
+in one batch; both must leave the same counters, rows and answers.
+"""
+
+from __future__ import annotations
+
+from paritysets.measure import LinearSpaceState, PreconditionViolated
+from paritysets.ranks import TOP
+from paritysets.sets import VertexSet
+
+
+class ReferenceLinearState(LinearSpaceState):
+    def _reconstruct(self, r) -> VertexSet:
+        space = self.space
+        if r is TOP:
+            return space.copy(self.top)
+        acc = space.copy(self.top)
+        running = None
+        for p in range(len(self.eff_caps) - 1, -1, -1):
+            row = self.coordinate[p]
+            x = r[p]
+            if x < self.eff_caps[p]:
+                seg = (space.copy(row[x + 1]) if running is None
+                       else space.intersect(running, row[x + 1]))
+                joined = space.union(acc, seg)
+                space.release(acc, seg)
+                acc = joined
+            if x:
+                narrowed = (space.copy(row[x]) if running is None
+                            else space.intersect(running, row[x]))
+                if running is not None:
+                    space.release(running)
+                running = narrowed
+        if running is None:
+            running = space.copy(self.universe)
+        joined = space.union(acc, running)
+        space.release(acc, running)
+        return joined
+
+    def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
+        space = self.space
+        backend = space._backend
+        if not backend.is_subset(old.payload, working.payload):
+            raise PreconditionViolated("rank set may only grow")
+        delta = space.difference(working, old)
+        space.release(working, old)
+        empty = backend.empty()
+        if r is not TOP and backend.intersect(delta.payload, self.top.payload) != empty:
+            raise PreconditionViolated("a TOP vertex cannot take a finite rank")
+        split = False
+        for p in range(len(self.coordinate) - 1, -1, -1):
+            row = self.coordinate[p]
+            if split:
+                lo, hi = 0, len(row) - 1
+            else:
+                lo, hi = floor[p], d[p]
+                split = lo != hi
+            if not backend.is_subset(delta.payload, row[lo].payload) or (
+                hi + 1 < len(row)
+                and backend.intersect(delta.payload, row[hi + 1].payload) != empty
+            ):
+                raise PreconditionViolated("the delta must sit between the floor and decr(r)")
+            y = -1 if r is TOP else r[p]
+            for i in range(min(lo, y) + 1, max(hi, y) + 1):
+                changed = (space.union if i <= y else space.difference)(row[i], delta)
+                space.release(row[i])
+                row[i] = changed
+        if r is TOP:
+            grown = space.union(self.top, delta)
+            space.release(self.top)
+            self.top = grown
+        space.release(delta)

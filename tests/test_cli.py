@@ -160,6 +160,23 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_numbers_past_the_digit_limit_exit_2(game_file, tmp_path, capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter reads any number of digits")
+    big = "1" * (limit + 1)
+    bad = tmp_path / "huge.gm"
+    bad.write_text(f"0 0 0 {big};\n")
+    assert main(["solve", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 1: a number has too many digits\n")
+    sol = tmp_path / "huge.sol"
+    sol.write_text(SOLUTION_WITH_PICKS.replace("2 0 3;", f"2 0 {big};"))
+    assert main(["verify", game_file, str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: line 4: a number has too many digits\n")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "absent.gm")]) == 2
     assert capsys.readouterr().err != ""

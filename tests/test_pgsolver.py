@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -199,6 +200,34 @@ def test_only_ascii_digits_and_spaces_count():
         with pytest.raises(ParseError) as err:
             parse_solution(text)
         assert (err.value.line, err.value.reason[:23]) == (1, "malformed solution line")
+
+
+# The interpreter refuses integer literals past a digit limit; 0 means none.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter reads any number of digits")
+def test_numbers_past_the_digit_limit_are_parse_errors():
+    big = "1" * (_DIGIT_LIMIT + 1)
+    for text, line in [
+        (f"{big} 0 0 0;\n", 1),                 # a vertex id
+        (f"0 {big} 0 0;\n", 1),                 # a priority
+        (f"0 0 0 {big};\n", 1),                 # a successor
+        (f"0 0 0 1;\n1 0 1 0, {big};\n", 2),    # a later successor in a list
+        (f"parity {big};\n0 0 0 0;\n", 1),     # the header
+        (f"\n\nparity {big};\n0 0 0 0;\n", 3),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(text)
+        assert str(err.value) == f"line {line}: a number has too many digits"
+    for text, line in [(f"{big} 0;\n", 1), (f"0 1;\n1 0 {big};\n", 2),
+                       (f"paritysol {big};\n0 0;\n", 1)]:
+        with pytest.raises(ParseError) as err:
+            parse_solution(text)
+        assert str(err.value) == f"line {line}: a number has too many digits"
+    # one digit fewer still reads, and fails only as an unknown vertex
+    with pytest.raises(ParseError, match="exceeds the header maximum 0"):
+        parse_pgsolver(f"parity 0;\n0 0 0 {big[1:]};\n")
 
 
 def _long_file(last: str, header: int | None = None, skip: int | None = None) -> str:

@@ -78,6 +78,20 @@ def test_live_and_peak_accounting(space):
     assert space.counters.live_sets == base
 
 
+def test_tally_counts_a_batch_as_if_it_built_its_sets(space):
+    c = space.counters
+    live = c.live_sets
+    assert space.tally(unions=2, intersections=1, differences=3, held=2) is None
+    assert (c.unions, c.intersections, c.differences) == (2, 1, 3)
+    assert (c.live_sets, c.peak_live_sets) == (live, live + 2)
+    # A result payload comes back as one live set; `held` counts it.
+    s = space.tally(unions=1, held=1, result=space.priority_sets[1].payload)
+    assert ids(s) == {0, 2, 7} and not s.pinned
+    assert (c.unions, c.live_sets, c.peak_live_sets) == (3, live + 1, live + 2)
+    space.release(s)
+    assert c.live_sets == live
+
+
 def test_release_discipline(space):
     a = space.from_ids((0,))
     space.release(a)
