@@ -26,8 +26,6 @@ from .ranks import TOP, RankDomain
 from .explicit import (
     ExplicitResult,
     best_rank,
-    enumerate_dominions_bruteforce,
-    is_dominion,
     lift_rank,
     solve_explicit_pm,
 )
@@ -45,7 +43,6 @@ from .zielonka import (
     RecursionDepthExceeded,
     attractor,
     classic_parity,
-    is_trap,
 )
 from .bigstep import (
     Fixed,
@@ -108,13 +105,10 @@ __all__ = [
     "dominion",
     "emit_pgsolver",
     "emit_solution",
-    "enumerate_dominions_bruteforce",
     "extract_attractor_strategies",
     "extract_strategy_from_pm",
     "gamma",
     "gen_random",
-    "is_dominion",
-    "is_trap",
     "lift_rank",
     "normalize_priorities",
     "parse_pgsolver",

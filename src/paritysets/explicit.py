@@ -1,4 +1,4 @@
-"""Explicit (per-vertex) progress measure solver and brute-force dominions.
+"""Explicit (per-vertex) progress measure solver.
 
 This is the reference implementation the symbolic solvers are tested
 against: a plain work-list least-fixpoint lift over the rank domain. With
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .game import ParityGame, Player, normalize_priorities, subgame, swap_roles_increment
 from .ranks import TOP, RankDomain
@@ -95,52 +94,9 @@ def solve_explicit_pm(
     )
 
 
-def _is_trap_for(game: ParityGame, player: Player, vertices: frozenset[int]) -> bool:
-    """True when `player` cannot force the play out of `vertices`."""
-    for v in vertices:
-        succs = game.successors[v]
-        if game.owner[v] is player:
-            if any(w not in vertices for w in succs):
-                return False
-        elif all(w not in vertices for w in succs):
-            return False
-    return True
-
-
 def _wins_everywhere(game: ParityGame, player: Player, vertices: frozenset[int]) -> bool:
     sub, _ = subgame(game, vertices)
     if player is Player.ODD:
         sub = swap_roles_increment(sub)
     return len(solve_explicit_pm(sub).winning_even) == len(vertices)
 
-
-def enumerate_dominions_bruteforce(
-    game: ParityGame, player: Player, max_size: int
-) -> list[frozenset[int]]:
-    """All dominions of `player` with at most max_size vertices.
-
-    Exponential; intended for cross-checking on small games only.
-    """
-    player = Player(player)
-    out = []
-    n = game.vertex_count
-    for size in range(1, min(max_size, n) + 1):
-        for combo in combinations(range(n), size):
-            cand = frozenset(combo)
-            if not _is_trap_for(game, player.opponent(), cand):
-                continue
-            # The opponent-trap check above also guarantees the subgame is closed.
-            if _wins_everywhere(game, player, cand):
-                out.append(cand)
-    return out
-
-
-def is_dominion(game: ParityGame, player: Player, vertices) -> bool:
-    """Explicit check: nonempty opponent trap on which `player` wins everywhere."""
-    player = Player(player)
-    cand = frozenset(vertices)
-    if not cand:
-        return False
-    return _is_trap_for(game, player.opponent(), cand) and _wins_everywhere(
-        game, player, cand
-    )

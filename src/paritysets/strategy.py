@@ -1,12 +1,13 @@
 """Memoryless strategies: extraction and independent verification.
 
-The measure-based extraction never reads ranks vertex by vertex over the
-whole game; for each winning vertex v (ascending id) it takes the even-side
-controlled predecessors of {v} once and intersects them, per predecessor
-priority, with the set of the rank that an optimal move to v would justify.
-A predecessor u of priority l picks v exactly when rank(u) = incr_l(rank(v)),
-which by the fixpoint property makes v an optimal successor of u; the
-covered bookkeeping keeps the first (lowest-id) optimal successor.
+The measure-based extraction reads the least fixpoint directly, as in
+Jurdziński's small progress measures: each winning vertex u of the
+rank-bounded player, at view level l, moves to its lowest-id successor w
+with incr_at(rank(w), l) = rank(u). Those successors are the ones inside
+the view and outside one rank set: S_rank(u) at an odd level, and at an
+even level the set of the least rank that beats rank(u) at l + 1. So per
+such vertex the extraction reads its rank and that one set, and probes its
+successors with uncounted membership tests.
 
 Verification is explicit and independent of the solvers: check the choices
 stay inside the claimed region, check the opponent cannot leave it, then
@@ -49,51 +50,38 @@ def extract_strategy_from_pm(state) -> Strategy:
 
     `state` is a finished run's rank state, which carries the run's view;
     under a swapped view the strategy belongs to the base game's odd player.
-    One controlled-predecessor operation per winning vertex.
+    One rank read and one rank-set read per winning vertex of the player.
     """
     view = state.view
     space = state.space
     domain = state.domain
+    game = space.game
     player = Player.ODD if view.swap else Player.EVEN
-    mine = space.owned[player]
-    priority, shift = space.game.priority, view.shift
+    universe = view.universe
 
     top_set = state.read(TOP)
-    uncovered = space.difference(view.universe, top_set)
-    space.release(top_set)
     choice: dict[int, int] = {}
-    for v in uncovered.ids():
-        rank_v = state.rank_of(v)
-        one = space.singleton(v)
-        preds = space.cpre(view.odd_role.opponent(), one, within=view.universe)
-        space.release(one)
-        levels = sorted({priority[u] + shift for u in space.game.predecessors[v]})
-        for level in levels:
-            target = domain.incr_at(rank_v, level)
-            if target is TOP:
+    try:
+        for u in universe.ids():
+            if game.owner[u] is not player or top_set.contains(u):
                 continue
-            cls = view.classes[level]
-            if cls is None:
-                continue
-            holders = state.read(target)
-            cand = space.intersect(preds, holders)
-            space.release(holders)
-            cand2 = space.intersect(cand, mine)
-            cand3 = space.intersect(cand2, cls)
-            cand4 = space.intersect(cand3, uncovered)
-            space.release(cand, cand2, cand3)
-            for u in cand4.ids():
-                choice[u] = v
-            shrunk = space.difference(uncovered, cand4)
-            space.release(uncovered, cand4)
-            uncovered = shrunk
-        space.release(preds)
-    leftover = space.intersect(uncovered, mine)
-    incomplete = not space.is_empty(leftover)
-    missing = leftover.ids()
-    space.release(leftover, uncovered)
-    if incomplete:
-        raise IncompleteStrategy(f"no choice assigned for vertices {missing}")
+            rank_u = state.rank_of(u)
+            level = game.priority[u] + view.shift
+            # w justifies rank_u exactly when incr_at(rank(w), level) == rank_u,
+            # which at the fixpoint means w lies outside S_target.
+            if level % 2:
+                target = domain.project(rank_u, level)
+            else:
+                target = domain.incr_at(rank_u, level + 1)
+            held = state.read(target)
+            picks = [w for w in game.successors[u]
+                     if universe.contains(w) and not held.contains(w)]
+            space.release(held)
+            if not picks:
+                raise IncompleteStrategy(f"no successor justifies the rank of vertex {u}")
+            choice[u] = min(picks)
+    finally:
+        space.release(top_set)
     return Strategy(player=player, domain=frozenset(choice), choice=choice)
 
 

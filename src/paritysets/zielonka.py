@@ -80,15 +80,6 @@ def attractor(
     return AttractorResult(attractor=current, strategy_edges=edges)
 
 
-def is_trap(game: ParityGame, player: Player, region: VertexSet) -> bool:
-    """True when `player` cannot force the play out of `region`."""
-    space = region.space
-    held = space.cpre(Player(player).opponent(), region)
-    ok = space.is_subset(region, held)
-    space.release(held)
-    return ok
-
-
 def _top_priority(space: SetSpace, live: VertexSet, hi: int) -> tuple[int, VertexSet | None]:
     """Highest priority present in `live`, scanning classes `hi` down to 0,
     and its restricted class (owned). `live` must hold no priority above `hi`."""

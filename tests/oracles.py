@@ -1,0 +1,54 @@
+"""Explicit dominion and trap checks the tests hold the solvers to.
+
+Each reads the game vertex by vertex and counts nothing. The dominion
+checks solve the one-player-won region with the explicit lifting solver;
+`enumerate_dominions_bruteforce` is exponential, for small games only.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from paritysets.explicit import _wins_everywhere
+from paritysets.game import ParityGame, Player
+
+
+def is_trap(game: ParityGame, player: Player, vertices) -> bool:
+    """True when `player` cannot force the play out of `vertices`: each of
+    the player's vertices there stays inside, and each of the opponent's
+    can."""
+    player = Player(player)
+    vertices = frozenset(vertices)
+    for v in vertices:
+        succs = game.successors[v]
+        if game.owner[v] is player:
+            if any(w not in vertices for w in succs):
+                return False
+        elif all(w not in vertices for w in succs):
+            return False
+    return True
+
+
+def is_dominion(game: ParityGame, player: Player, vertices) -> bool:
+    """Nonempty opponent trap on which `player` wins everywhere."""
+    player = Player(player)
+    cand = frozenset(vertices)
+    if not cand:
+        return False
+    return is_trap(game, player.opponent(), cand) and _wins_everywhere(game, player, cand)
+
+
+def enumerate_dominions_bruteforce(
+    game: ParityGame, player: Player, max_size: int
+) -> list[frozenset[int]]:
+    """All dominions of `player` with at most max_size vertices."""
+    player = Player(player)
+    out = []
+    n = game.vertex_count
+    for size in range(1, min(max_size, n) + 1):
+        for combo in combinations(range(n), size):
+            cand = frozenset(combo)
+            # The opponent-trap check also guarantees the subgame is closed.
+            if is_trap(game, player.opponent(), cand) and _wins_everywhere(game, player, cand):
+                out.append(cand)
+    return out

@@ -1,17 +1,26 @@
-"""A reference for the linear encoding's reads and commits.
+"""References for the linear encoding's reads and commits, and for the
+measure strategy reading.
 
 `ReferenceLinearState` runs `_reconstruct` and `commit` one counted
 `SetSpace` operation at a time: each intermediate is a `VertexSet` that is
 built, counted, then released, and each changed row is a new set. The
 library's `LinearSpaceState` computes on raw payloads and counts each call
 in one batch; both must leave the same counters, rows and answers.
+
+`reference_extract_strategy_from_pm` reads a finished run's strategy by
+targets: for each winning vertex v it takes the controlled predecessors of
+{v} and, per predecessor priority, the set of the rank a move to v would
+justify. The library reads one rank set per player vertex instead; both
+must pick the same successors, and the library may spend no more ops.
 """
 
 from __future__ import annotations
 
+from paritysets.game import Player
 from paritysets.measure import LinearSpaceState, PreconditionViolated
 from paritysets.ranks import TOP
 from paritysets.sets import VertexSet
+from paritysets.strategy import IncompleteStrategy, Strategy
 
 
 class ReferenceLinearState(LinearSpaceState):
@@ -75,3 +84,53 @@ class ReferenceLinearState(LinearSpaceState):
             space.release(self.top)
             self.top = grown
         space.release(delta)
+
+
+def reference_extract_strategy_from_pm(state) -> Strategy:
+    """Each winning vertex v, ascending, is the pick of every uncovered
+    player vertex u of priority l that has an edge to it and
+    rank(u) = incr_at(rank(v), l): the lowest-id optimal successor."""
+    view = state.view
+    space = state.space
+    domain = state.domain
+    player = Player.ODD if view.swap else Player.EVEN
+    mine = space.owned[player]
+    priority, shift = space.game.priority, view.shift
+
+    top_set = state.read(TOP)
+    uncovered = space.difference(view.universe, top_set)
+    space.release(top_set)
+    choice: dict[int, int] = {}
+    for v in uncovered.ids():
+        rank_v = state.rank_of(v)
+        one = space.singleton(v)
+        preds = space.cpre(view.odd_role.opponent(), one, within=view.universe)
+        space.release(one)
+        levels = sorted({priority[u] + shift for u in space.game.predecessors[v]})
+        for level in levels:
+            target = domain.incr_at(rank_v, level)
+            if target is TOP:
+                continue
+            cls = view.classes[level]
+            if cls is None:
+                continue
+            holders = state.read(target)
+            cand = space.intersect(preds, holders)
+            space.release(holders)
+            cand2 = space.intersect(cand, mine)
+            cand3 = space.intersect(cand2, cls)
+            cand4 = space.intersect(cand3, uncovered)
+            space.release(cand, cand2, cand3)
+            for u in cand4.ids():
+                choice[u] = v
+            shrunk = space.difference(uncovered, cand4)
+            space.release(uncovered, cand4)
+            uncovered = shrunk
+        space.release(preds)
+    leftover = space.intersect(uncovered, mine)
+    incomplete = not space.is_empty(leftover)
+    missing = leftover.ids()
+    space.release(leftover, uncovered)
+    if incomplete:
+        raise IncompleteStrategy(f"no choice assigned for vertices {missing}")
+    return Strategy(player=player, domain=frozenset(choice), choice=choice)

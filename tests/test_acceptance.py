@@ -29,7 +29,6 @@ from paritysets.bigstep import (
     gamma,
     symbolic_big_step,
 )
-from paritysets.explicit import enumerate_dominions_bruteforce, is_dominion
 from paritysets.game import swap_roles_increment
 from paritysets.measure import (
     dominion,
@@ -47,6 +46,7 @@ from conftest import (
     corpus,
     ids,
 )
+from oracles import enumerate_dominions_bruteforce, is_dominion
 from test_measure import EXPECTED_FAMILY, EXPECTED_TRACE
 
 

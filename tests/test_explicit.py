@@ -14,13 +14,10 @@ from paritysets import (
     gen_random,
     solve_explicit_pm,
 )
-from paritysets.explicit import (
-    enumerate_dominions_bruteforce,
-    is_dominion,
-    lift_fixpoint,
-)
+from paritysets.explicit import lift_fixpoint
 
 from conftest import SAMPLE_NAMES, corpus
+from oracles import enumerate_dominions_bruteforce, is_dominion
 
 
 def by_name(result):

@@ -38,3 +38,9 @@ def test_submodule_imports_first(name):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_sorted_and_once():
+    names = paritysets.__all__
+    assert [n for n in names if not hasattr(paritysets, n)] == []
+    assert names == sorted(set(names))

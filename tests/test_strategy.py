@@ -24,6 +24,8 @@ from paritysets.strategy import (
 from paritysets.zielonka import classic_parity
 
 from conftest import corpus, ids
+from reference_encoding import reference_extract_strategy_from_pm
+from test_measure import _rise
 
 
 EVEN_REGION = frozenset({2, 3, 4, 5, 6, 7})
@@ -103,6 +105,50 @@ def test_direct_runs_give_the_linear_strategies(sample_game):
                 found[representation] = extract_strategy_from_pm(run.state)
                 assert verify_strategy(norm, player, ids(run.winning), found[representation])
             assert found["direct"] == found["linear"]
+
+
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_extraction_picks_like_the_target_cascade_for_fewer_ops(backend, representation):
+    # The reference reads the picks by targets: a cpre of each winning
+    # vertex and a rank-set read per predecessor priority. The library
+    # reads one rank set per player vertex; both keep the lowest-id optimal
+    # successor, and neither leaves a set alive.
+    for g in corpus(24, n_span=20, seed0=1900):
+        norm, _ = normalize_priorities(g)
+        for bound in (None, 0, 2):
+            for swap in (False, True):
+                space = SetSpace(norm, backend=backend)
+                run = _pm_run(space, space.full, bound=bound, swap=swap,
+                              representation=representation)
+                live = space.counters.live_sets
+                got, cost = _rise(space, lambda: extract_strategy_from_pm(run.state))
+                assert space.counters.live_sets == live
+                want, ref_cost = _rise(space, lambda: reference_extract_strategy_from_pm(run.state))
+                assert space.counters.live_sets == live
+                assert got == want, (bound, swap)
+                assert cost["cpre_ops"] == 0
+                assert all(cost[f] <= ref_cost[f] for f in cost), (bound, swap, cost, ref_cost)
+
+
+def test_extraction_rejects_a_rank_no_successor_justifies(sample_game):
+    # c (vertex 2) is even's at odd priority 1 with rank (1, 0): its move to
+    # d, at (0, 0), justifies it. Taking c out of position 0's upper rows,
+    # uncounted, leaves it at (0, 0), which no move justifies at an odd
+    # priority; both readings refuse, and neither leaves a set alive.
+    for extract in (extract_strategy_from_pm, reference_extract_strategy_from_pm):
+        run = symbolic_parity_dominion(sample_game)
+        space, state = run.space, run.state
+        backend = space._backend
+        assert state.rank_of(2) == (1, 0)
+        c = backend.from_ids([2])
+        for cell in state.coordinate[0][1:]:
+            cell.payload = backend.difference(cell.payload, c)
+        assert state.rank_of(2) == (0, 0)
+        live = space.counters.live_sets
+        with pytest.raises(IncompleteStrategy, match=r"\b2\b"):
+            extract(state)
+        assert space.counters.live_sets == live
 
 
 def test_choice_map_must_cover_domain_exactly():

@@ -17,10 +17,10 @@ from paritysets.zielonka import (
     _top_priority,
     attractor,
     classic_parity,
-    is_trap,
 )
 
 from conftest import corpus, ids, ladder, small_games
+from oracles import is_trap
 
 
 def test_attractor_on_the_sample(sample_game):
@@ -75,7 +75,7 @@ def test_attractor_one_step_budget():
 def test_players_given_as_ints_match_the_enum():
     g = gen_random(12, 5, 1, 3, 1)
     space = SetSpace(g)
-    region = space.from_ids(range(6))
+    region = range(6)
     for player in Player:
         for v in range(g.vertex_count):
             target = space.singleton(v)
@@ -109,24 +109,20 @@ def test_attractor_strategy_probes_only_the_new_vertices_successors(player, monk
 
 def test_winning_regions_are_traps_for_the_loser():
     for g in corpus(40, seed0=870):
-        even_ids = solve_explicit_pm(g).winning_even
-        space = SetSpace(g)
-        w_even = space.from_ids(sorted(even_ids))
-        w_odd = space.difference(space.full, w_even)
-        if not space.is_empty(w_even):
-            assert is_trap(g, Player.ODD, w_even)
-        if not space.is_empty(w_odd):
-            assert is_trap(g, Player.EVEN, w_odd)
+        w_even = solve_explicit_pm(g).winning_even
+        w_odd = frozenset(range(g.vertex_count)) - w_even
+        assert is_trap(g, Player.ODD, w_even)
+        assert is_trap(g, Player.EVEN, w_odd)
 
 
 def test_is_trap_detects_escapes(sample_game):
-    space = SetSpace(sample_game)
-    odd_region = space.from_ids([0, 1])
+    odd_region = {0, 1}
     assert is_trap(sample_game, Player.EVEN, odd_region)
     # vertex 1 is odd-owned and may step to 3, outside the region
     assert not is_trap(sample_game, Player.ODD, odd_region)
-    assert is_trap(sample_game, Player.EVEN, space.full)
-    assert is_trap(sample_game, Player.ODD, space.full)
+    everything = range(sample_game.vertex_count)
+    assert is_trap(sample_game, Player.EVEN, everything)
+    assert is_trap(sample_game, Player.ODD, everything)
 
 
 def test_sample_solve_counts(sample_game):
