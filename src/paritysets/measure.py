@@ -20,9 +20,8 @@ Two interchangeable encodings of the whole family {S_r}:
   touches the rows between those bounds and the new counter and probes
   none. Updating rank r's set implicitly updates every lower rank's set,
   which is what makes a roll-back free of explicit unions in this encoding.
-  Reads and commits compute on the backend's payloads, rows change in
-  place, and each call counts its operations in one `SetSpace.tally`, so
-  the counters and the peak read as if every intermediate had been a set.
+  Reads and commits compute on the backend's payloads and rows change in
+  place.
 
 Both encodings are built from the run's view and run through the same
 control loop, which needs two operations of them: `read(r)` hands out a
@@ -30,6 +29,14 @@ fresh S_r that the caller releases, and `commit(r, working, old, d, floor)`
 stores S_r's growth, given the ranks the loop's walk-down already holds:
 d = decr(r) and the floor the walk stopped at. So preimage and containment
 counts agree between them by construction.
+
+The whole iteration computes on payloads: the loop takes each read's
+payload and releases the set, and seeding, closure and the roll-back walk
+run the backend's own operations, `cpre` included. Only `working` stays one
+live set, whose payload the loop rebinds. Seeding counts in one
+`SetSpace.tally`, closure and walk in another, and each linear read or
+commit in its own, so the counters and the peak read as if every
+intermediate had been a set.
 
 The loop carries decr(r) and S_decr(r) between iterations. The set seeds
 position 0 (decr_at(r, 1) is decr(r)) and is the first the roll-back walk
@@ -464,6 +471,13 @@ def _pm_run(
                     space.release(acc)
                 above[level // 2] = joined
             acc = joined
+    # The phases below run on payloads; `working` stays one live set.
+    backend = space._backend
+    union, intersect, difference = backend.union, backend.intersect, backend.difference
+    is_subset, cpre = backend.is_subset, backend.cpre
+    mine = space.owned[view.odd_role].payload
+    within = universe.payload
+    odd_classes = [classes[2 * p + 1].payload for p in range(positions)]
     # decr(r) and S_decr(r), carried from one iteration to the next.
     d = domain.zero
     below = space.copy(universe)
@@ -474,6 +488,7 @@ def _pm_run(
             raise AssertionError("progress measure iteration exceeded its bound")
         old = state.read(r)
         working = space.copy(old)
+        w = working.payload
 
         # Seed from the sets one step down at each odd priority up to the
         # highest level r survives projection at (r's lowest nonzero counter;
@@ -485,43 +500,48 @@ def _pm_run(
             while not r[max_pos - 1]:
                 max_pos += 1
         for p in range(max_pos):
-            level = 2 * p + 1
             # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
-            source = state.read(domain.decr_at(r, level)) if p else below
-            step = space.cpre(view.odd_role, source, within=universe)
             if p:
+                source = state.read(domain.decr_at(r, 2 * p + 1))
+                step = cpre(mine, source.payload, within)
                 space.release(source)
-            seeded = space.intersect(step, classes[level])
-            grown = space.union(working, seeded)
-            space.release(step, seeded, working)
-            working = grown
+            else:
+                step = cpre(mine, below.payload, within)
+            w = union(w, intersect(step, odd_classes[p]))
+        # As sets, the step, its seeded part and the grown union.
+        space.tally(cpre_ops=max_pos, intersections=max_pos, unions=max_pos,
+                    held=3 if max_pos else 0)
 
         # Close under the rank-raising player's moves; vertices whose priority
         # exceeds the level cannot join at a finite rank this way.
-        forbidden = None if r is TOP else above[max_pos]
+        forbidden = None if r is TOP or above[max_pos] is None else above[max_pos].payload
+        rounds = 0
         while True:
-            step = space.cpre(view.odd_role, working, within=universe)
+            rounds += 1
+            add = cpre(mine, w, within)
             if forbidden is not None:
-                add = space.difference(step, forbidden)
-                space.release(step)
-            else:
-                add = step
-            if space.is_subset(add, working):
-                space.release(add)
+                add = difference(add, forbidden)
+            if is_subset(add, w):
                 break
-            grown = space.union(working, add)
-            space.release(add, working)
-            working = grown
+            w = union(w, add)
+        working.payload = w
 
         # Walk down while the grown set is not yet contained; the ranks from
         # decr(r) down to the floor it stops at must absorb it (directly, or
         # implicitly through the commit).
         floor = d
         held = below
-        while not space.is_subset(working, held):
+        tests = 1
+        while not is_subset(w, held.payload):
             floor = domain.decr(floor)
             space.release(held)
             held = state.read(floor)
+            tests += 1
+        # Closure's step and its part outside `forbidden`, or the step and
+        # the grown union, were alive at once as sets; the walk holds none.
+        space.tally(cpre_ops=rounds, differences=0 if forbidden is None else rounds,
+                    containment_tests=rounds + tests, unions=rounds - 1,
+                    held=1 if forbidden is None and rounds == 1 else 2)
         rolled_back = floor != d
 
         if rolled_back:
@@ -623,16 +643,16 @@ def solve_pm_symbolic(
 ):
     """Full solve via the set-based measure iteration.
 
-    Reported counters cover every counted operation of the solve. When
-    strategies are requested, the odd player's strategy comes from a
-    role-swapped run in the same space over the odd region alone: that
-    region is closed and the odd player wins all of it.
+    Reported counters and wall time cover every counted operation of the
+    solve. When strategies are requested, the odd player's strategy comes
+    from a role-swapped run in the same space over the odd region alone:
+    that region is closed and the odd player wins all of it.
     """
+    norm, _ = normalize_priorities(game)
     started = time.perf_counter()
-    run = symbolic_parity_dominion(game, backend=backend, check_invariants=check_invariants)
-    space = run.space
+    space = SetSpace(norm, backend=backend)
+    run = _pm_run(space, space.full, check_invariants=check_invariants)
     winning_odd = space.difference(space.full, run.winning)
-    elapsed = time.perf_counter() - started
     strategy_even = extract_strategy_from_pm(run.state) if strategies else None
     run.state.release_all()
     strategy_odd = None
@@ -641,6 +661,7 @@ def solve_pm_symbolic(
         strategy_odd = extract_strategy_from_pm(run_odd.state)
         run_odd.state.release_all()
         space.release(run_odd.winning)
+    elapsed = time.perf_counter() - started
     return SolveReport(
         winning_even=run.winning,
         winning_odd=winning_odd,

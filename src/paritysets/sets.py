@@ -12,8 +12,11 @@ the edges and the payload algebra; its cpre gets the acting player's set from
 the space's `owned`. Counters record logical operations, never representation
 internals; in particular the BDD controlled-predecessor costs one cpre_op even
 though it is assembled from two relational preimages. Code that runs a batch of
-basic operations on raw payloads counts them through `tally`, whose peak is the
-one the batch's intermediates would have reached had each been built as a set.
+operations on raw payloads (the measure iteration's seeding, closure and
+roll-back walk, and its encoding's reads and commits) counts them through
+`tally`, by the counters' own names, cpre_ops and containment_tests included;
+its peak is the one the batch's intermediates would have reached had each been
+built as a set.
 
 count()/ids()/contains() on a VertexSet are uncounted instrumentation for
 tests, traces and IO; solver logic sticks to the counted operations.
@@ -298,15 +301,18 @@ class SetSpace:
         return self._track(VertexSet(self, payload))
 
     def tally(self, unions: int = 0, intersections: int = 0, differences: int = 0,
+              containment_tests: int = 0, cpre_ops: int = 0,
               held: int = 0, result=None) -> VertexSet | None:
-        """Count a batch of basic operations run on raw payloads as if each
-        had built its set: the peak rises to the live sets plus `held`, the
-        most intermediates (the result included) alive at once. A `result`
+        """Count a batch of operations run on raw payloads as if each had
+        built its set: the peak rises to the live sets plus `held`, the most
+        intermediates (the result included) alive at once. A `result`
         payload comes back as one fresh live set."""
         c = self.counters
         c.unions += unions
         c.intersections += intersections
         c.differences += differences
+        c.containment_tests += containment_tests
+        c.cpre_ops += cpre_ops
         if c.live_sets + held > c.peak_live_sets:
             c.peak_live_sets = c.live_sets + held
         if result is None:

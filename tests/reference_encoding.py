@@ -1,11 +1,13 @@
-"""References for the linear encoding's reads and commits, and for the
-measure strategy reading.
+"""References for the measure iteration's loop, the linear encoding's reads
+and commits, and the measure strategy reading.
 
-`ReferenceLinearState` runs `_reconstruct` and `commit` one counted
-`SetSpace` operation at a time: each intermediate is a `VertexSet` that is
-built, counted, then released, and each changed row is a new set. The
-library's `LinearSpaceState` computes on raw payloads and counts each call
-in one batch; both must leave the same counters, rows and answers.
+`reference_pm_run` runs the iteration's seeding, closure and roll-back walk
+one counted `SetSpace` operation at a time, and `ReferenceLinearState` does
+the same for `_reconstruct` and `commit`: each intermediate is a
+`VertexSet` that is built, counted, then released, and each changed row is a
+new set. The library computes on raw payloads and counts each phase or call
+in one batch; both must leave the same counters, trace events, rank states
+and answers.
 
 `reference_extract_strategy_from_pm` reads a finished run's strategy by
 targets: for each winning vertex v it takes the controlled predecessors of
@@ -17,9 +19,15 @@ must pick the same successors, and the library may spend no more ops.
 from __future__ import annotations
 
 from paritysets.game import Player
-from paritysets.measure import LinearSpaceState, PreconditionViolated
-from paritysets.ranks import TOP
-from paritysets.sets import VertexSet
+from paritysets.measure import (
+    DirectFamilyState,
+    LinearSpaceState,
+    PmRun,
+    PreconditionViolated,
+    _View,
+)
+from paritysets.ranks import TOP, RankDomain
+from paritysets.sets import SetSpace, VertexSet
 from paritysets.strategy import IncompleteStrategy, Strategy
 
 
@@ -84,6 +92,101 @@ class ReferenceLinearState(LinearSpaceState):
             space.release(self.top)
             self.top = grown
         space.release(delta)
+
+
+def reference_pm_run(space: SetSpace, universe: VertexSet, bound: int | None = None,
+                     swap: bool = False, representation: str = "linear",
+                     trace=None) -> PmRun:
+    """`_pm_run` without invariant checks, one counted set operation at a time."""
+    view = _View(space, universe, swap)
+    domain = RankDomain(c=view.c, caps=view.caps, bound=bound)
+    encodings = {"linear": LinearSpaceState, "direct": DirectFamilyState}
+    state = encodings[representation](view, domain)
+    positions = domain.positions
+    classes = view.classes
+    r = domain.incr(domain.zero)
+    above: list[VertexSet | None] = [None] * (positions + 1)
+    if r is not TOP:
+        acc = None
+        for level in range(view.c - 1, 1, -1):
+            joined = classes[level] if acc is None else space.union(acc, classes[level])
+            if level % 2 == 0:
+                if acc is not None and not acc.pinned:
+                    space.release(acc)
+                above[level // 2] = joined
+            acc = joined
+    d = domain.zero
+    below = space.copy(universe)
+    iterations = 0
+    while True:
+        iterations += 1
+        old = state.read(r)
+        working = space.copy(old)
+
+        if r is TOP:
+            max_pos = positions
+        else:
+            max_pos = 1
+            while not r[max_pos - 1]:
+                max_pos += 1
+        for p in range(max_pos):
+            level = 2 * p + 1
+            source = state.read(domain.decr_at(r, level)) if p else below
+            step = space.cpre(view.odd_role, source, within=universe)
+            if p:
+                space.release(source)
+            seeded = space.intersect(step, classes[level])
+            grown = space.union(working, seeded)
+            space.release(step, seeded, working)
+            working = grown
+
+        forbidden = None if r is TOP else above[max_pos]
+        while True:
+            step = space.cpre(view.odd_role, working, within=universe)
+            if forbidden is not None:
+                add = space.difference(step, forbidden)
+                space.release(step)
+            else:
+                add = step
+            if space.is_subset(add, working):
+                space.release(add)
+                break
+            grown = space.union(working, add)
+            space.release(add, working)
+            working = grown
+
+        floor = d
+        held = below
+        while not space.is_subset(working, held):
+            floor = domain.decr(floor)
+            space.release(held)
+            held = state.read(floor)
+        rolled_back = floor != d
+
+        if rolled_back:
+            next_rank = domain.incr(floor)
+        elif r is TOP:
+            next_rank = None
+        else:
+            next_rank = domain.incr(r)
+        if trace is not None:
+            trace({"iteration": iterations, "rank": r, "added": working.count() - old.count(),
+                   "next_rank": next_rank, "rolled_back": rolled_back})
+        if not rolled_back:
+            space.release(held)
+            held = space.copy(working) if next_rank is not None else None
+        below = held
+        state.commit(r, working, old, d, floor)
+        if next_rank is None:
+            break
+        r, d = next_rank, floor if rolled_back else r
+
+    space.release(*(s for s in above if s is not None and not s.pinned))
+    top_set = state.read(TOP)
+    winning = space.difference(universe, top_set)
+    space.release(top_set)
+    return PmRun(space=space, winning=winning, state=state, domain=domain,
+                 iterations=iterations)
 
 
 def reference_extract_strategy_from_pm(state) -> Strategy:

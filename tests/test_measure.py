@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ from paritysets.sets import SetSpace
 from paritysets.strategy import extract_strategy_from_pm
 
 from conftest import corpus, ids, small_games
-from reference_encoding import ReferenceLinearState
+from reference_encoding import ReferenceLinearState, reference_pm_run
 
 
 EXPECTED_TRACE = [
@@ -377,6 +379,28 @@ def test_odd_strategy_run_shares_the_space_and_covers_the_odd_region(monkeypatch
     assert kwargs["swap"] is True
 
 
+@pytest.mark.parametrize("strategies, want", [(False, 10), (True, 220)])
+def test_wall_time_runs_from_normalization_to_the_last_counted_op(
+        monkeypatch, strategies, want):
+    # A fake clock that only the wrapped steps advance: normalizing costs 1,
+    # each run 10 and each strategy reading 100.
+    clock = [0]
+    monkeypatch.setattr(measure, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def costing(real, cost):
+        def call(*args, **kwargs):
+            out = real(*args, **kwargs)
+            clock[0] += cost
+            return out
+        return call
+
+    for name, cost in (("normalize_priorities", 1), ("_pm_run", 10),
+                       ("extract_strategy_from_pm", 100)):
+        monkeypatch.setattr(measure, name, costing(getattr(measure, name), cost))
+    rep = solve_pm_symbolic(gen_random(12, 5, 1, 3, 1), strategies=strategies)
+    assert rep.wall_time == want
+
+
 def test_agrees_with_explicit_solver():
     for g in corpus(60, seed0=500):
         expected = solve_explicit_pm(g).winning_even
@@ -601,38 +625,69 @@ def test_checked_encodings_agree_with_the_oracle(g, bound, swap):
     assert runs["linear"] == runs["direct"]
 
 
-def _run_fingerprint(g, backend, bound, swap):
+def _run_fingerprint(run_pm, g, backend, bound, swap, representation="linear"):
     space = SetSpace(g, backend=backend)
-    run = _pm_run(space, space.full, bound=bound, swap=swap)
-    rows = [[s.ids() for s in row] for row in run.state.coordinate]
-    return space.counters, run.iterations, run.winning.ids(), rows, run.state.top.ids()
+    events = []
+    run = run_pm(space, space.full, bound=bound, swap=swap, representation=representation,
+                 trace=events.append)
+    state = run.state
+    if representation == "linear":
+        sets = [[s.ids() for s in row] for row in state.coordinate], state.top.ids()
+    else:
+        sets = {r: s.ids() for r, s in state.sets.items()}
+    return space.counters, run.iterations, events, run.winning.ids(), sets
 
 
 # (backend, n, c, seed, with the unbounded swapped run): past the golden
 # file's n <= 25 and c <= 7. Two games skip that run, which takes 17k and
-# 27k iterations there.
+# 27k iterations there. n None stands for every run of `_games_c1_to_c8`
+# that starts at TOP, bound 0 included; a c = 1 game's run seeds nothing.
 _REFERENCE_CASES = [
     ("bits", 64, 5, 4069, True), ("bits", 96, 5, 4091, False),
     ("bits", 64, 7, 6070, True), ("bits", 68, 9, 6100, False),
     ("bdd", 24, 5, 4129, True), ("bdd", 30, 7, 4137, True),
+    ("bits", None, None, None, True), ("bdd", None, None, None, True),
 ]
+
+
+def _reference_runs(n, c, seed, swapped_unbounded):
+    """(game, bound, swap) of each run one reference case makes."""
+    if n is None:
+        for g in _games_c1_to_c8():
+            for bound in (None, 0, 2):
+                for swap in (False, True):
+                    space = SetSpace(g)
+                    view = _View(space, space.full, swap)
+                    domain = RankDomain(c=view.c, caps=view.caps, bound=bound)
+                    if domain.incr(domain.zero) is TOP:
+                        yield g, bound, swap
+        return
+    g = gen_random(n, c, 1, 3, seed)
+    for bound in (None, 2):
+        for swap in (False, True):
+            if bound is not None or not swap or swapped_unbounded:
+                yield g, bound, swap
 
 
 @pytest.mark.parametrize("backend, n, c, seed, swapped_unbounded", _REFERENCE_CASES)
 def test_payload_encoding_counts_like_the_set_level_reference(
         monkeypatch, backend, n, c, seed, swapped_unbounded):
-    # The encoding reads and commits on raw payloads and counts each call in
-    # one tally; the reference builds and releases every intermediate set.
-    g = gen_random(n, c, 1, 3, seed)
-    for bound in (None, 2):
-        for swap in (False, True):
-            if bound is None and swap and not swapped_unbounded:
-                continue
-            got = _run_fingerprint(g, backend, bound, swap)
-            with monkeypatch.context() as m:
-                m.setattr(measure, "LinearSpaceState", ReferenceLinearState)
-                want = _run_fingerprint(g, backend, bound, swap)
-            assert got == want, (bound, swap)
+    # The loop's seeding, closure and walk, and the linear encoding's reads
+    # and commits, run on raw payloads and count each batch in one tally;
+    # the references build and release every intermediate set. The
+    # reference loop runs both encodings, the reference encoding the loop.
+    runs = list(_reference_runs(n, c, seed, swapped_unbounded))
+    assert runs
+    for g, bound, swap in runs:
+        for representation in ("linear", "direct"):
+            got = _run_fingerprint(_pm_run, g, backend, bound, swap, representation)
+            want = _run_fingerprint(reference_pm_run, g, backend, bound, swap, representation)
+            assert got == want, ("loop", bound, swap, representation)
+        with monkeypatch.context() as m:
+            m.setattr(measure, "LinearSpaceState", ReferenceLinearState)
+            want = _run_fingerprint(_pm_run, g, backend, bound, swap)
+        assert _run_fingerprint(_pm_run, g, backend, bound, swap) == want, (
+            "encoding", bound, swap)
 
 
 def _rise(space, call):

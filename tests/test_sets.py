@@ -81,8 +81,10 @@ def test_live_and_peak_accounting(space):
 def test_tally_counts_a_batch_as_if_it_built_its_sets(space):
     c = space.counters
     live = c.live_sets
-    assert space.tally(unions=2, intersections=1, differences=3, held=2) is None
+    assert space.tally(unions=2, intersections=1, differences=3, containment_tests=4,
+                       cpre_ops=5, held=2) is None
     assert (c.unions, c.intersections, c.differences) == (2, 1, 3)
+    assert (c.containment_tests, c.cpre_ops, c.equality_tests, c.pre_ops) == (4, 5, 0, 0)
     assert (c.live_sets, c.peak_live_sets) == (live, live + 2)
     # A result payload comes back as one live set; `held` counts it.
     s = space.tally(unions=1, held=1, result=space.priority_sets[1].payload)
