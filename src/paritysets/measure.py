@@ -20,30 +20,28 @@ Two interchangeable encodings of the whole family {S_r}:
   touches the rows between those bounds and the new counter and probes
   none. Updating rank r's set implicitly updates every lower rank's set,
   which is what makes a roll-back free of explicit unions in this encoding.
-  Reads and commits compute on the backend's payloads and rows change in
-  place.
+  Rows change in place.
 
 Both encodings are built from the run's view and run through the same
-control loop, which needs two operations of them: `read(r)` hands out a
-fresh S_r that the caller releases, and `commit(r, working, old, d, floor)`
-stores S_r's growth, given the ranks the loop's walk-down already holds:
-d = decr(r) and the floor the walk stopped at. So preimage and containment
-counts agree between them by construction.
+control loop, which needs two operations of them, both on payloads and both
+adding their own operations to the space's counters: `_reconstruct(r)`
+gives S_r and the most sets reading it would have held at once, and
+`commit(r, w, old, d, floor)` stores S_r's growth from `old` to `w`, given
+the ranks the loop's walk-down already holds: d = decr(r) and the floor the
+walk stopped at. So preimage and containment counts agree between them by
+construction. `read(r)` hands callers outside the loop a fresh S_r.
 
-The whole iteration computes on payloads: the loop takes each read's
-payload and releases the set, and seeding, closure and the roll-back walk
-run the backend's own operations, `cpre` included. Only `working` stays one
-live set, whose payload the loop rebinds. Seeding counts in one
-`SetSpace.tally`, closure and walk in another, and each linear read or
-commit in its own, so the counters and the peak read as if every
+Each iteration is one payload transaction that makes and releases no set:
+the loop counts the rest of its operations and the iteration's peak in one
+`SetSpace.tally`, so the counters and the peak read as if every
 intermediate had been a set.
 
-The loop carries decr(r) and S_decr(r) between iterations. The set seeds
-position 0 (decr_at(r, 1) is decr(r)) and is the first the roll-back walk
-tests. As decr(incr(x)) is x, both are in hand for the next rank: r and the
-committed S_r when nothing rolled back, else the walk's floor and last set,
-which the commit leaves unchanged. Per run, one descending pass of c - 3
-unions builds the at most c/2 sets of classes closure may not add.
+The loop carries decr(r) and S_decr(r) between iterations. S_decr(r) seeds
+position 0 (decr_at(r, 1) is decr(r)) and is the first set the roll-back
+walk tests. As decr(incr(x)) is x, both are in hand for the next rank: r
+and the committed S_r when nothing rolled back, else the walk's floor and
+last read, which the commit leaves unchanged. Per run, one descending pass
+of c - 3 unions builds the at most c/2 sets of classes closure may not add.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -113,7 +111,16 @@ class _View:
 # -- Rank-state encodings ---------------------------------------------------------
 
 
-class DirectFamilyState:
+class _RankState:
+    """What both encodings share: the set-returning read."""
+
+    def read(self, r) -> VertexSet:
+        """A fresh S_r that the caller releases."""
+        payload, held = self._reconstruct(r)
+        return self.space.tally(held=held, result=payload)
+
+
+class DirectFamilyState(_RankState):
     """One stored set per rank. Exponential in sets; the baseline encoding."""
 
     def __init__(self, view: _View, domain: RankDomain):
@@ -123,23 +130,23 @@ class DirectFamilyState:
         self.sets = {r: space.copy(view.universe) if r == domain.zero else space.empty_set()
                      for r in domain.iterate()}
 
-    def read(self, r) -> VertexSet:
-        return self.space.copy(self.sets[r])
+    def _reconstruct(self, r):
+        # As a set, S_r's copy.
+        return self.sets[r].payload, 1
 
-    def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
-        """Store `working` as S_r and join it into every set from d down to,
-        not including, floor; consumes both sets."""
+    def commit(self, r, w, old, d, floor) -> None:
+        """Store the payload `w` as S_r and join it into every set from d
+        down to, not including, floor; each join is one counted union."""
         space = self.space
-        if not space._backend.is_subset(old.payload, working.payload):
+        if not space._backend.is_subset(old, w):
             raise PreconditionViolated("rank set may only grow")
         rp = d
         while rp != floor:
-            grown = space.union(self.sets[rp], working)
-            space.release(self.sets[rp])
-            self.sets[rp] = grown
+            s = self.sets[rp]
+            s.payload = space._backend.union(s.payload, w)
+            space.counters.unions += 1
             rp = self.domain.decr(rp)
-        space.release(self.sets[r], old)
-        self.sets[r] = working
+        self.sets[r].payload = w
 
     def rank_of(self, v: int):
         """v's rank by counted singleton containment tests, lowest rank first."""
@@ -161,7 +168,7 @@ class DirectFamilyState:
         self.sets.clear()
 
 
-class LinearSpaceState:
+class LinearSpaceState(_RankState):
     """Counter-coordinate encoding: per odd priority one set per counter value.
 
     coordinate[p][x] holds the vertices whose rank has value at least x at
@@ -185,16 +192,16 @@ class LinearSpaceState:
             self.coordinate.append(row)
         self.top = space.empty_set()
 
-    def read(self, r) -> VertexSet:
-        return self._reconstruct(r)
-
-    def _reconstruct(self, r) -> VertexSet:
-        """S_r from the coordinates: vertices at least r at every more
-        significant position and above r at this one, plus vertices at least r
-        everywhere, plus TOP. At most three operations per position."""
+    def _reconstruct(self, r):
+        """S_r's payload from the coordinates, and the most sets it would
+        have held at once: vertices at least r at every more significant
+        position and above r at this one, plus vertices at least r
+        everywhere, plus TOP. At most three operations per position, added
+        to the space's counters here."""
         space = self.space
         if r is TOP:
-            return space.copy(self.top)
+            # As a set, the TOP set's copy.
+            return self.top.payload, 1
         backend = space._backend
         union, intersect = backend.union, backend.intersect
         caps, coordinate = self.eff_caps, self.coordinate
@@ -229,12 +236,13 @@ class LinearSpaceState:
                     intersections += 1
         if running is None:
             running = self.universe.payload
-        return space.tally(unions=unions, intersections=intersections, held=held,
-                           result=union(acc, running))
+        c = space.counters
+        c.unions += unions
+        c.intersections += intersections
+        return union(acc, running), held
 
-    def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
-        """Raise the vertices `working` gains over `old` to rank r; consumes
-        both sets.
+    def commit(self, r, w, old, d, floor) -> None:
+        """Raise the vertices the payload `w` gains over `old` to rank r.
 
         d is decr(r) and floor the rank the roll-back walk stopped at (d
         itself without a roll-back). The raised vertices lie outside S_r and
@@ -249,15 +257,15 @@ class LinearSpaceState:
         """
         space = self.space
         backend = space._backend
-        if not backend.is_subset(old.payload, working.payload):
+        if not backend.is_subset(old, w):
             raise PreconditionViolated("rank set may only grow")
         union, intersect, difference = backend.union, backend.intersect, backend.difference
-        delta = difference(working.payload, old.payload)
+        delta = difference(w, old)
         empty = backend.empty()
         if r is not TOP and intersect(delta, self.top.payload) != empty:
             raise PreconditionViolated("a TOP vertex cannot take a finite rank")
-        # Each changed row is one counted op, and the delta is the one set
-        # alive beside `working` and `old`; rows change in place.
+        # Each changed row is one counted op, added to the space's counters
+        # here; rows change in place.
         unions = 0
         differences = 1
         split = False
@@ -285,8 +293,9 @@ class LinearSpaceState:
         if r is TOP:
             self.top.payload = union(self.top.payload, delta)
             unions += 1
-        space.tally(unions=unions, differences=differences, held=1)
-        space.release(working, old)
+        c = space.counters
+        c.unions += unions
+        c.differences += differences
 
     def rank_of(self, v: int):
         space = self.space
@@ -336,6 +345,7 @@ class _InvariantChecker:
         self.oracle, _ = lift_fixpoint(self.game, domain)
 
     def boundary(self, state, processed_rank, next_rank, rolled_back, below) -> None:
+        """`below` is the payload of the set carried into the next iteration."""
         domain = self.domain
         raw_ids = state.space.raw_ids
         # The family is anti-monotone / each coordinate's rows are nested;
@@ -375,7 +385,7 @@ class _InvariantChecker:
         if next_rank is not None:
             floor = domain.decr(next_rank)
             want = {v for v, rank in zip(self.ids, ranks) if domain.compare(rank, floor) >= 0}
-            if set(raw_ids(below)) != want:
+            if set(state.space._backend.ids(below)) != want:
                 raise InvariantViolation(f"carried set is not the set of rank {floor}")
         # Never above the explicit least fixpoint.
         for v, rank, bound in zip(self.ids, ranks, self.oracle):
@@ -471,24 +481,27 @@ def _pm_run(
                     space.release(acc)
                 above[level // 2] = joined
             acc = joined
-    # The phases below run on payloads; `working` stays one live set.
+    # The iteration runs on payloads and counts in one tally.
     backend = space._backend
     union, intersect, difference = backend.union, backend.intersect, backend.difference
     is_subset, cpre = backend.is_subset, backend.cpre
+    reconstruct, commit = state._reconstruct, state.commit
     mine = space.owned[view.odd_role].payload
     within = universe.payload
     odd_classes = [classes[2 * p + 1].payload for p in range(positions)]
-    # decr(r) and S_decr(r), carried from one iteration to the next.
+    # decr(r) and S_decr(r)'s payload, carried from one iteration to the
+    # next. As a set, S_decr(r) would stay alive from a copy of the universe
+    # on; the tally counts that copy.
     d = domain.zero
-    below = space.copy(universe)
+    below = within
+    space.tally(held=1)
     iterations = 0
     while True:
         iterations += 1
         if iterations > guard:
             raise AssertionError("progress measure iteration exceeded its bound")
-        old = state.read(r)
-        working = space.copy(old)
-        w = working.payload
+        old, first = reconstruct(r)
+        w = old
 
         # Seed from the sets one step down at each odd priority up to the
         # highest level r survives projection at (r's lowest nonzero counter;
@@ -499,18 +512,17 @@ def _pm_run(
             max_pos = 1
             while not r[max_pos - 1]:
                 max_pos += 1
+        seeded = 0
         for p in range(max_pos):
             # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
             if p:
-                source = state.read(domain.decr_at(r, 2 * p + 1))
-                step = cpre(mine, source.payload, within)
-                space.release(source)
+                source, h = reconstruct(domain.decr_at(r, 2 * p + 1))
+                if h > seeded:
+                    seeded = h
+                step = cpre(mine, source, within)
             else:
-                step = cpre(mine, below.payload, within)
+                step = cpre(mine, below, within)
             w = union(w, intersect(step, odd_classes[p]))
-        # As sets, the step, its seeded part and the grown union.
-        space.tally(cpre_ops=max_pos, intersections=max_pos, unions=max_pos,
-                    held=3 if max_pos else 0)
 
         # Close under the rank-raising player's moves; vertices whose priority
         # exceeds the level cannot join at a finite rank this way.
@@ -524,7 +536,6 @@ def _pm_run(
             if is_subset(add, w):
                 break
             w = union(w, add)
-        working.payload = w
 
         # Walk down while the grown set is not yet contained; the ranks from
         # decr(r) down to the floor it stops at must absorb it (directly, or
@@ -532,16 +543,27 @@ def _pm_run(
         floor = d
         held = below
         tests = 1
-        while not is_subset(w, held.payload):
+        walked = 0
+        while not is_subset(w, held):
             floor = domain.decr(floor)
-            space.release(held)
-            held = state.read(floor)
+            held, h = reconstruct(floor)
+            if h > walked:
+                walked = h
             tests += 1
-        # Closure's step and its part outside `forbidden`, or the step and
-        # the grown union, were alive at once as sets; the walk holds none.
-        space.tally(cpre_ops=rounds, differences=0 if forbidden is None else rounds,
-                    containment_tests=rounds + tests, unions=rounds - 1,
-                    held=1 if forbidden is None and rounds == 1 else 2)
+        # The peak, as if every payload had been a set. Over the live sets
+        # plus `below`, the phases would have held at most: the first read;
+        # a seeding read beside `old` and `w`; seeding's step, its seeded
+        # part and their union beside those; closure's step and its part
+        # outside `forbidden`, or the step and the grown union, beside those
+        # (3 or 4, which covers the commit's delta beside those); a walk read
+        # beside `old` and `w` once `below` is let go. `below` is no set,
+        # hence the one more.
+        peak = max(first, 2 + seeded, 5 if max_pos else 0,
+                   3 if forbidden is None and rounds == 1 else 4, 1 + walked)
+        space.tally(cpre_ops=max_pos + rounds, intersections=max_pos,
+                    unions=max_pos + rounds - 1,
+                    differences=0 if forbidden is None else rounds,
+                    containment_tests=rounds + tests, held=peak + 1)
         rolled_back = floor != d
 
         if rolled_back:
@@ -555,20 +577,17 @@ def _pm_run(
                 {
                     "iteration": iterations,
                     "rank": r,
-                    "added": working.count() - old.count(),
+                    "added": backend.count(w) - backend.count(old),
                     "next_rank": next_rank,
                     "rolled_back": rolled_back,
                 }
             )
 
         # The next iteration's `below` is S_decr(next_rank). After a roll-back
-        # that is S_floor, which the commit leaves alone since working lies
-        # inside it; otherwise it is S_r, which the commit makes `working`.
-        if not rolled_back:
-            space.release(held)
-            held = space.copy(working) if next_rank is not None else None
-        below = held
-        state.commit(r, working, old, d, floor)
+        # that is S_floor, which the commit leaves alone since `w` lies inside
+        # it; otherwise it is S_r, which the commit makes `w`.
+        below = held if rolled_back else w
+        commit(r, w, old, d, floor)
         if checker is not None:
             checker.boundary(state, r, next_rank, rolled_back, below)
         if next_rank is None:

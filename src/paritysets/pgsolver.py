@@ -7,7 +7,8 @@ may exceed the header's maximum.
 Vertices that occur only as successors, or only through the header's range,
 are an error unless self-loop repair is requested, in which case they are
 declared with a self loop (and declared-but-empty successor lists are
-repaired the same way).
+repaired the same way). A repaired game may not have more vertices than the
+text has characters, so a short file cannot ask for a huge game.
 
 Solution files: an optional `paritysol <max id>;` header, placed the same
 way, then `<id> <winner> [<choice>];` per vertex, the choice column present
@@ -71,6 +72,14 @@ def _entries(lines: list[str], header_line: int, pattern: re.Pattern, noun: str)
             yield lineno, m
 
 
+def _first_naming(lines: list[str], header_line: int, u: int) -> int | None:
+    """The first vertex line naming id u, as a vertex or a successor."""
+    for lineno, m in _entries(lines, header_line, _VERTEX, "vertex"):
+        if int(m[1]) == u or m[4] and u in map(int, m[4].split(",")):
+            return lineno
+    return None
+
+
 def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     rows: dict[int, tuple[int, int, list[int], str | None]] = {}
     lines = text.splitlines()
@@ -102,18 +111,17 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
         # Some id below n is undeclared, and the smallest is at most len(rows),
         # so it is found before any per-vertex list is built. Blame the first
         # vertex line naming it; failing that, the header whose range holds
-        # it, or the line naming the largest id. Only this error needs to know
-        # where ids were first named, so only it scans the lines again.
+        # it, or the line naming the largest id. Only the errors need to know
+        # where ids were first named, so only they scan the lines again.
         v = next(v for v in range(len(rows) + 1) if v not in rows)
-
-        def first_naming(u: int) -> int | None:
-            for lineno, m in _entries(lines, header_line, _VERTEX, "vertex"):
-                if int(m[1]) == u or m[4] and u in map(int, m[4].split(",")):
-                    return lineno
-            return None
-
-        line = first_naming(v) or header_line or first_naming(max_id)
+        line = (_first_naming(lines, header_line, v) or header_line
+                or _first_naming(lines, header_line, max_id))
         raise ParseError(line, f"vertex {v} is used but never declared")
+    if n > len(text):
+        # Self-loop repair would build the game from the header's range or
+        # the largest id alone; blame whichever set n.
+        line = header_line or _first_naming(lines, header_line, max_id)
+        raise ParseError(line, f"repair would build {n} vertices from {len(text)} characters")
     # An undeclared vertex (self-loop repair) is odd-owned with priority 0.
     blank = (0, 1, [], None)
     priorities, owners, successor_lists, names = zip(*[rows.get(v, blank) for v in range(n)])

@@ -1,13 +1,13 @@
-"""References for the measure iteration's loop, the linear encoding's reads
-and commits, and the measure strategy reading.
+"""References for the measure iteration's loop, the encodings' reads and
+commits, and the measure strategy reading.
 
-`reference_pm_run` runs the iteration's seeding, closure and roll-back walk
-one counted `SetSpace` operation at a time, and `ReferenceLinearState` does
-the same for `_reconstruct` and `commit`: each intermediate is a
-`VertexSet` that is built, counted, then released, and each changed row is a
-new set. The library computes on raw payloads and counts each phase or call
-in one batch; both must leave the same counters, trace events, rank states
-and answers.
+`reference_pm_run` runs the iteration one counted `SetSpace` operation at a
+time, and `ReferenceLinearState` and `ReferenceDirectState` do the same for
+the encodings' reads and commits: each intermediate is a `VertexSet` that is
+built, counted, then released, and each changed row or rank set is a new
+set. The library computes on raw payloads and counts each iteration in one
+tally; both must leave the same counters, trace events, rank states and
+answers.
 
 `reference_extract_strategy_from_pm` reads a finished run's strategy by
 targets: for each winning vertex v it takes the controlled predecessors of
@@ -31,8 +31,26 @@ from paritysets.sets import SetSpace, VertexSet
 from paritysets.strategy import IncompleteStrategy, Strategy
 
 
+class ReferenceDirectState(DirectFamilyState):
+    def read(self, r) -> VertexSet:
+        return self.space.copy(self.sets[r])
+
+    def commit(self, r, working: VertexSet, old: VertexSet, d, floor) -> None:
+        space = self.space
+        if not space._backend.is_subset(old.payload, working.payload):
+            raise PreconditionViolated("rank set may only grow")
+        rp = d
+        while rp != floor:
+            grown = space.union(self.sets[rp], working)
+            space.release(self.sets[rp])
+            self.sets[rp] = grown
+            rp = self.domain.decr(rp)
+        space.release(self.sets[r], old)
+        self.sets[r] = working
+
+
 class ReferenceLinearState(LinearSpaceState):
-    def _reconstruct(self, r) -> VertexSet:
+    def read(self, r) -> VertexSet:
         space = self.space
         if r is TOP:
             return space.copy(self.top)
@@ -100,7 +118,7 @@ def reference_pm_run(space: SetSpace, universe: VertexSet, bound: int | None = N
     """`_pm_run` without invariant checks, one counted set operation at a time."""
     view = _View(space, universe, swap)
     domain = RankDomain(c=view.c, caps=view.caps, bound=bound)
-    encodings = {"linear": LinearSpaceState, "direct": DirectFamilyState}
+    encodings = {"linear": ReferenceLinearState, "direct": ReferenceDirectState}
     state = encodings[representation](view, domain)
     positions = domain.positions
     classes = view.classes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -311,6 +312,21 @@ def test_self_loop_repair():
     assert g.successors[2] == (2,)  # never declared, headed size
     assert g.successors[3] == (3,)
     assert g.priority[2] == 0 and g.owner[2] is Player.ODD
+
+
+@pytest.mark.parametrize("text, line", [
+    ("parity 200000;\n0 0 0 0;\n", 1),                 # the header's range
+    ("0 0 0 1000000;\n", 1),                            # the largest id
+    ("0 0 0 0;\n1 0 0 1000000;\n2 0 0 2;\n", 2),
+])
+def test_self_loop_repair_is_bounded_by_the_text(text, line):
+    # Either game would have more vertices than the text has characters;
+    # the error comes before any per-vertex list is built.
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match="repair would build") as err:
+        parse_pgsolver(text, add_self_loops=True)
+    assert time.perf_counter() - started < 0.1
+    assert err.value.line == line
 
 
 def test_solution_text_is_stable(sample_game):

@@ -20,11 +20,16 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from paritysets import gen_random
+from paritysets import build_game, gen_random
 from paritysets.bigstep import GammaPolicy, SqrtPolicy, symbolic_big_step
 from paritysets.measure import solve_pm_symbolic
 from paritysets.zielonka import classic_parity
+
+import fingerprint
+from conftest import small_games
 
 
 GOLDEN = Path(__file__).parent / "data" / "trajectories.json"
@@ -76,6 +81,56 @@ def test_trajectories_match_the_golden_file(golden, backend):
         keys.append(key)
         assert record(SOLVERS[solver](game, backend)) == golden[key], key
     assert sorted(keys) == sorted(golden)
+
+
+def _relabel(game, perm):
+    """The same game with vertex v renamed perm[v]; successor order kept."""
+    n = game.vertex_count
+    owners, priorities, succs = [0] * n, [0] * n, [None] * n
+    for v in range(n):
+        owners[perm[v]] = int(game.owner[v])
+        priorities[perm[v]] = game.priority[v]
+        succs[perm[v]] = [perm[w] for w in game.successors[v]]
+    return build_game(owners, priorities, succs)
+
+
+@st.composite
+def relabelled(draw, games):
+    """(game, relabelling, backend): a game drawn from `games`, its vertices
+    renamed at random, about a quarter of them on bdd."""
+    game = draw(games)
+    perm = draw(st.permutations(range(game.vertex_count)))
+    return game, perm, "bdd" if draw(st.integers(0, 3)) == 1 else "bits"
+
+
+# A few random games at n = 40-43, each drawn beside the small ones.
+_LARGE_GAMES = [gen_random(40 + i, 5, 1, 3, 4400 + i) for i in range(4)]
+
+
+@settings(derandomize=True, max_examples=80, database=None, deadline=None)
+@given(relabelled(small_games() | st.sampled_from(_LARGE_GAMES)))
+@example((_LARGE_GAMES[3], list(range(42, -1, -1)), "bdd"))
+def test_counters_are_blind_to_vertex_ids(case):
+    # The benchmark's fixed catalogue relies on this: relabelling a game's
+    # vertices moves no counter of any solver, strategies included.
+    game, perm, backend = case
+    renamed = _relabel(game, perm)
+    for solver, solve in SOLVERS.items():
+        a, b = solve(game, backend), solve(renamed, backend)
+        assert asdict(a.counters) == asdict(b.counters), solver
+        assert sorted(perm[v] for v in a.winning_even.ids()) == list(b.winning_even.ids())
+
+
+def test_fingerprint_prints_a_digest_per_catalogue_solver_and_mode(capsys):
+    assert fingerprint.main(["--games", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    digests = dict(reversed(line.split("  ", 1)) for line in lines)
+    assert len(digests) == len(lines) == 24
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    # Both backends count and answer alike, so bdd repeats the bits lines.
+    for solver in fingerprint.SOLVERS:
+        assert (digests[f"pm-random {solver} strategies=1 backend=bdd"]
+                == digests[f"pm-random {solver} strategies=1 backend=bits"])
 
 
 def fields(rec: dict) -> dict:
