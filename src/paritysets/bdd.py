@@ -20,7 +20,6 @@ from .game import ParityGame
 
 class _Manager:
     def __init__(self, nvars: int):
-        self.nvars = nvars
         # Terminals carry a past-the-end var so the order test stays uniform.
         self.var = [nvars, nvars]
         self.lo = [0, 0]
@@ -116,8 +115,6 @@ class _Manager:
 
 
 class BddBackend:
-    kind = "bdd"
-
     def __init__(self, game: ParityGame):
         n = game.vertex_count
         self.n = n

@@ -25,7 +25,7 @@ from .game import ParityGame, normalize_priorities, Player
 from .measure import _pm_run
 from .sets import SetSpace
 from .strategy import extract_strategy_from_pm
-from .zielonka import RecursionDepthExceeded, _report, _solve
+from .zielonka import _report, _solve
 
 
 def gamma(c: int) -> Fraction:
@@ -166,19 +166,9 @@ def symbolic_big_step(
         run.state.release_all()
         return run.winning, dom_choices, h
 
-    max_depth = norm.priority_count + 2
-    try:
-        solved = _solve(
-            norm, space, space.copy(space.full), 0, max_depth, strategies, hook, levels
-        )
-    except RecursionError as exc:
-        raise RecursionDepthExceeded(
-            f"{norm.priority_count} priorities nest deeper than Python's stack allows"
-        ) from exc
-    diagnostics = {
-        "policy": str(policy),
-        "levels": levels,
-        "violations": removal_violations(levels),
-        "pm_runs": pm_stats,
-    }
-    return _report(norm, space, started, "bigstep", solved, strategies, diagnostics)
+    report = _report(norm, space, started, "bigstep", strategies,
+                     lambda live, depth: _solve(norm, space, live, 0, depth, strategies,
+                                                hook, levels))
+    report.diagnostics = {"policy": str(policy), "levels": levels,
+                          "violations": removal_violations(levels), "pm_runs": pm_stats}
+    return report

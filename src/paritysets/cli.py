@@ -139,6 +139,8 @@ def _cmd_verify(args) -> int:
             problems.append(f"vertex {v}: claimed winner {winner}, solved {actual}")
         if pick is not None and pick not in game.successors[v]:
             problems.append(f"vertex {v}: strategy edge {v}->{pick} does not exist")
+        if pick is not None and game.owner[v] is not Player(winner):
+            problems.append(f"vertex {v}: pick where {Player(winner).name} does not move")
     for side, player in ((0, Player.EVEN), (1, Player.ODD)):
         region = frozenset(v for v, (winner, _) in claimed.items() if winner == side)
         mine = sorted(v for v in region if game.owner[v] is player)

@@ -67,7 +67,6 @@ def lift_fixpoint(game: ParityGame, domain: RankDomain, order=None):
 @dataclass
 class ExplicitResult:
     game: ParityGame
-    priority_remap: dict[int, int]
     domain: RankDomain
     rho: tuple
     winning_even: frozenset[int]
@@ -80,13 +79,12 @@ def solve_explicit_pm(
     order=None,
 ) -> ExplicitResult:
     """Explicit progress measure solve; normalizes first (idempotent)."""
-    norm, remap = normalize_priorities(game)
+    norm, _ = normalize_priorities(game)
     domain = RankDomain.for_game(norm, bound=bound)
     rho, lifts = lift_fixpoint(norm, domain, order)
     winning = frozenset(v for v in range(norm.vertex_count) if rho[v] is not TOP)
     return ExplicitResult(
         game=norm,
-        priority_remap=remap,
         domain=domain,
         rho=tuple(rho),
         winning_even=winning,

@@ -34,7 +34,8 @@ construction. `read(r)` hands callers outside the loop a fresh S_r.
 Each iteration is one payload transaction that makes and releases no set:
 the loop counts the rest of its operations and the iteration's peak in one
 `SetSpace.tally`, so the counters and the peak read as if every
-intermediate had been a set.
+intermediate had been a set. The peak is seeding's, as no other phase
+holds more; a view with no odd priority never seeds and peaks in closure.
 
 The loop carries decr(r) and S_decr(r) between iterations. S_decr(r) seeds
 position 0 (decr_at(r, 1) is decr(r)) and is the first set the roll-back
@@ -491,16 +492,15 @@ def _pm_run(
     odd_classes = [classes[2 * p + 1].payload for p in range(positions)]
     # decr(r) and S_decr(r)'s payload, carried from one iteration to the
     # next. As a set, S_decr(r) would stay alive from a copy of the universe
-    # on; the tally counts that copy.
+    # on; each iteration's tally counts it.
     d = domain.zero
     below = within
-    space.tally(held=1)
     iterations = 0
     while True:
         iterations += 1
         if iterations > guard:
             raise AssertionError("progress measure iteration exceeded its bound")
-        old, first = reconstruct(r)
+        old, _ = reconstruct(r)
         w = old
 
         # Seed from the sets one step down at each odd priority up to the
@@ -543,27 +543,21 @@ def _pm_run(
         floor = d
         held = below
         tests = 1
-        walked = 0
         while not is_subset(w, held):
             floor = domain.decr(floor)
-            held, h = reconstruct(floor)
-            if h > walked:
-                walked = h
+            held, _ = reconstruct(floor)
             tests += 1
-        # The peak, as if every payload had been a set. Over the live sets
-        # plus `below`, the phases would have held at most: the first read;
-        # a seeding read beside `old` and `w`; seeding's step, its seeded
-        # part and their union beside those; closure's step and its part
-        # outside `forbidden`, or the step and the grown union, beside those
-        # (3 or 4, which covers the commit's delta beside those); a walk read
-        # beside `old` and `w` once `below` is let go. `below` is no set,
-        # hence the one more.
-        peak = max(first, 2 + seeded, 5 if max_pos else 0,
-                   3 if forbidden is None and rounds == 1 else 4, 1 + walked)
+        # The peak as if every payload had been a set; the 1 is `below`.
+        # Beside `old` and `w`, seeding holds a read (2 + seeded), then its
+        # step, seeded part and union (5). A view with no odd priority never
+        # seeds; its one iteration holds one closure step (3). No other phase
+        # holds more: a read holds at most 4 sets (a walk read replaces
+        # `below`), and closure at most 4, the commit's delta included.
         space.tally(cpre_ops=max_pos + rounds, intersections=max_pos,
                     unions=max_pos + rounds - 1,
                     differences=0 if forbidden is None else rounds,
-                    containment_tests=rounds + tests, held=peak + 1)
+                    containment_tests=rounds + tests,
+                    held=1 + max(2 + seeded, 5 if max_pos else 3))
         rolled_back = floor != d
 
         if rolled_back:

@@ -123,8 +123,6 @@ def _set_bits(a: int):
 
 
 class _BitsBackend:
-    kind = "bits"
-
     def __init__(self, game: ParityGame):
         n = game.vertex_count
         self.full_mask = (1 << n) - 1
@@ -266,7 +264,6 @@ class SetSpace:
             self._backend = BddBackend(game)
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        self.backend = backend
         self.full = self._pin(self._backend.full())
         even = Player.EVEN  # a local: looking the member up per vertex costs more
         evens = self._backend.from_ids(v for v, o in enumerate(game.owner) if o is even)

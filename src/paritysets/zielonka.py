@@ -206,9 +206,15 @@ def _solve(
     return wins, choices
 
 
-def _report(norm, space, started, algorithm, solved, strategies, diagnostics=None):
-    """Stop the clock on a recursive solve and package what `_solve` returned."""
-    wins, choices = solved
+def _report(norm, space, started, algorithm, strategies, solve):
+    """Run `solve(live, max_depth)`, a recursive solve, from the full set
+    under the depth limit and stack-overflow error both solvers share; stop
+    the clock before strategy extraction and package the answer."""
+    try:
+        wins, choices = solve(space.copy(space.full), norm.priority_count + 2)
+    except RecursionError as exc:
+        raise RecursionDepthExceeded(f"{norm.priority_count} priorities nest deeper "
+                                     "than Python's stack allows") from exc
     w_even, w_odd = (space.empty_set() if wins[p] is None else wins[p] for p in Player)
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
@@ -216,17 +222,9 @@ def _report(norm, space, started, algorithm, solved, strategies, diagnostics=Non
         strategy_even, strategy_odd = extract_attractor_strategies(
             norm, w_even.ids(), w_odd.ids(), choices[Player.EVEN], choices[Player.ODD]
         )
-    return SolveReport(
-        winning_even=w_even,
-        winning_odd=w_odd,
-        counters=space.counters,
-        algorithm=algorithm,
-        wall_time=elapsed,
-        game=norm,
-        strategy_even=strategy_even,
-        strategy_odd=strategy_odd,
-        diagnostics=diagnostics or {},
-    )
+    return SolveReport(winning_even=w_even, winning_odd=w_odd, counters=space.counters,
+                       algorithm=algorithm, wall_time=elapsed, game=norm,
+                       strategy_even=strategy_even, strategy_odd=strategy_odd)
 
 
 def classic_parity(
@@ -239,11 +237,5 @@ def classic_parity(
     norm, _ = normalize_priorities(game)
     started = time.perf_counter()
     space = SetSpace(norm, backend=backend)
-    max_depth = norm.priority_count + 2
-    try:
-        solved = _solve(norm, space, space.copy(space.full), 0, max_depth, strategies)
-    except RecursionError as exc:
-        raise RecursionDepthExceeded(
-            f"{norm.priority_count} priorities nest deeper than Python's stack allows"
-        ) from exc
-    return _report(norm, space, started, "zielonka", solved, strategies)
+    return _report(norm, space, started, "zielonka", strategies,
+                   lambda live, depth: _solve(norm, space, live, 0, depth, strategies))

@@ -15,8 +15,15 @@ catalogues get Zielonka alone: pm takes about 15 s and big-step about 3 s
 on one 2,048-vertex game (2-vCPU VM, Python 3.11), and both grow
 exponentially with the ladder's priorities. The whole run takes about 25 s
 there. The first three pm-random games are also solved on bdd by all
-four, with strategies. `--games N` keeps the first N games of each
-catalogue.
+four, with strategies.
+
+The single measure runs the solvers above never make get lines of their
+own, each holding per game every `OpCounters` field, the iteration count
+and the winning set: bounded runs with h = 0 and h = 2, plain and
+role-swapped, on every pm-random game, and the direct encoding's runs
+(unbounded, and bounded with h = 2 both ways) on the first eight
+bigstep-random games. They add about 0.2 s. `--games N` keeps the first N
+games of each catalogue.
 """
 
 from __future__ import annotations
@@ -33,7 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 from paritysets.bigstep import GammaPolicy, SqrtPolicy, symbolic_big_step  # noqa: E402
-from paritysets.measure import solve_pm_symbolic  # noqa: E402
+from paritysets.game import normalize_priorities  # noqa: E402
+from paritysets.measure import _pm_run, solve_pm_symbolic  # noqa: E402
+from paritysets.sets import SetSpace  # noqa: E402
 from paritysets.zielonka import classic_parity  # noqa: E402
 
 SOLVERS = {
@@ -53,6 +62,11 @@ RUNS = (
     ("zielonka-ladder", ("zielonka",), BOTH, None),
     ("pm-random", ALL, ((True, "bdd"),), 3),
 )
+# Catalogue, representation, modes as (bound, swap), and how many of its games.
+PM_RUNS = (
+    ("pm-random", "linear", ((0, False), (0, True), (2, False), (2, True)), None),
+    ("bigstep-random", "direct", ((None, False), (2, False), (2, True)), 8),
+)
 
 
 def record(report) -> dict:
@@ -60,6 +74,14 @@ def record(report) -> dict:
                   for s in (report.strategy_even, report.strategy_odd)]
     return {"counters": asdict(report.counters), "winning_even": report.winning_even.ids(),
             "strategies": strategies, "diagnostics": report.diagnostics}
+
+
+def pm_record(game, bound, swap, representation) -> dict:
+    norm, _ = normalize_priorities(game)
+    space = SetSpace(norm)
+    run = _pm_run(space, space.full, bound=bound, swap=swap, representation=representation)
+    return {"counters": asdict(space.counters), "iterations": run.iterations,
+            "winning": run.winning.ids()}
 
 
 def digest(records: list[dict]) -> str:
@@ -77,6 +99,11 @@ def fingerprints(games: int | None = None):
                            for g in catalogue]
                 label = f"{name} {solver} strategies={int(strategies)} backend={backend}"
                 yield label, digest(records)
+    for name, representation, modes, limit in PM_RUNS:
+        catalogue = WORKLOADS[name].catalogue()[:limit][:games]
+        for bound, swap in modes:
+            records = [pm_record(g, bound, swap, representation) for g in catalogue]
+            yield f"{name} pm-run {representation} h={bound} swap={int(swap)}", digest(records)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from paritysets.bigstep import (
 from paritysets.strategy import verify_strategy
 from paritysets.zielonka import RecursionDepthExceeded
 
-from conftest import corpus, ids, small_games
+from conftest import corpus, ids, ladder, small_games
 
 
 def test_exponent_values_are_exact():
@@ -194,4 +196,20 @@ def test_python_recursion_error_becomes_depth_error(sample_game, monkeypatch):
     monkeypatch.setattr(bigstep, "_solve", too_deep)
     with pytest.raises(RecursionDepthExceeded) as err:
         symbolic_big_step(sample_game)
+    assert isinstance(err.value.__cause__, RecursionError)
+
+
+def test_a_real_stack_overflow_becomes_depth_error():
+    # The ladders that overflow Zielonka do not overflow big-step: the sqrt
+    # schedule peels a whole ladder at the top level, and Fixed(0) nests
+    # k/2 levels (ladder(1200) completes). With the stack limit 40 frames
+    # above this one, ladder(100)'s 50 levels overflow in earnest.
+    game = ladder(100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        with pytest.raises(RecursionDepthExceeded, match="100 priorities") as err:
+            symbolic_big_step(game, policy=Fixed(0))
+    finally:
+        sys.setrecursionlimit(limit)
     assert isinstance(err.value.__cause__, RecursionError)

@@ -125,6 +125,9 @@ def test_verify_rejects_losing_strategies(game_file, tmp_path, capsys):
         # once a side picks anywhere, every vertex it owns in its region needs a pick
         (leaving.replace("3 0 5;", "3 0;"), "vertex 3: no strategy pick for EVEN"),
         (SOLUTION_WITH_PICKS.replace("7 0 2;", "7 0;"), "vertex 7: no strategy pick for EVEN"),
+        # a pick where the claimed winner does not move: e is odd's, a is even's
+        (SOLUTION_WITH_PICKS.replace("4 0;", "4 0 3;"), "vertex 4: pick where EVEN does not move"),
+        (SOLUTION_WITH_PICKS.replace("0 1;", "0 1 1;"), "vertex 0: pick where ODD does not move"),
     ]:
         sol = tmp_path / "bad2.sol"
         sol.write_text(text)
