@@ -166,11 +166,42 @@ class BddBackend:
     def equals(self, a, b) -> bool:
         return a == b
 
+    # count and ids walk a's nodes instead of probing every id. A set holds
+    # only valid ids, so each of its models is one. Bit j of an id is
+    # variable 2j, the lowest bit at the root: var // 2 is a node's bit (the
+    # id's width at the terminals), and a bit that a path skips is free.
+
     def count(self, a) -> int:
-        return sum(1 for v in range(self.n) if self.contains(a, v))
+        var, lo, hi = self.man.var, self.man.lo, self.man.hi
+        models = {0: 0, 1: 1}
+
+        def below(node):
+            # Models over the variables from node's down.
+            found = models.get(node)
+            if found is None:
+                v = var[node]
+                found = sum(below(c) << (var[c] - v - 2) // 2 for c in (lo[node], hi[node]))
+                models[node] = found
+            return found
+
+        return below(a) << var[a] // 2
 
     def ids(self, a) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.contains(a, v))
+        var, lo, hi = self.man.var, self.man.lo, self.man.hi
+        out = []
+
+        def walk(node, j, value):
+            # value holds the id's bits below j; those from j to node's are free.
+            k = var[node] // 2
+            if node == 1:
+                out.extend(value | x << j for x in range(1 << k - j))
+            elif node:
+                for x in range(1 << k - j):
+                    walk(lo[node], k + 1, value | x << j)
+                    walk(hi[node], k + 1, value | x << j | 1 << k)
+
+        walk(a, 0, 0)
+        return tuple(sorted(out))
 
     def contains(self, a, v: int) -> bool:
         node = a

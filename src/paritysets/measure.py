@@ -258,6 +258,21 @@ class LinearSpaceState(_RankState):
         """
         space = self.space
         backend = space._backend
+        c = space.counters
+        if floor == d and backend.equals(w, old):
+            # Idle: every check holds on the empty delta and no row changes,
+            # but the commit counts the row ops the rule below would run.
+            unions = 1 if r is TOP else 0
+            differences = 1
+            for p, x in enumerate(d):
+                y = -1 if r is TOP else r[p]
+                if y > x:
+                    unions += y - x
+                else:
+                    differences += x - y
+            c.unions += unions
+            c.differences += differences
+            return
         if not backend.is_subset(old, w):
             raise PreconditionViolated("rank set may only grow")
         union, intersect, difference = backend.union, backend.intersect, backend.difference
@@ -294,7 +309,6 @@ class LinearSpaceState(_RankState):
         if r is TOP:
             self.top.payload = union(self.top.payload, delta)
             unions += 1
-        c = space.counters
         c.unions += unions
         c.differences += differences
 

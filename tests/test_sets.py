@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysets import (
     Player, SetSpace, UniverseMismatch, build_game, classic_parity, gen_random, sets,
@@ -221,7 +223,7 @@ def test_cpre_reads_0_and_1_as_the_players_and_refuses_other_values(backend):
 
 
 class _CountingList(list):
-    """A successor-mask list that counts its lookups."""
+    """A successor or predecessor mask list that counts its lookups."""
 
     lookups = 0
 
@@ -234,7 +236,8 @@ def _memo_script(n, rng):
     """cpre calls that take each path of the bits backend's memo: b growing
     one vertex at a time (hits), the same b again (an empty growth), a
     smaller and an incomparable b, the other player, and a wider view or the
-    whole game as view (misses)."""
+    whole game as view (misses, which recheck against the same player's
+    last call or start from scratch)."""
     big = frozenset(v for v in range(n) if rng.random() < 0.8)
     small = frozenset(v for v in big if rng.random() < 0.7)
     some = frozenset(v for v in range(n) if rng.random() < 0.5)
@@ -270,6 +273,55 @@ def test_bits_cpre_memo_matches_the_definition_and_bdd():
             want = bdd.cpre(player, bdd.from_ids(b_ids), within=w2)
             assert ids(got) == ids(want) == cpre_oracle(g, player, b_ids, w_ids)
         assert bits.counters.cpre_ops == bdd.counters.cpre_ops
+
+
+@st.composite
+def _cpre_sequences(draw):
+    """A game of up to 40 vertices and cpre calls on it, each by either
+    player: the target grows, shrinks, jumps or stays between calls, and the
+    view gains or loses vertices, stays, or is the whole game. Views cut
+    edges, so some vertices have no move inside them."""
+    n = draw(st.integers(1, 40))
+    owners = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    succs = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+             for _ in range(n)]
+    vertices = st.frozensets(st.integers(0, n - 1))
+    few = st.frozensets(st.integers(0, n - 1), max_size=3)
+    b, view = frozenset(), frozenset(range(n))
+    calls = []
+    for _ in range(draw(st.integers(1, 30))):
+        step = draw(st.sampled_from(("grow", "shrink", "jump", "stay")))
+        if step == "grow":
+            b |= draw(few)
+        elif step == "shrink":
+            b -= draw(few)
+        elif step == "jump":
+            b = draw(vertices)
+        step = draw(st.sampled_from(("gain", "lose", "stay", "whole")))
+        if step == "gain":
+            view |= draw(few)
+        elif step == "lose":
+            view -= draw(few)
+        calls.append((draw(st.sampled_from(Player)), b, None if step == "whole" else view))
+    return build_game(owners, [0] * n, succs), calls
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(_cpre_sequences())
+def test_bits_cpre_matches_a_from_scratch_reference(case):
+    # Every path of the kernel: the growth of the last call, the recheck
+    # against the same player's last call, and the call from scratch. A bdd
+    # space gives the same answers on the small games.
+    game, calls = case
+    n = game.vertex_count
+    spaces = [SetSpace(game)]
+    if n <= 12:
+        spaces.append(SetSpace(game, backend="bdd"))
+    for player, b_ids, w_ids in calls:
+        want = cpre_oracle(game, player, b_ids, range(n) if w_ids is None else w_ids)
+        for space in spaces:
+            within = None if w_ids is None else space.from_ids(w_ids)
+            assert ids(space.cpre(player, space.from_ids(b_ids), within=within)) == want
 
 
 def test_bits_cpre_memo_skips_work_on_an_unchanged_target(sample_game):
@@ -370,20 +422,24 @@ def test_bits_cpre_decodes_dense_and_sparse_masks_alike(make, monkeypatch):
 
 
 def test_bits_kernel_lookups_on_a_ladder_solve(monkeypatch):
-    # Only the opponent's candidates are looked up; checking the acting
-    # player's one by one as well reads 22,950 masks here.
+    # The recursion alternates players from level to level, so nearly every
+    # call misses the last one; falling back to the same player's last call
+    # rechecks only what changed. Walking each target from scratch instead
+    # reads 11,625 successor and 22,950 predecessor masks here: O(k^2).
     backends = []
 
     class Counted(sets._BitsBackend):
         def __init__(self, game):
             super().__init__(game)
             self.succ = _CountingList(self.succ)
+            self.pred = _CountingList(self.pred)
             backends.append(self)
 
     monkeypatch.setattr(sets, "_BitsBackend", Counted)
     report = classic_parity(ladder(300))
     assert len(backends) == 1
-    assert backends[0].succ.lookups == 11625
+    assert backends[0].succ.lookups == 620
+    assert backends[0].pred.lookups == 798
     assert report.counters.cpre_ops == 600
 
 
@@ -455,3 +511,21 @@ def test_bits_ids_match_the_bit_loop():
     for a in masks:
         assert backend.ids(a) == _ids_bit_by_bit(a)
         assert backend.count(a) == len(backend.ids(a))
+
+
+def test_bdd_count_and_ids_match_the_probe():
+    # Widths on either side of a power of two, where the full set is the
+    # true terminal; random sets and the cpre results built from them.
+    rng = random.Random(8)
+    for n in (1, 2, 3, 7, 8, 9, 64, 100):
+        space = SetSpace(gen_random(n, 3, 1, 3, n), backend="bdd")
+        backend = space._backend
+        payloads = [backend.empty(), backend.full()]
+        payloads += [backend.from_ids(v for v in range(n) if rng.random() < q)
+                     for q in (0.1, 0.5, 0.9)]
+        payloads += [backend.cpre(space.owned[p].payload, a, backend.full())
+                     for p in Player for a in payloads[2:]]
+        for a in payloads:
+            probe = tuple(v for v in range(n) if backend.contains(a, v))
+            assert backend.ids(a) == probe
+            assert backend.count(a) == len(probe)
