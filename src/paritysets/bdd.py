@@ -16,6 +16,7 @@ complements go through difference, never raw negation.
 from __future__ import annotations
 
 from .game import ParityGame
+from .sets import _set_bits
 
 
 class _Manager:
@@ -150,6 +151,10 @@ class BddBackend:
         for v in ids:
             node = self.man.apply("or", node, self._minterm(v))
         return node
+
+    def from_mask(self, mask: int):
+        """The set of mask's bits, joined in ascending id order."""
+        return self.from_ids(_set_bits(mask))
 
     def union(self, a, b):
         return self.man.apply("or", a, b)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
+from operator import ne
 
 
 class GameError(Exception):
@@ -100,8 +101,12 @@ def build_game(
     if priorities and min(priorities) < 0:
         v = next(v for v, p in enumerate(priorities) if p < 0)
         raise PriorityOutOfRange(v, priorities[v])
-    cleaned = tuple(map(tuple, map(dict.fromkeys, successor_lists)))
+    cleaned = list(map(tuple, successor_lists))
     targets = list(chain.from_iterable(cleaned))
+    if sum(map(len, map(set, cleaned))) < len(targets):
+        # Rebuild only the lists whose set is shorter.
+        for v in compress(range(n), map(ne, map(len, cleaned), map(len, map(set, cleaned)))):
+            cleaned[v] = tuple(dict.fromkeys(cleaned[v]))
     if not all(cleaned) or targets and (min(targets) < 0 or max(targets) >= n):
         for v, succs in enumerate(cleaned):  # blame the first bad vertex
             for w in succs:
@@ -116,7 +121,7 @@ def build_game(
     return ParityGame(
         owner=owner,
         priority=tuple(priorities),
-        successors=cleaned,
+        successors=tuple(cleaned),
         names=tuple(names) if names is not None else None,
     )
 

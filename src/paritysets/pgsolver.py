@@ -14,13 +14,27 @@ Solution files: an optional `paritysol <max id>;` header, placed the same
 way, then `<id> <winner> [<choice>];` per vertex, the choice column present
 where the winner's strategy is defined.
 No id, chosen successors included, may exceed the header's maximum.
+
+Both formats load column-wise. The lines are stripped, the header is read,
+and one pattern scans the lines after it in one pass; its rows become
+columns, one per field, and the row tuples are freed. Each column is then
+converted whole: ids with one `map(int, ...)`, priorities and owners with
+one conversion per distinct text, each successor list by mapping int()
+over its split text. Every per-line check is made in bulk: fewer matches
+than non-blank lines, a number past the interpreter's digit limit, an
+empty successor list, an id declared twice, an id over the header's
+maximum. When one fails, the lines are read again one at a time, only to
+raise the first error in line order, with the same message and line number
+as a line-by-line reader. Lines out of id order, and ids left to self-loop
+repair, are placed by one index over the columns.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import chain, repeat
 
-from .game import ParityGame, build_game
+from .game import ParityGame, Player, build_game
 from .report import SolveReport
 
 
@@ -32,22 +46,32 @@ class ParseError(Exception):
 
 
 # ASCII only: \d and \s would otherwise take any Unicode digit or space.
+# The record patterns run once over the stripped lines after the header,
+# joined by "\n". Only [ \t] and [^"\n] match inside a line, so a match is
+# one whole line, and on one stripped line they match what \s and [^"]
+# would. A vertex name is captured with its quotes, so a missing name ("")
+# stays apart from an empty one ('""'). The quantifiers are possessive: what
+# follows each run can never start with what the run gave back, so they
+# match the same lines and only save the backtracking (half the scan).
 _VERTEX = re.compile(
-    r"^(\d+)\s+(\d+)\s+([01])((?:\s+\d+(?:\s*,\s*\d+)*)?)\s*(?:\"([^\"]*)\")?\s*;$", re.ASCII
+    r'^(\d++)[ \t]++(\d++)[ \t]++([01])((?:[ \t]++\d++(?:[ \t]*+,[ \t]*+\d++)*+)?+)[ \t]*+'
+    r'("[^"\n]*+")?+[ \t]*+;$',
+    re.ASCII | re.MULTILINE,
 )
 _HEADER = re.compile(r"^parity\s+(\d+)\s*;$", re.ASCII)
 _SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$", re.ASCII)
-_SOL_LINE = re.compile(r"^(\d+)\s+([01])(?:\s+(\d+))?\s*;$", re.ASCII)
+_SOL_LINE = re.compile(r"^(\d++)[ \t]++([01])(?:[ \t]++(\d++))?+[ \t]*+;$",
+                       re.ASCII | re.MULTILINE)
 # The patterns take ASCII digits only, so int() refuses one of them only past
 # the interpreter's limit on the digits of a literal.
 _TOO_LONG = "a number has too many digits"
+_OWNERS = {"0": Player.EVEN, "1": Player.ODD}
 
 
 def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
     """The header's maximum id and line number if the first non-blank line
     is a header, else (None, 0)."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(lines, start=1):
         if line:
             m = pattern.match(line)
             if m is None:
@@ -59,12 +83,25 @@ def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
     return None, 0
 
 
+def _scan(text: str, header: re.Pattern, record: re.Pattern):
+    """The stripped lines, the header's maximum id and line number, and the
+    fields of the record lines after the header as columns, one tuple per
+    group ([] for no record); None for the columns when some non-blank line
+    there is no record. The row tuples are freed before this returns."""
+    lines = list(map(str.strip, text.splitlines()))
+    header_max, header_line = _header(lines, header)
+    body = lines[header_line:]
+    columns = list(zip(*record.findall("\n".join(body))))
+    if len(columns[0] if columns else ()) != len(body) - body.count(""):
+        columns = None
+    return lines, header_max, header_line, columns
+
+
 def _entries(lines: list[str], header_line: int, pattern: re.Pattern, noun: str):
     """(line number, match) for each non-blank line after the header;
     ParseError, naming a malformed `noun` line, on the first `pattern` misses."""
     match = pattern.match
-    for lineno, raw in enumerate(lines[header_line:], start=header_line + 1):
-        line = raw.strip()
+    for lineno, line in enumerate(lines[header_line:], start=header_line + 1):
         if line:
             m = match(line)
             if m is None:
@@ -80,53 +117,98 @@ def _first_naming(lines: list[str], header_line: int, u: int) -> int | None:
     return None
 
 
-def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
-    rows: dict[int, tuple[int, int, list[int], str | None]] = {}
-    lines = text.splitlines()
-    header_max, header_line = _header(lines, _HEADER)
-    max_id = -1 if header_max is None else header_max
+def _vertex_columns(columns, header_max: int | None, add_self_loops: bool):
+    """The vertex columns converted: ids, priorities, owners, successor
+    tuples and quoted names, in line order, plus the largest id named. None
+    when some line fails a check of its own: a number past the digit limit,
+    an empty successor list that is not to be repaired, an id declared
+    before, or an id over the header's maximum. `columns` is emptied, so
+    each text column is freed once it is converted."""
+    ids, priorities, owners, successor_texts, names = columns
+    columns.clear()
+    if add_self_loops:  # an empty list is repaired with a self loop
+        successor_texts = [succs or vid for succs, vid in zip(successor_texts, ids)]
+    elif not all(successor_texts):
+        return None
+    try:
+        ids = list(map(int, ids))
+        # Priorities repeat: one int() per distinct text.
+        priority_of = {p: int(p) for p in set(priorities)}
+        # int() skips the spaces around each comma-separated id.
+        successor_lists = list(map(tuple, map(map, repeat(int),
+                                              map(str.split, successor_texts, repeat(",")))))
+    except ValueError:
+        return None
+    if len(set(ids)) < len(ids):
+        return None
+    top = max(max(ids), max(chain.from_iterable(successor_lists)))
+    if header_max is not None and top > header_max:
+        return None
+    return (ids, list(map(priority_of.__getitem__, priorities)),
+            list(map(_OWNERS.__getitem__, owners)), successor_lists, names, top)
+
+
+def _raise_first_bad_vertex_line(lines, header_line, header_max, add_self_loops):
+    """Raise the ParseError of the first vertex line, in line order, that
+    fails a check of its own; the bulk checks have seen that one does."""
+    declared = set()
     for lineno, m in _entries(lines, header_line, _VERTEX, "vertex"):
-        vid, priority, owner, succ_text, name = m.groups()
         try:
-            vid, priority = int(vid), int(priority)
-            # int() skips the spaces around each comma-separated id.
-            succs = list(map(int, succ_text.split(","))) if succ_text else []
+            vid = int(m[1])
+            int(m[2])
+            succs = list(map(int, m[4].split(","))) if m[4] else []
         except ValueError:
             raise ParseError(lineno, _TOO_LONG) from None
         if not succs and not add_self_loops:
             raise ParseError(lineno, f"vertex {vid} has an empty successor list")
-        if vid in rows:
+        if vid in declared:
             raise ParseError(lineno, f"vertex {vid} declared twice")
-        top = max(vid, *succs) if succs else vid
-        if top > max_id:
-            if header_max is not None:
-                w = next(w for w in (vid, *succs) if w > header_max)
+        declared.add(vid)
+        for w in (vid, *succs):
+            if header_max is not None and w > header_max:
                 raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
-            max_id = top
-        rows[vid] = (priority, int(owner), succs, name)
-    if not rows:
+
+
+def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
+    lines, header_max, header_line, columns = _scan(text, _HEADER, _VERTEX)
+    if columns == []:
         raise ParseError(1, "no vertices")
-    n = max_id + 1
-    if n > len(rows) and not add_self_loops:
-        # Some id below n is undeclared, and the smallest is at most len(rows),
-        # so it is found before any per-vertex list is built. Blame the first
+    if columns is not None:
+        columns = _vertex_columns(columns, header_max, add_self_loops)
+    if columns is None:
+        _raise_first_bad_vertex_line(lines, header_line, header_max, add_self_loops)
+    ids, priorities, owners, successor_lists, names, top = columns
+    n = (top if header_max is None else header_max) + 1
+    m = len(ids)
+    if n > m and not add_self_loops:
+        # Some id below n is undeclared, and the smallest is at most m, so
+        # it is found before any list of n entries is built. Blame the first
         # vertex line naming it; failing that, the header whose range holds
         # it, or the line naming the largest id. Only the errors need to know
         # where ids were first named, so only they scan the lines again.
-        v = next(v for v in range(len(rows) + 1) if v not in rows)
+        declared = set(ids)
+        v = next(v for v in range(m + 1) if v not in declared)
         line = (_first_naming(lines, header_line, v) or header_line
-                or _first_naming(lines, header_line, max_id))
+                or _first_naming(lines, header_line, n - 1))
         raise ParseError(line, f"vertex {v} is used but never declared")
     if n > len(text):
         # Self-loop repair would build the game from the header's range or
         # the largest id alone; blame whichever set n.
-        line = header_line or _first_naming(lines, header_line, max_id)
+        line = header_line or _first_naming(lines, header_line, n - 1)
         raise ParseError(line, f"repair would build {n} vertices from {len(text)} characters")
-    # An undeclared vertex (self-loop repair) is odd-owned with priority 0.
-    blank = (0, 1, [], None)
-    priorities, owners, successor_lists, names = zip(*[rows.get(v, blank) for v in range(n)])
-    if add_self_loops:
-        successor_lists = [succs or [v] for v, succs in enumerate(successor_lists)]
+    if ids != list(range(n)):
+        # Lines out of id order, or ids left to self-loop repair: row m is a
+        # blank, an odd-owned vertex of priority 0 with no successor or name.
+        row_of = dict(zip(ids, range(m)))
+        index = list(map(row_of.get, range(n), repeat(m)))
+        priorities, owners, successor_lists, names = (
+            list(map([*column, blank].__getitem__, index))
+            for column, blank in zip((priorities, owners, successor_lists, names),
+                                     (0, Player.ODD, (), "")))
+    if n > m:  # self-loop repair of the ids no line declares
+        successor_lists = [succs or (v,) for v, succs in enumerate(successor_lists)]
+    # A name is its quoted text; a file with no nonempty name has none.
+    names = [name[1:-1] if name else None for name in names] if any(names) else ()
     return build_game(owners, priorities, successor_lists, names if any(names) else None)
 
 
@@ -184,23 +266,49 @@ def emit_solution(report: SolveReport, form: str = "text") -> str:
     raise ValueError(f"unknown form {form!r}")
 
 
-def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
-    """Winner and optional strategy choice per vertex id."""
-    out: dict[int, tuple[int, int | None]] = {}
-    lines = text.splitlines()
-    header_max, header_line = _header(lines, _SOL_HEADER)
+def _solution_entries(columns, header_max: int | None):
+    """Winner and choice by vertex id, in line order; None when some line
+    fails a check of its own: a number past the digit limit, an id listed
+    before, or an id over the header's maximum."""
+    ids, winners, picks = columns
+    try:
+        ids = list(map(int, ids))
+        picks = [int(pick) if pick else None for pick in picks]
+    except ValueError:
+        return None
+    out = dict(zip(ids, zip(map(int, winners), picks)))
+    if len(out) < len(ids):
+        return None
+    # filter() drops the missing choices, and the 0s, which exceed nothing.
+    if header_max is not None and max(chain(ids, filter(None, picks))) > header_max:
+        return None
+    return out
+
+
+def _raise_first_bad_solution_line(lines, header_line, header_max):
+    """Raise the ParseError of the first solution line, in line order, that
+    fails a check of its own; the bulk checks have seen that one does."""
+    listed = set()
     for lineno, m in _entries(lines, header_line, _SOL_LINE, "solution"):
         try:
-            vid = int(m.group(1))
-            pick = int(m.group(3)) if m.group(3) is not None else None
+            vid = int(m[1])
+            pick = int(m[3]) if m[3] is not None else None
         except ValueError:
             raise ParseError(lineno, _TOO_LONG) from None
-        if vid in out:
+        if vid in listed:
             raise ParseError(lineno, f"vertex {vid} listed twice")
+        listed.add(vid)
         for w in (vid, pick):
             if header_max is not None and w is not None and w > header_max:
                 raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
-        out[vid] = (int(m.group(2)), pick)
-    if not out:
+
+
+def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
+    """Winner and optional strategy choice per vertex id."""
+    lines, header_max, header_line, columns = _scan(text, _SOL_HEADER, _SOL_LINE)
+    if columns == []:
         raise ParseError(1, "no solution entries")
+    out = None if columns is None else _solution_entries(columns, header_max)
+    if out is None:
+        _raise_first_bad_solution_line(lines, header_line, header_max)
     return out

@@ -107,6 +107,22 @@ def _mask(ids) -> int:
     return int(digits, 2)
 
 
+def _label_masks(labels) -> dict[int, int]:
+    """The mask of each label's vertices, by label, where vertex v carries
+    labels[v]. Labels below 256 are read as one byte string: per label, one
+    translate turns it into binary digits and one int() reads them, with no
+    step per vertex. Larger labels (many-priority games) are grouped one
+    vertex at a time."""
+    try:
+        digits = bytes(labels)[::-1]
+    except ValueError:
+        ids: dict[int, list[int]] = {}
+        for v, x in enumerate(labels):
+            ids.setdefault(x, []).append(v)
+        return {x: _mask(vs) for x, vs in ids.items()}
+    return {x: int(digits.translate(b"0" * x + b"1" + b"0" * (255 - x)), 2) for x in set(digits)}
+
+
 # cpre reads a mask with more than one set bit in _DENSE_SHARE of its width
 # through _set_bits, and a sparser one a low bit at a time. Each step of that
 # loop copies the mask, while _set_bits reads all of its width once: the two
@@ -173,6 +189,9 @@ class _BitsBackend:
 
     def from_ids(self, ids):
         return _mask(ids)
+
+    def from_mask(self, mask: int):
+        return mask
 
     def union(self, a, b):
         return a | b
@@ -331,17 +350,15 @@ class SetSpace:
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self.full = self._pin(self._backend.full())
-        even = Player.EVEN  # a local: looking the member up per vertex costs more
-        evens = self._backend.from_ids(v for v, o in enumerate(game.owner) if o is even)
+        from_mask = self._backend.from_mask
+        evens = from_mask(_label_masks(game.owner).get(Player.EVEN, 0))
         # Each player's vertices, keyed by Player; its values 0 and 1 work too.
         self.owned = {Player.EVEN: self._pin(evens),
                       Player.ODD: self._pin(self._backend.difference(self.full.payload, evens))}
         self.empty = self._pin(self._backend.empty())
-        classes: dict[int, list[int]] = {}
-        for v, p in enumerate(game.priority):
-            classes.setdefault(p, []).append(v)
+        classes = _label_masks(game.priority)
         self.priority_sets = _Classes(
-            (p, self._pin(self._backend.from_ids(ids))) for p, ids in sorted(classes.items())
+            (p, self._pin(from_mask(classes[p]))) for p in sorted(classes)
         )
         # A missing priority reads as the pinned empty set and costs nothing
         # but one more live set in the count, as its own set would.

@@ -22,8 +22,14 @@ own, each holding per game every `OpCounters` field, the iteration count
 and the winning set: bounded runs with h = 0 and h = 2, plain and
 role-swapped, on every pm-random game, and the direct encoding's runs
 (unbounded, and bounded with h = 2 both ways) on the first eight
-bigstep-random games. They add about 0.2 s. `--games N` keeps the first N
-games of each catalogue.
+bigstep-random games. They add about 0.2 s.
+
+Each catalogue also gets one loader line: the digest, per game, of the
+owners, priorities, successors and names that `parse_pgsolver` reads back
+from `emit_pgsolver` of the game relabelled by a fixed seeded shuffle (as
+the benchmark writes its files, without the oracle). Two checkouts that
+print the same loader lines build the same games from the same files.
+`--games N` keeps the first N games of each catalogue.
 """
 
 from __future__ import annotations
@@ -31,16 +37,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, relabel  # noqa: E402
 
 from paritysets.bigstep import GammaPolicy, SqrtPolicy, symbolic_big_step  # noqa: E402
 from paritysets.game import normalize_priorities  # noqa: E402
+from paritysets.pgsolver import emit_pgsolver, parse_pgsolver  # noqa: E402
 from paritysets.measure import _pm_run, solve_pm_symbolic  # noqa: E402
 from paritysets.sets import SetSpace  # noqa: E402
 from paritysets.zielonka import classic_parity  # noqa: E402
@@ -84,6 +92,13 @@ def pm_record(game, bound, swap, representation) -> dict:
             "winning": run.winning.ids()}
 
 
+def loaded_record(game, seed: int) -> list:
+    perm = list(range(game.vertex_count))
+    random.Random(seed).shuffle(perm)
+    back = parse_pgsolver(emit_pgsolver(relabel(game, perm)))
+    return [back.owner, back.priority, back.successors, back.names]
+
+
 def digest(records: list[dict]) -> str:
     text = json.dumps(records, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -104,6 +119,10 @@ def fingerprints(games: int | None = None):
         for bound, swap in modes:
             records = [pm_record(g, bound, swap, representation) for g in catalogue]
             yield f"{name} pm-run {representation} h={bound} swap={int(swap)}", digest(records)
+    for name, workload in WORKLOADS.items():
+        catalogue = workload.catalogue()[:games]
+        records = [loaded_record(g, seed) for seed, g in enumerate(catalogue)]
+        yield f"{name} loader", digest(records)
 
 
 def main(argv=None) -> int:

@@ -22,6 +22,7 @@ from paritysets.bigstep import symbolic_big_step
 from paritysets.measure import solve_pm_symbolic
 from paritysets.zielonka import classic_parity
 
+import reference_pgsolver as reference
 from conftest import corpus
 
 
@@ -265,6 +266,22 @@ def test_errors_on_the_last_line_of_a_long_file():
     with pytest.raises(ParseError) as err:
         parse_pgsolver(_long_file("2047 0 1 4000;"))
     assert str(err.value) == "line 2048: vertex 2048 is used but never declared"
+    # errors of the last line alone, which the bulk checks find without a
+    # line number: the line pass must name line 2,048
+    last_line_errors = [
+        ("2047 1 0 x;", "malformed vertex line: '2047 1 0 x;'"),
+        ("2047 1 0 ;", "vertex 2047 has an empty successor list"),
+        ("3 1 0 0;", "vertex 3 declared twice"),
+    ]
+    if _DIGIT_LIMIT:
+        big = "9" * (_DIGIT_LIMIT + 1)
+        last_line_errors.append((f"2047 1 0 0,{big};", "a number has too many digits"))
+    for last, reason in last_line_errors:
+        text = _long_file(last)
+        assert len(text.splitlines()) == 2048
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(text)
+        assert (err.value.line, err.value.reason) == (2048, reason)
 
 
 def test_hand_made_lines_load_like_built_games():
@@ -396,3 +413,151 @@ def test_solution_parse_errors():
     assert err.value.line == 2
     # header is optional here as well
     assert parse_solution("0 1;\n") == {0: (1, None)}
+
+
+# -- the bulk loader against the line-by-line reference ------------------------
+
+SPACES = st.sampled_from([" ", "\t", "  ", " \t "])
+GAPS = st.sampled_from(["", " ", "\t"])
+COMMAS = st.sampled_from([",", " ,", ", ", "\t,  "])
+# Whatever str.strip takes off a line's ends, a non-breaking space included.
+ENDS = st.sampled_from(["", " ", "\t", "\xa0"])
+BLANKS = st.sampled_from(["", "  ", "\t", "\xa0"])
+
+
+def _render(header: str | None, entries: list[tuple[int | None, str]]) -> str:
+    lines = [line for _, line in entries]
+    return "\n".join(lines if header is None else [header, *lines]) + "\n"
+
+
+@st.composite
+def game_files(draw, repair: bool = False):
+    """A valid game file as (header line or None, [(vertex id or None for a
+    blank line, line)]): lines in any order, blank lines, tabs and spaces
+    around commas, names absent, empty, a space or anything quotable,
+    duplicate edges. With `repair`, some ids are left undeclared and some
+    successor lists empty, and the header may name ids beyond the lines."""
+    n = draw(st.integers(1, 10))
+    if repair:
+        declared = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    else:
+        declared = list(range(n))
+    entries = []
+    top = max(declared)
+    for v in declared:
+        succs = draw(st.lists(st.integers(0, n - 1), min_size=0 if repair else 1, max_size=4))
+        top = max(top, *succs, 0)
+        name = draw(st.none() | st.sampled_from(["", " "]) | NAMES)
+        priority, owner = draw(st.integers(0, 120)), draw(st.integers(0, 1))
+        line = f"{v}{draw(SPACES)}{priority}{draw(SPACES)}{owner}"
+        if succs:
+            line += draw(SPACES) + draw(COMMAS).join(map(str, succs))
+        if name is not None:
+            line += f'{draw(GAPS)}"{name}"'
+        entries.append((v, f"{draw(ENDS)}{line}{draw(GAPS)};{draw(ENDS)}"))
+    entries = draw(st.permutations(entries))
+    for at in draw(st.lists(st.integers(0, len(entries)), max_size=3)):
+        entries.insert(at, (None, draw(BLANKS)))
+    header = None
+    if draw(st.booleans()):
+        header = f"parity{draw(SPACES)}{top + (draw(st.integers(0, 3)) if repair else 0)};"
+    return header, entries
+
+
+def _outcome(parse, text, *args):
+    """What a parser makes of a text: its result, or its error's line and reason."""
+    try:
+        return parse(text, *args)
+    except ParseError as err:
+        return err.line, err.reason
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(game_files(), st.booleans())
+def test_bulk_loading_matches_the_line_reference(file, repair):
+    text = _render(*file)
+    expected = reference.parse_pgsolver(text, repair)
+    assert parse_pgsolver(text, repair) == expected
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(game_files(repair=True))
+def test_bulk_repair_matches_the_line_reference(file):
+    text = _render(*file)
+    expected = reference.parse_pgsolver(text, True)
+    assert parse_pgsolver(text, True) == expected
+
+
+CORRUPTIONS = ("mangle", "digits", "twice", "over the header", "undeclared", "empty",
+               "no-break space")
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(game_files(), st.sampled_from(CORRUPTIONS), st.data())
+def test_bulk_errors_match_the_line_reference(file, corruption, data):
+    """One line of a valid file broken; both loaders must raise the same
+    error at the same line (a random mangle may leave the file valid, and
+    then both must load the same game)."""
+    header, entries = file
+    entries = list(entries)
+    at = data.draw(st.sampled_from([i for i, (v, _) in enumerate(entries) if v is not None]))
+    v, line = entries[at]
+    n = sum(u is not None for u, _ in entries)
+    if corruption == "mangle":
+        j = data.draw(st.integers(0, len(line) - 1))
+        line = line[:j] + data.draw(st.sampled_from('x;,"0 \t\u0660')) + line[j + 1:]
+    elif corruption == "digits" and _DIGIT_LIMIT:
+        big = "1" * (_DIGIT_LIMIT + 1)
+        line = data.draw(st.sampled_from([f"{big} 0 0 0;", f"{v} {big} 0 0;",
+                                          f"{v} 0 0 0,{big};"]))
+    elif corruption == "twice":
+        entries.insert(data.draw(st.integers(0, len(entries))), (v, line))
+    elif corruption == "over the header":
+        header = header or f"parity {n - 1};"
+        line = f"{v} 0 1 0,{n};"
+    elif corruption == "undeclared":
+        header = None
+        line = f"{v} 0 1 {n + data.draw(st.integers(0, 2))};"
+    elif corruption == "empty":
+        line = f"{v} 0 1 ;"
+    else:  # a non-breaking space, or the digit run where the interpreter has no limit
+        line = line.strip().replace(" ", "\xa0", 1).replace("\t", "\xa0", 1)
+    entries[at] = (v, line)
+    text = _render(header, entries)
+    expected = _outcome(reference.parse_pgsolver, text)
+    if corruption != "mangle":
+        assert isinstance(expected, tuple)
+    assert _outcome(parse_pgsolver, text) == expected
+
+
+@st.composite
+def solution_files(draw):
+    """A solution file: entries in any order, blank lines, spacing, choices
+    present or not, optionally a header; with luck one line broken."""
+    n = draw(st.integers(1, 8))
+    lines = []
+    for v in range(n):
+        pick = draw(st.none() | st.integers(0, n - 1))
+        tail = "" if pick is None else f"{draw(SPACES)}{pick}"
+        lines.append(f"{draw(ENDS)}{v}{draw(SPACES)}{draw(st.integers(0, 1))}{tail}{draw(GAPS)};")
+    lines = draw(st.permutations(lines))
+    for at in draw(st.lists(st.integers(0, len(lines)), max_size=2)):
+        lines.insert(at, draw(BLANKS))
+    if draw(st.booleans()):
+        lines.insert(0, f"paritysol {n - 1 + draw(st.integers(-1, 1))};")
+    broken = draw(st.sampled_from(["none", "mangle", "twice", "digits"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if broken == "mangle":
+        j = draw(st.integers(0, max(len(lines[at]) - 1, 0)))
+        lines[at] = lines[at][:j] + draw(st.sampled_from("x;2 \xa0")) + lines[at][j + 1:]
+    elif broken == "twice":
+        lines.insert(at, lines[at])
+    elif broken == "digits" and _DIGIT_LIMIT:
+        lines[at] = f"0 1 {'7' * (_DIGIT_LIMIT + 1)};"
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(solution_files())
+def test_solution_loading_matches_the_line_reference(text):
+    assert _outcome(parse_solution, text) == _outcome(reference.parse_solution, text)

@@ -125,9 +125,11 @@ def test_fingerprint_prints_a_digest_per_catalogue_solver_and_mode(capsys):
     assert fingerprint.main(["--games", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     digests = dict(reversed(line.split("  ", 1)) for line in lines)
-    # 24 solver lines, then 7 lines of single measure runs.
-    assert len(digests) == len(lines) == 31
+    # 24 solver lines, 7 lines of single measure runs, then one loader line
+    # per catalogue.
+    assert len(digests) == len(lines) == 35
     assert "pm-random pm-run linear h=2 swap=1" in digests
+    assert "zielonka-wide loader" in digests
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
     # Both backends count and answer alike, so bdd repeats the bits lines.
     for solver in fingerprint.SOLVERS:
