@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain, compress
-from operator import ne
+from itertools import chain
 
 
 class GameError(Exception):
@@ -103,10 +102,11 @@ def build_game(
         raise PriorityOutOfRange(v, priorities[v])
     cleaned = list(map(tuple, successor_lists))
     targets = list(chain.from_iterable(cleaned))
-    if sum(map(len, map(set, cleaned))) < len(targets):
+    distinct = list(map(len, map(set, cleaned)))
+    if sum(distinct) < len(targets):
         # Rebuild only the lists whose set is shorter.
-        for v in compress(range(n), map(ne, map(len, cleaned), map(len, map(set, cleaned)))):
-            cleaned[v] = tuple(dict.fromkeys(cleaned[v]))
+        cleaned = [succs if k == len(succs) else tuple(dict.fromkeys(succs))
+                   for succs, k in zip(cleaned, distinct)]
     if not all(cleaned) or targets and (min(targets) < 0 or max(targets) >= n):
         for v, succs in enumerate(cleaned):  # blame the first bad vertex
             for w in succs:

@@ -50,17 +50,15 @@ class ParseError(Exception):
 # joined by "\n". Only [ \t] and [^"\n] match inside a line, so a match is
 # one whole line, and on one stripped line they match what \s and [^"]
 # would. A vertex name is captured with its quotes, so a missing name ("")
-# stays apart from an empty one ('""'). The quantifiers are possessive: what
-# follows each run can never start with what the run gave back, so they
-# match the same lines and only save the backtracking (half the scan).
+# stays apart from an empty one ('""').
 _VERTEX = re.compile(
-    r'^(\d++)[ \t]++(\d++)[ \t]++([01])((?:[ \t]++\d++(?:[ \t]*+,[ \t]*+\d++)*+)?+)[ \t]*+'
-    r'("[^"\n]*+")?+[ \t]*+;$',
+    r'^(\d+)[ \t]+(\d+)[ \t]+([01])((?:[ \t]+\d+(?:[ \t]*,[ \t]*\d+)*)?)[ \t]*'
+    r'("[^"\n]*")?[ \t]*;$',
     re.ASCII | re.MULTILINE,
 )
 _HEADER = re.compile(r"^parity\s+(\d+)\s*;$", re.ASCII)
 _SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$", re.ASCII)
-_SOL_LINE = re.compile(r"^(\d++)[ \t]++([01])(?:[ \t]++(\d++))?+[ \t]*+;$",
+_SOL_LINE = re.compile(r"^(\d+)[ \t]+([01])(?:[ \t]+(\d+))?[ \t]*;$",
                        re.ASCII | re.MULTILINE)
 # The patterns take ASCII digits only, so int() refuses one of them only past
 # the interpreter's limit on the digits of a literal.
@@ -208,7 +206,7 @@ def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
     if n > m:  # self-loop repair of the ids no line declares
         successor_lists = [succs or (v,) for v, succs in enumerate(successor_lists)]
     # A name is its quoted text; a file with no nonempty name has none.
-    names = [name[1:-1] if name else None for name in names] if any(names) else ()
+    names = [name[1:-1] if name else None for name in names]
     return build_game(owners, priorities, successor_lists, names if any(names) else None)
 
 

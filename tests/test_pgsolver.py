@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paritysets import Player, build_game, gen_random
+from paritysets import Player, build_game, gen_random, pgsolver
 from paritysets.pgsolver import (
     ParseError,
     emit_pgsolver,
@@ -202,6 +203,15 @@ def test_only_ascii_digits_and_spaces_count():
         with pytest.raises(ParseError) as err:
             parse_solution(text)
         assert (err.value.line, err.value.reason[:23]) == (1, "malformed solution line")
+
+
+def test_patterns_compile_on_the_oldest_supported_python():
+    # Possessive quantifiers (x++, x*+, x?+) and atomic groups need Python
+    # 3.11; on 3.10, re.compile refuses them and the package cannot import.
+    patterns = [v for v in vars(pgsolver).values() if isinstance(v, re.Pattern)]
+    assert patterns
+    for pattern in patterns:
+        assert not re.search(r"[+*?}]\+|\(\?>", pattern.pattern), pattern.pattern
 
 
 # The interpreter refuses integer literals past a digit limit; 0 means none.
