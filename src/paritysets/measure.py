@@ -44,6 +44,20 @@ and the committed S_r when nothing rolled back, else the walk's floor and
 last read, which the commit leaves unchanged. Per run, one descending pass
 of c - 3 unions builds the at most c/2 sets of classes closure may not add.
 
+An iteration is stationary when nothing rolled back before it, r is finite
+with r[0] > 0 (so seeding reads position 0 alone) and S_r equals the
+carried S_decr(r), which one uncounted payload equality tells. Without a
+roll-back, `below` is the universe or the last iteration's `w`, whose
+final closure round found cpre(w) minus above[m], m >= 1, inside w; as
+above[m] lies in above[1], cpre is monotone and class 1 lies outside
+above[1], seeding adds nothing to S_r, one closure round under above[1]
+adds nothing, and the walk's one test holds. (A growing last iteration
+leaves S_r strictly inside S_decr(r), so the equality also says it was
+idle.) A stationary iteration runs none of them but tallies what they
+would have counted, as the idle commit does, so counters, peak, trace and
+iteration count stay as they were. TOP never is: its closure forbids
+nothing.
+
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
 successor inside), and under a swapped view priority i of the view reads
@@ -499,7 +513,7 @@ def _pm_run(
     # The iteration runs on payloads and counts in one tally.
     backend = space._backend
     union, intersect, difference = backend.union, backend.intersect, backend.difference
-    is_subset, cpre = backend.is_subset, backend.cpre
+    is_subset, cpre, equals = backend.is_subset, backend.cpre, backend.equals
     reconstruct, commit = state._reconstruct, state.commit
     mine = space.owned[view.odd_role].payload
     within = universe.payload
@@ -509,6 +523,7 @@ def _pm_run(
     # on; each iteration's tally counts it.
     d = domain.zero
     below = within
+    rolled_back = False
     iterations = 0
     while True:
         iterations += 1
@@ -516,51 +531,58 @@ def _pm_run(
             raise AssertionError("progress measure iteration exceeded its bound")
         old, _ = reconstruct(r)
         w = old
-
-        # Seed from the sets one step down at each odd priority up to the
-        # highest level r survives projection at (r's lowest nonzero counter;
-        # a finite r is never zero), lowest priority first.
-        if r is TOP:
-            max_pos = positions
-        else:
-            max_pos = 1
-            while not r[max_pos - 1]:
-                max_pos += 1
-        seeded = 0
-        for p in range(max_pos):
-            # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
-            if p:
-                source, h = reconstruct(domain.decr_at(r, 2 * p + 1))
-                if h > seeded:
-                    seeded = h
-                step = cpre(mine, source, within)
-            else:
-                step = cpre(mine, below, within)
-            w = union(w, intersect(step, odd_classes[p]))
-
-        # Close under the rank-raising player's moves; vertices whose priority
-        # exceeds the level cannot join at a finite rank this way.
-        forbidden = None if r is TOP or above[max_pos] is None else above[max_pos].payload
-        rounds = 0
-        while True:
-            rounds += 1
-            add = cpre(mine, w, within)
-            if forbidden is not None:
-                add = difference(add, forbidden)
-            if is_subset(add, w):
-                break
-            w = union(w, add)
-
-        # Walk down while the grown set is not yet contained; the ranks from
-        # decr(r) down to the floor it stops at must absorb it (directly, or
-        # implicitly through the commit).
         floor = d
         held = below
         tests = 1
-        while not is_subset(w, held):
-            floor = domain.decr(floor)
-            held, _ = reconstruct(floor)
-            tests += 1
+        seeded = 0
+
+        if r is not TOP and r[0] and not rolled_back and equals(old, below):
+            # Stationary (module docstring): seeding and one closure round
+            # would add nothing and the walk would hold at once; count them
+            # as run.
+            max_pos = rounds = 1
+            forbidden = above[1]
+        else:
+            # Seed from the sets one step down at each odd priority up to the
+            # highest level r survives projection at (r's lowest nonzero
+            # counter; a finite r is never zero), lowest priority first.
+            if r is TOP:
+                max_pos = positions
+            else:
+                max_pos = 1
+                while not r[max_pos - 1]:
+                    max_pos += 1
+            for p in range(max_pos):
+                # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
+                if p:
+                    source, h = reconstruct(domain.decr_at(r, 2 * p + 1))
+                    if h > seeded:
+                        seeded = h
+                    step = cpre(mine, source, within)
+                else:
+                    step = cpre(mine, below, within)
+                w = union(w, intersect(step, odd_classes[p]))
+
+            # Close under the rank-raising player's moves; vertices whose
+            # priority exceeds the level cannot join at a finite rank this way.
+            forbidden = None if r is TOP or above[max_pos] is None else above[max_pos].payload
+            rounds = 0
+            while True:
+                rounds += 1
+                add = cpre(mine, w, within)
+                if forbidden is not None:
+                    add = difference(add, forbidden)
+                if is_subset(add, w):
+                    break
+                w = union(w, add)
+
+            # Walk down while the grown set is not yet contained; the ranks
+            # from decr(r) down to the floor it stops at must absorb it
+            # (directly, or implicitly through the commit).
+            while not is_subset(w, held):
+                floor = domain.decr(floor)
+                held, _ = reconstruct(floor)
+                tests += 1
         # The peak as if every payload had been a set; the 1 is `below`.
         # Beside `old` and `w`, seeding holds a read (2 + seeded), then its
         # step, seeded part and union (5). A view with no odd priority never

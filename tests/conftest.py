@@ -36,9 +36,9 @@ def corpus(count: int, *, n_lo: int = 2, n_span: int = 11, c_span: int = 6,
 
 
 @st.composite
-def small_games(draw):
-    """Games of up to eight vertices, priorities up to 6, out-degree 1-3."""
-    n = draw(st.integers(1, 8))
+def small_games(draw, max_n: int = 8):
+    """Games of up to `max_n` vertices, priorities up to 6, out-degree 1-3."""
+    n = draw(st.integers(1, max_n))
     owners = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     priorities = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
     succs = [draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))

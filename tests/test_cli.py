@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import gc
 import os
+import re
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import paritysets
 from paritysets import cli
 from paritysets.cli import main
 from paritysets.pgsolver import emit_pgsolver
@@ -353,3 +356,37 @@ def test_main_pauses_the_collector_and_restores_it(game_file, capsys, monkeypatc
         gc.enable()
     assert seen == [False, False]
     capsys.readouterr()
+
+
+def _oldest_supported_python():
+    """(interpreter, environment) of the oldest Python that `pyproject.toml`
+    supports, or None when no such interpreter starts."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as f:
+        major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', f.read()).groups()
+    exe = shutil.which(f"python{major}.{minor}")
+    if exe is None:
+        return None
+    # pyenv's shims run the installed version this names by prefix; other
+    # interpreters ignore it. Only the package's own sources go on the path,
+    # not this interpreter's library directories.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paritysets.__file__)))
+    env = dict(os.environ, PYENV_VERSION=f"{major}.{minor}", PYTHONPATH=src)
+    probe = subprocess.run([exe, "-c", "import sys; print(*sys.version_info[:2])"],
+                           capture_output=True, text=True, env=env)
+    if probe.returncode or probe.stdout.split() != [major, minor]:
+        return None
+    return exe, env
+
+
+def test_solves_alike_on_the_oldest_supported_python(game_file):
+    oldest = _oldest_supported_python()
+    if oldest is None:
+        pytest.skip("no interpreter of the oldest supported Python starts")
+    exe, env = oldest
+    for algo in ("zielonka", "pm", "bigstep"):
+        argv = ["-m", "paritysets.cli", "solve", game_file, "--algo", algo]
+        got, want = (subprocess.run([python, *argv], capture_output=True, text=True, env=env)
+                     for python in (exe, sys.executable))
+        assert got.returncode == 0, got.stderr
+        assert (got.stdout, got.stderr) == (want.stdout, want.stderr)

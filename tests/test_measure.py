@@ -25,7 +25,7 @@ from paritysets.measure import (
     stderr_trace,
     symbolic_parity_dominion,
 )
-from paritysets.sets import SetSpace
+from paritysets.sets import SetSpace, _BitsBackend
 from paritysets.strategy import extract_strategy_from_pm
 
 from conftest import corpus, ids, small_games
@@ -686,6 +686,57 @@ def test_payload_encoding_counts_like_the_set_level_reference(
             got = _run_fingerprint(_pm_run, g, backend, bound, swap, representation)
             want = _run_fingerprint(reference_pm_run, g, backend, bound, swap, representation)
             assert got == want, (bound, swap, representation)
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(small_games(max_n=16), st.sampled_from([None, 0, 1, 2, 3]), st.booleans(),
+       st.sampled_from(["linear", "direct"]))
+def test_pm_runs_match_the_set_level_reference(g, bound, swap, representation):
+    # Counters, trace events, rank states and winners, stationary
+    # iterations included, on games no fixed case reaches.
+    got = _run_fingerprint(_pm_run, g, "bits", bound, swap, representation)
+    want = _run_fingerprint(reference_pm_run, g, "bits", bound, swap, representation)
+    assert got == want
+
+
+def _counting_kernel_calls(monkeypatch):
+    """A list that grows by one per call of the bits backend's `cpre` kernel."""
+    calls = []
+    kernel = _BitsBackend.cpre
+
+    def counted(self, *args):
+        calls.append(None)
+        return kernel(self, *args)
+
+    monkeypatch.setattr(_BitsBackend, "cpre", counted)
+    return calls
+
+
+def test_stationary_iterations_skip_the_kernel(monkeypatch):
+    # An iteration whose S_r is the carried, already closed S_decr(r) and
+    # that seeds from position 0 alone runs no `cpre` but counts both.
+    calls = _counting_kernel_calls(monkeypatch)
+    report = solve_pm_symbolic(gen_random(64, 5, 1, 3, 1000))
+    assert report.diagnostics["iterations"] == 260
+    assert report.counters.cpre_ops == 544
+    assert len(calls) < 544 // 2
+
+
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_stationary_iterations_reach_the_invariant_checker(monkeypatch, representation):
+    calls = _counting_kernel_calls(monkeypatch)
+    boundaries = []
+    check = _InvariantChecker.boundary
+
+    def counted(self, *args):
+        boundaries.append(None)
+        return check(self, *args)
+
+    monkeypatch.setattr(_InvariantChecker, "boundary", counted)
+    space = SetSpace(gen_random(16, 5, 1, 3, 2))
+    run = _pm_run(space, space.full, representation=representation, check_invariants=True)
+    assert len(calls) < space.counters.cpre_ops  # some iterations were stationary
+    assert len(boundaries) == run.iterations
 
 
 def _rise(space, call):
