@@ -23,12 +23,13 @@ Two interchangeable encodings of the whole family {S_r}:
   Rows change in place.
 
 Both encodings are built from the run's view and run through the same
-control loop, which needs two operations of them, both on payloads and both
+control loop, which needs three operations of them, all on payloads and all
 adding their own operations to the space's counters: `_reconstruct(r)`
-gives S_r and the most sets reading it would have held at once, and
+gives S_r and the most sets reading it would have held at once,
 `commit(r, w, old, d, floor)` stores S_r's growth from `old` to `w`, given
 the ranks the loop's walk-down already holds: d = decr(r) and the floor the
-walk stopped at. So preimage and containment counts agree between them by
+walk stopped at, and `_stretch(d, end)` finds a stationary stretch's end
+(below). So preimage and containment counts agree between them by
 construction. `read(r)` hands callers outside the loop a fresh S_r.
 
 Each iteration is one payload transaction that makes and releases no set:
@@ -57,6 +58,17 @@ idle.) A stationary iteration runs none of them but tallies what they
 would have counted, as the idle commit does, so counters, peak, trace and
 iteration count stay as they were. TOP never is: its closure forbids
 nothing.
+
+Stationary iterations come in stretches, in which only r[0] moves and the
+rank state stays as it is: with high = r[1:], S_(x+1, high) is S_(x, high)
+less the vertices of rank (x, high), so a stretch runs on while no vertex
+holds the rank just processed, and ends there, at position 0's cap or at a
+bounded domain's sum bound. After a stationary iteration whose successor
+keeps high, the encoding's `_stretch` finds the stretch's end with uncounted
+payload ops and counts each jumped rank's read and idle commit; the loop
+tallies each jumped iteration as a stationary one and emits its trace event
+and boundary check, so counters, peak, trace and iteration count stay as
+they were.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -149,6 +161,17 @@ class DirectFamilyState(_RankState):
         # As a set, S_r's copy.
         return self.sets[r].payload, 1
 
+    def _stretch(self, d, end):
+        """The last x <= end with S_(x, d[1:]) equal to S_d, by uncounted
+        equalities. Reads and idle commits count nothing in this encoding."""
+        equals = self.space._backend.equals
+        sets, high = self.sets, d[1:]
+        s = sets[d].payload
+        last = d[0]
+        while last < end and equals(sets[(last + 1,) + high].payload, s):
+            last += 1
+        return last
+
     def commit(self, r, w, old, d, floor) -> None:
         """Store the payload `w` as S_r and join it into every set from d
         down to, not including, floor; each join is one counted union."""
@@ -213,11 +236,22 @@ class LinearSpaceState(_RankState):
         position and above r at this one, plus vertices at least r
         everywhere, plus TOP. At most three operations per position, added
         to the space's counters here."""
-        space = self.space
         if r is TOP:
             # As a set, the TOP set's copy.
             return self.top.payload, 1
-        backend = space._backend
+        acc, running, unions, intersections, held = self._fold(r, 0)
+        c = self.space.counters
+        c.unions += unions
+        c.intersections += intersections
+        if running is None:
+            running = self.universe.payload
+        return self.space._backend.union(acc, running), held
+
+    def _fold(self, r, stop):
+        """The part of S_r that r's counters from position `stop` up fix:
+        the accumulator, `running`, and the unions (the final one included),
+        intersections and peak of reading S_r that those positions make."""
+        backend = self.space._backend
         union, intersect = backend.union, backend.intersect
         caps, coordinate = self.eff_caps, self.coordinate
         acc = self.top.payload
@@ -232,7 +266,7 @@ class LinearSpaceState(_RankState):
         # would be alive at once; without `running`, or at the last union,
         # three of them.
         held = 3
-        for p in range(len(caps) - 1, -1, -1):
+        for p in range(len(caps) - 1, stop - 1, -1):
             row = coordinate[p]
             x = r[p]
             if x < caps[p]:
@@ -249,12 +283,33 @@ class LinearSpaceState(_RankState):
                 else:
                     running = intersect(running, row[x].payload)
                     intersections += 1
-        if running is None:
-            running = self.universe.payload
-        c = space.counters
-        c.unions += unions
-        c.intersections += intersections
-        return union(acc, running), held
+        return acc, running, unions, intersections, held
+
+    def _stretch(self, d, end):
+        """The last x <= end with S_(x, d[1:]) equal to S_d, by uncounted
+        payload ops. The counters gain what the reads and idle commits of
+        the ranks after d up to that one would have added."""
+        backend = self.space._backend
+        acc, running, unions, intersections, _ = self._fold(d, 1)
+        row = self.coordinate[0]
+        x = d[0]
+        # S_(y, d[1:]) is acc joined with running's meet with row y. It stays
+        # S_d while row y keeps what S_d holds outside acc.
+        kept = row[x].payload if running is None else backend.intersect(running, row[x].payload)
+        kept = backend.difference(kept, acc)
+        last = x
+        while last < end and backend.is_subset(kept, row[last + 1].payload):
+            last += 1
+        # Per jumped rank, a read of the ranks fixed above plus position 0's
+        # segment (none at its cap) and counter, each narrowed by `running`;
+        # an idle commit raises position 0 by one row union and one difference.
+        n = last - x
+        segments = n - (last == self.eff_caps[0])
+        c = self.space.counters
+        c.unions += n * (unions + 1) + segments
+        c.intersections += n * intersections + (0 if running is None else segments + n)
+        c.differences += n
+        return last
 
     def commit(self, r, w, old, d, floor) -> None:
         """Raise the vertices the payload `w` gains over `old` to rank r.
@@ -273,9 +328,10 @@ class LinearSpaceState(_RankState):
         space = self.space
         backend = space._backend
         c = space.counters
-        if floor == d and backend.equals(w, old):
+        if backend.equals(w, old):
             # Idle: every check holds on the empty delta and no row changes,
             # but the commit counts the row ops the rule below would run.
+            # floor is d: w is S_r, inside S_decr(r), so the walk never rolled back.
             unions = 1 if r is TOP else 0
             differences = 1
             for p, x in enumerate(d):
@@ -514,7 +570,7 @@ def _pm_run(
     backend = space._backend
     union, intersect, difference = backend.union, backend.intersect, backend.difference
     is_subset, cpre, equals = backend.is_subset, backend.cpre, backend.equals
-    reconstruct, commit = state._reconstruct, state.commit
+    reconstruct, commit, stretch = state._reconstruct, state.commit, state._stretch
     mine = space.owned[view.odd_role].payload
     within = universe.payload
     odd_classes = [classes[2 * p + 1].payload for p in range(positions)]
@@ -536,7 +592,8 @@ def _pm_run(
         tests = 1
         seeded = 0
 
-        if r is not TOP and r[0] and not rolled_back and equals(old, below):
+        stationary = r is not TOP and r[0] and not rolled_back and equals(old, below)
+        if stationary:
             # Stationary (module docstring): seeding and one closure round
             # would add nothing and the walk would hold at once; count them
             # as run.
@@ -623,6 +680,32 @@ def _pm_run(
         if next_rank is None:
             break
         r, d = next_rank, floor if rolled_back else r
+        if stationary and r is not TOP and r[1:] == d[1:]:
+            # A stretch (module docstring): the iterations up to the last x
+            # with no carry and S_(x, r[1:]) equal to `below` run at once,
+            # each counted as a stationary one (peak 6), traced and checked.
+            high = r[1:]
+            end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))
+            last = stretch(d, end)
+            n = last - d[0]
+            if n:
+                iterations += n
+                if iterations > guard:
+                    raise AssertionError("progress measure iteration exceeded its bound")
+                space.tally(cpre_ops=2 * n, intersections=n, unions=n,
+                            differences=0 if forbidden is None else n,
+                            containment_tests=2 * n, held=6)
+                if trace is not None or checker is not None:
+                    for x in range(d[0] + 1, last + 1):
+                        jumped = (x,) + high
+                        next_rank = domain.incr(jumped)
+                        if trace is not None:
+                            trace({"iteration": iterations - last + x, "rank": jumped, "added": 0,
+                                   "next_rank": next_rank, "rolled_back": False})
+                        if checker is not None:
+                            checker.boundary(state, jumped, next_rank, False, below)
+                d = (last,) + high
+                r = domain.incr(d)
 
     space.release(*(s for s in above if s is not None and not s.pinned))
     top_set = state.read(TOP)

@@ -699,44 +699,90 @@ def test_pm_runs_match_the_set_level_reference(g, bound, swap, representation):
     assert got == want
 
 
-def _counting_kernel_calls(monkeypatch):
-    """A list that grows by one per call of the bits backend's `cpre` kernel."""
+def _counting_calls(monkeypatch, cls, name):
+    """A list that grows by one per call of the method `name` of `cls`."""
     calls = []
-    kernel = _BitsBackend.cpre
+    method = getattr(cls, name)
 
     def counted(self, *args):
         calls.append(None)
-        return kernel(self, *args)
+        return method(self, *args)
 
-    monkeypatch.setattr(_BitsBackend, "cpre", counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
 def test_stationary_iterations_skip_the_kernel(monkeypatch):
     # An iteration whose S_r is the carried, already closed S_decr(r) and
     # that seeds from position 0 alone runs no `cpre` but counts both.
-    calls = _counting_kernel_calls(monkeypatch)
+    calls = _counting_calls(monkeypatch, _BitsBackend, "cpre")
     report = solve_pm_symbolic(gen_random(64, 5, 1, 3, 1000))
     assert report.diagnostics["iterations"] == 260
     assert report.counters.cpre_ops == 544
     assert len(calls) < 544 // 2
 
 
+# Read one at a time, these runs make 331 and 937 reads. On seed 5, vertices
+# ranked above r's higher counters sit in position 0's rows, and a stretch
+# that let them end it would stop too soon.
+@pytest.mark.parametrize("seed, iterations, cpre_ops, reads",
+                         [(1000, 260, 544, 116), (5, 517, 1264, 744)])
+def test_stationary_stretches_are_jumped(monkeypatch, seed, iterations, cpre_ops, reads):
+    # After a stationary iteration the rest of its stretch is neither read
+    # nor committed rank by rank, and no count moves. The exact read count
+    # also catches a stretch that ends too soon, which is correct but slow.
+    calls = _counting_calls(monkeypatch, LinearSpaceState, "_reconstruct")
+    commits = _counting_calls(monkeypatch, LinearSpaceState, "commit")
+    report = solve_pm_symbolic(gen_random(64, 5, 1, 3, seed))
+    assert report.diagnostics["iterations"] == iterations
+    assert report.counters.cpre_ops == cpre_ops
+    assert len(calls) == reads
+    assert len(commits) < iterations
+
+
 @pytest.mark.parametrize("representation", ["linear", "direct"])
 def test_stationary_iterations_reach_the_invariant_checker(monkeypatch, representation):
-    calls = _counting_kernel_calls(monkeypatch)
-    boundaries = []
-    check = _InvariantChecker.boundary
-
-    def counted(self, *args):
-        boundaries.append(None)
-        return check(self, *args)
-
-    monkeypatch.setattr(_InvariantChecker, "boundary", counted)
-    space = SetSpace(gen_random(16, 5, 1, 3, 2))
-    run = _pm_run(space, space.full, representation=representation, check_invariants=True)
+    # Skipped and jumped iterations alike get their trace event and their
+    # boundary check, and observing a run moves no count.
+    g = gen_random(16, 5, 1, 3, 2)
+    plain = SetSpace(g)
+    _pm_run(plain, plain.full, representation=representation)
+    calls = _counting_calls(monkeypatch, _BitsBackend, "cpre")
+    boundaries = _counting_calls(monkeypatch, _InvariantChecker, "boundary")
+    encoding = LinearSpaceState if representation == "linear" else measure.DirectFamilyState
+    commits = _counting_calls(monkeypatch, encoding, "commit")
+    space = SetSpace(g)
+    events = []
+    run = _pm_run(space, space.full, representation=representation, check_invariants=True,
+                  trace=events.append)
     assert len(calls) < space.counters.cpre_ops  # some iterations were stationary
+    assert len(commits) < run.iterations  # some were jumped
     assert len(boundaries) == run.iterations
+    assert [e["iteration"] for e in events] == list(range(1, run.iterations + 1))
+    assert space.counters == plain.counters
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_bounded_stretches_stop_at_the_sum_bound(monkeypatch, swap):
+    # With h = 3, linear stretches end at the sum bound below position 0's
+    # cap, and at the last row, whose read joins no segment at position 0.
+    stops = []
+    stretch = LinearSpaceState._stretch
+
+    def recorded(self, d, end):
+        last = stretch(self, d, end)
+        if last > d[0]:
+            stops.append((last == end < self.domain.caps[0], last == self.eff_caps[0]))
+        return last
+
+    monkeypatch.setattr(LinearSpaceState, "_stretch", recorded)
+    g = gen_random(20, 5, 1, 3, 11)
+    for representation in ("linear", "direct"):
+        got = _run_fingerprint(_pm_run, g, "bits", 3, swap, representation)
+        want = _run_fingerprint(reference_pm_run, g, "bits", 3, swap, representation)
+        assert got == want, representation
+    assert any(at_bound for at_bound, _ in stops)
+    assert any(at_last_row for _, at_last_row in stops)
 
 
 def _rise(space, call):
