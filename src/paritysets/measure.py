@@ -28,7 +28,7 @@ adding their own operations to the space's counters: `_reconstruct(r)`
 gives S_r and the most sets reading it would have held at once,
 `commit(r, w, old, d, floor)` stores S_r's growth from `old` to `w`, given
 the ranks the loop's walk-down already holds: d = decr(r) and the floor the
-walk stopped at, and `_stretch(d, end)` finds a stationary stretch's end
+walk stopped at, and `_stretch(r, end)` finds a stationary stretch's end
 (below). So preimage and containment counts agree between them by
 construction. `read(r)` hands callers outside the loop a fresh S_r.
 
@@ -54,20 +54,16 @@ above[m] lies in above[1], cpre is monotone and class 1 lies outside
 above[1], seeding adds nothing to S_r, one closure round under above[1]
 adds nothing, and the walk's one test holds. (A growing last iteration
 leaves S_r strictly inside S_decr(r), so the equality also says it was
-idle.) A stationary iteration runs none of them but tallies what they
-would have counted, as the idle commit does, so counters, peak, trace and
-iteration count stay as they were. TOP never is: its closure forbids
-nothing.
-
-Stationary iterations come in stretches, in which only r[0] moves and the
-rank state stays as it is: with high = r[1:], S_(x+1, high) is S_(x, high)
-less the vertices of rank (x, high), so a stretch runs on while no vertex
-holds the rank just processed, and ends there, at position 0's cap or at a
-bounded domain's sum bound. After a stationary iteration whose successor
-keeps high, the encoding's `_stretch` finds the stretch's end with uncounted
-payload ops and counts each jumped rank's read and idle commit; the loop
-tallies each jumped iteration as a stationary one and emits its trace event
-and boundary check, so counters, peak, trace and iteration count stay as
+idle.) TOP never is: its closure forbids nothing. Stationary iterations
+come in stretches, in which only r[0] moves and the rank state stays as
+it is: with high = r[1:], S_(x+1, high) is S_(x, high) less the vertices
+of rank (x, high), so a stretch runs on while no vertex holds the rank
+just processed, and ends there, at position 0's cap or at a bounded
+domain's sum bound. From a stationary iteration the encoding's `_stretch`
+finds its stretch's end with uncounted payload ops and counts each later
+rank's read and idle commit; the loop commits r idly and tallies every
+rank of the stretch as a stationary iteration, with its trace event and
+boundary check, so counters, peak, trace and iteration count stay as
 they were.
 
 Subgame restriction and role swapping are handled as views: the run is
@@ -161,13 +157,14 @@ class DirectFamilyState(_RankState):
         # As a set, S_r's copy.
         return self.sets[r].payload, 1
 
-    def _stretch(self, d, end):
-        """The last x <= end with S_(x, d[1:]) equal to S_d, by uncounted
-        equalities. Reads and idle commits count nothing in this encoding."""
+    def _stretch(self, r, end):
+        """The last x <= end with S_(x, r[1:]) equal to S_r, by uncounted
+        equalities; r is a stationary rank and r[0] < end. Reads and idle
+        commits count nothing in this encoding."""
         equals = self.space._backend.equals
-        sets, high = self.sets, d[1:]
-        s = sets[d].payload
-        last = d[0]
+        sets, high = self.sets, r[1:]
+        s = sets[r].payload
+        last = r[0]
         while last < end and equals(sets[(last + 1,) + high].payload, s):
             last += 1
         return last
@@ -285,16 +282,18 @@ class LinearSpaceState(_RankState):
                     intersections += 1
         return acc, running, unions, intersections, held
 
-    def _stretch(self, d, end):
-        """The last x <= end with S_(x, d[1:]) equal to S_d, by uncounted
-        payload ops. The counters gain what the reads and idle commits of
-        the ranks after d up to that one would have added."""
+    def _stretch(self, r, end):
+        """The last x <= end with S_(x, r[1:]) equal to S_r, by uncounted
+        payload ops; r is a stationary rank and r[0] < end (at position
+        0's cap, r[0] == end would count -1 segments). The counters gain
+        what the reads and idle commits of the ranks after r up to that
+        one would have added."""
         backend = self.space._backend
-        acc, running, unions, intersections, _ = self._fold(d, 1)
+        acc, running, unions, intersections, _ = self._fold(r, 1)
         row = self.coordinate[0]
-        x = d[0]
-        # S_(y, d[1:]) is acc joined with running's meet with row y. It stays
-        # S_d while row y keeps what S_d holds outside acc.
+        x = r[0]
+        # S_(y, r[1:]) is acc joined with running's meet with row y. It stays
+        # S_r while row y keeps what S_r holds outside acc.
         kept = row[x].payload if running is None else backend.intersect(running, row[x].payload)
         kept = backend.difference(kept, acc)
         last = x
@@ -521,11 +520,6 @@ class PmRun:
     domain: RankDomain
     iterations: int
 
-    @property
-    def winning_even(self) -> VertexSet:
-        """`winning` by the name whole-game runs give it: the even player's region."""
-        return self.winning
-
 
 def _pm_run(
     space: SetSpace,
@@ -586,60 +580,81 @@ def _pm_run(
         if iterations > guard:
             raise AssertionError("progress measure iteration exceeded its bound")
         old, _ = reconstruct(r)
+
+        if r is not TOP and r[0] and not rolled_back and equals(old, below):
+            # Stationary (module docstring), as is every rank of r's stretch
+            # up to `last`. r's commit is idle; each rank counts as run
+            # (seeding's cpre, one closure round under above[1] and the
+            # walk's one test; peak 6) and is traced and checked.
+            high = r[1:]
+            end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))
+            last = stretch(r, end) if r[0] < end else r[0]
+            commit(r, old, old, d, d)
+            n = last - r[0] + 1
+            space.tally(cpre_ops=2 * n, intersections=n, unions=n,
+                        differences=0 if above[1] is None else n,
+                        containment_tests=2 * n, held=6)
+            iterations += last - r[0]
+            if iterations > guard:
+                raise AssertionError("progress measure iteration exceeded its bound")
+            if trace is not None or checker is not None:
+                for x in range(r[0], last + 1):
+                    rank = (x,) + high
+                    next_rank = domain.incr(rank)
+                    if trace is not None:
+                        trace({"iteration": iterations - last + x, "rank": rank, "added": 0,
+                               "next_rank": next_rank, "rolled_back": False})
+                    if checker is not None:
+                        checker.boundary(state, rank, next_rank, False, below)
+            d = (last,) + high
+            r = domain.incr(d)
+            continue
+
+        # Seed from the sets one step down at each odd priority up to the
+        # highest level r survives projection at (r's lowest nonzero
+        # counter; a finite r is never zero), lowest priority first.
         w = old
+        seeded = 0
+        if r is TOP:
+            max_pos = positions
+        else:
+            max_pos = 1
+            while not r[max_pos - 1]:
+                max_pos += 1
+        for p in range(max_pos):
+            # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
+            if p:
+                source, h = reconstruct(domain.decr_at(r, 2 * p + 1))
+                if h > seeded:
+                    seeded = h
+                step = cpre(mine, source, within)
+            else:
+                step = cpre(mine, below, within)
+            w = union(w, intersect(step, odd_classes[p]))
+
+        # Close under the rank-raising player's moves; vertices whose
+        # priority exceeds the level cannot join at a finite rank this way.
+        forbidden = None if r is TOP or above[max_pos] is None else above[max_pos].payload
+        rounds = 0
+        while True:
+            rounds += 1
+            add = cpre(mine, w, within)
+            if forbidden is not None:
+                add = difference(add, forbidden)
+            if is_subset(add, w):
+                break
+            w = union(w, add)
+
+        # Walk down while the grown set is not yet contained; the ranks
+        # from decr(r) down to the floor it stops at must absorb it
+        # (directly, or implicitly through the commit).
         floor = d
         held = below
         tests = 1
-        seeded = 0
-
-        stationary = r is not TOP and r[0] and not rolled_back and equals(old, below)
-        if stationary:
-            # Stationary (module docstring): seeding and one closure round
-            # would add nothing and the walk would hold at once; count them
-            # as run.
-            max_pos = rounds = 1
-            forbidden = above[1]
-        else:
-            # Seed from the sets one step down at each odd priority up to the
-            # highest level r survives projection at (r's lowest nonzero
-            # counter; a finite r is never zero), lowest priority first.
-            if r is TOP:
-                max_pos = positions
-            else:
-                max_pos = 1
-                while not r[max_pos - 1]:
-                    max_pos += 1
-            for p in range(max_pos):
-                # decr_at(r, 1) is decr(r), so position 0 steps down from `below`.
-                if p:
-                    source, h = reconstruct(domain.decr_at(r, 2 * p + 1))
-                    if h > seeded:
-                        seeded = h
-                    step = cpre(mine, source, within)
-                else:
-                    step = cpre(mine, below, within)
-                w = union(w, intersect(step, odd_classes[p]))
-
-            # Close under the rank-raising player's moves; vertices whose
-            # priority exceeds the level cannot join at a finite rank this way.
-            forbidden = None if r is TOP or above[max_pos] is None else above[max_pos].payload
-            rounds = 0
-            while True:
-                rounds += 1
-                add = cpre(mine, w, within)
-                if forbidden is not None:
-                    add = difference(add, forbidden)
-                if is_subset(add, w):
-                    break
-                w = union(w, add)
-
-            # Walk down while the grown set is not yet contained; the ranks
-            # from decr(r) down to the floor it stops at must absorb it
-            # (directly, or implicitly through the commit).
-            while not is_subset(w, held):
-                floor = domain.decr(floor)
-                held, _ = reconstruct(floor)
-                tests += 1
+        while not is_subset(w, held):
+            floor = domain.decr(floor)
+            held, _ = reconstruct(floor)
+            tests += 1
         # The peak as if every payload had been a set; the 1 is `below`.
         # Beside `old` and `w`, seeding holds a read (2 + seeded), then its
         # step, seeded part and union (5). A view with no odd priority never
@@ -680,32 +695,6 @@ def _pm_run(
         if next_rank is None:
             break
         r, d = next_rank, floor if rolled_back else r
-        if stationary and r is not TOP and r[1:] == d[1:]:
-            # A stretch (module docstring): the iterations up to the last x
-            # with no carry and S_(x, r[1:]) equal to `below` run at once,
-            # each counted as a stationary one (peak 6), traced and checked.
-            high = r[1:]
-            end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))
-            last = stretch(d, end)
-            n = last - d[0]
-            if n:
-                iterations += n
-                if iterations > guard:
-                    raise AssertionError("progress measure iteration exceeded its bound")
-                space.tally(cpre_ops=2 * n, intersections=n, unions=n,
-                            differences=0 if forbidden is None else n,
-                            containment_tests=2 * n, held=6)
-                if trace is not None or checker is not None:
-                    for x in range(d[0] + 1, last + 1):
-                        jumped = (x,) + high
-                        next_rank = domain.incr(jumped)
-                        if trace is not None:
-                            trace({"iteration": iterations - last + x, "rank": jumped, "added": 0,
-                                   "next_rank": next_rank, "rolled_back": False})
-                        if checker is not None:
-                            checker.boundary(state, jumped, next_rank, False, below)
-                d = (last,) + high
-                r = domain.incr(d)
 
     space.release(*(s for s in above if s is not None and not s.pinned))
     top_set = state.read(TOP)

@@ -55,8 +55,14 @@ MUTANTS = [
      "end = domain.caps[0]"),
     ("stretch drops the last row's read counts", MEASURE,
      "segments = n - (last == self.eff_caps[0])", "segments = n"),
-    ("stretch keeps the accumulator in what S_d must keep", MEASURE,
+    ("stretch keeps the accumulator in what S_r must keep", MEASURE,
      "        kept = backend.difference(kept, acc)\n", ""),
+    ("stretch start drops its idle commit", MEASURE,
+     "            commit(r, old, old, d, d)\n", ""),
+    ("stationary block tallies n - 1 iterations", MEASURE,
+     "n = last - r[0] + 1", "n = last - r[0]"),
+    ("stretch runs from position 0's end", MEASURE,
+     "last = stretch(r, end) if r[0] < end else r[0]", "last = stretch(r, end)"),
 ]
 
 

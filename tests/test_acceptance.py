@@ -149,7 +149,7 @@ def test_criterion_2_symbolic_iteration(sample, capsys, monkeypatch):
         run.space.release(s)
     if family != EXPECTED_FAMILY:
         problems.append("final rank sets differ")
-    if ids(run.winning_even) != SAMPLE_EVEN:
+    if ids(run.winning) != SAMPLE_EVEN:
         problems.append("winning set differs")
 
     monkeypatch.setenv("PARITY_TRACE", "1")

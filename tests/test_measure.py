@@ -65,9 +65,9 @@ def test_sample_trace_is_exact(sample_game):
     run = symbolic_parity_dominion(sample_game, trace=events.append)
     assert events == EXPECTED_TRACE
     assert run.iterations == 12
-    assert ids(run.winning_even) == frozenset({2, 3, 4, 5, 6, 7})
+    assert ids(run.winning) == frozenset({2, 3, 4, 5, 6, 7})
     run.state.release_all()
-    run.space.release(run.winning_even)
+    run.space.release(run.winning)
 
 
 def _family(run) -> dict:
@@ -83,7 +83,7 @@ def test_sample_final_family(sample_game):
     run = symbolic_parity_dominion(sample_game)
     assert _family(run) == EXPECTED_FAMILY
     run.state.release_all()
-    run.space.release(run.winning_even)
+    run.space.release(run.winning)
 
 
 def test_sample_coordinate_rows(sample_game):
@@ -98,7 +98,7 @@ def test_sample_coordinate_rows(sample_game):
     ]
     assert ids(state.top) == frozenset({0, 1})
     state.release_all()
-    run.space.release(run.winning_even)
+    run.space.release(run.winning)
 
 
 def test_sample_operation_counts(sample_game):
@@ -107,7 +107,7 @@ def test_sample_operation_counts(sample_game):
     assert (c.cpre_ops, c.basic_total, c.peak_live_sets, c.live_sets) == (35, 180, 24, 17)
     assert c.equality_tests == 0  # commits never probe a row
     run.state.release_all()
-    run.space.release(run.winning_even)
+    run.space.release(run.winning)
     assert c.live_sets == 9  # the pinned base sets
 
 
@@ -118,7 +118,7 @@ def test_direct_representation_agrees(sample_game):
         sample_game, representation="direct", trace=direct_events.append
     )
     assert direct_events == linear_events
-    assert ids(direct.winning_even) == ids(linear.winning_even)
+    assert ids(direct.winning) == ids(linear.winning)
     # same one-step and containment work; only basic set algebra differs
     assert direct.space.counters.cpre_ops == linear.space.counters.cpre_ops == 35
     assert direct.space.counters.containment_tests == linear.space.counters.containment_tests
@@ -742,8 +742,9 @@ def test_stationary_stretches_are_jumped(monkeypatch, seed, iterations, cpre_ops
 
 @pytest.mark.parametrize("representation", ["linear", "direct"])
 def test_stationary_iterations_reach_the_invariant_checker(monkeypatch, representation):
-    # Skipped and jumped iterations alike get their trace event and their
-    # boundary check, and observing a run moves no count.
+    # Every stationary iteration, a stretch's first and its jumped ones
+    # alike, gets its trace event and its boundary check, and observing a
+    # run moves no count.
     g = gen_random(16, 5, 1, 3, 2)
     plain = SetSpace(g)
     _pm_run(plain, plain.full, representation=representation)
@@ -769,9 +770,9 @@ def test_bounded_stretches_stop_at_the_sum_bound(monkeypatch, swap):
     stops = []
     stretch = LinearSpaceState._stretch
 
-    def recorded(self, d, end):
-        last = stretch(self, d, end)
-        if last > d[0]:
+    def recorded(self, r, end):
+        last = stretch(self, r, end)
+        if last > r[0]:
             stops.append((last == end < self.domain.caps[0], last == self.eff_caps[0]))
         return last
 
@@ -783,6 +784,29 @@ def test_bounded_stretches_stop_at_the_sum_bound(monkeypatch, swap):
         assert got == want, representation
     assert any(at_bound for at_bound, _ in stops)
     assert any(at_last_row for _, at_last_row in stops)
+
+
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_stretches_start_below_their_end(monkeypatch, representation):
+    # `_stretch` takes a stationary rank r with r[0] < end: at position 0's
+    # cap the linear encoding would count a negative number of segments.
+    cls = LinearSpaceState if representation == "linear" else measure.DirectFamilyState
+    stretch = cls._stretch
+    starts = []
+
+    def checked(self, r, end):
+        assert r[0] < end, (r, end)
+        starts.append(r)
+        return stretch(self, r, end)
+
+    monkeypatch.setattr(cls, "_stretch", checked)
+    for seed in range(4):
+        g = gen_random(16, 5, 1, 3, 300 + seed)
+        for bound in (None, 0, 1, 2, 3):
+            for swap in (False, True):
+                space = SetSpace(g)
+                _pm_run(space, space.full, bound=bound, swap=swap, representation=representation)
+    assert starts
 
 
 def _rise(space, call):
