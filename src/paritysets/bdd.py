@@ -122,6 +122,7 @@ class BddBackend:
         self.bits = max(1, (n - 1).bit_length()) if n else 1
         self.man = _Manager(2 * self.bits)
         self.full_node = self.from_ids(range(n))
+        self.sorted_succs = [sorted(succs) for succs in game.successors]
         trans = 0
         for v, succs in enumerate(game.successors):
             row = 0
@@ -215,6 +216,10 @@ class BddBackend:
             bit = v >> (var // 2) & 1
             node = self.man.hi[node] if bit else self.man.lo[node]
         return node == 1
+
+    def first_successor_in(self, v: int, s) -> int:
+        """v's lowest-id successor in s, which must hold one."""
+        return next(w for w in self.sorted_succs[v] if self.contains(s, w))
 
     def _preimage(self, b) -> int:
         primed = self.man.shift_to_next(b)

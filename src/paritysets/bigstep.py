@@ -128,7 +128,7 @@ def symbolic_big_step(
     check_invariants: bool = False,
 ) -> "SolveReport":
     """Big-step solve; PARITY_TRACE=1 streams every dominion run to stderr.
-    Past Python's recursion limit it raises RecursionDepthExceeded."""
+    Its recursion needs no Python stack frame per level."""
     if not isinstance(policy, (SqrtPolicy, GammaPolicy, Fixed)):
         raise TypeError(f"unknown policy {policy!r}")
     norm, _ = normalize_priorities(game)

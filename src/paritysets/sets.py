@@ -17,10 +17,12 @@ names, cpre_ops and containment_tests included, and raises the peak to what
 the batch's intermediates would have reached had each been built as a set. The
 measure iteration is one such batch per iteration: its encoding's reads and
 commits add their own operations to the counters, and the loop's one tally
-adds the rest and the peak of the whole iteration.
+adds the rest and the peak of the whole iteration. `closure`, the attractor
+on payloads, is another: one tally per call.
 
-count()/ids()/contains() on a VertexSet are uncounted instrumentation for
-tests, traces and IO; solver logic sticks to the counted operations.
+count()/ids()/contains() on a VertexSet, and a backend's
+first_successor_in(), are uncounted instrumentation for tests, traces, IO
+and strategy edges; solver logic sticks to the counted operations.
 """
 
 from __future__ import annotations
@@ -218,6 +220,11 @@ class _BitsBackend:
     def contains(self, a, v: int) -> bool:
         return bool(a >> v & 1)
 
+    def first_successor_in(self, v: int, s) -> int:
+        """v's lowest-id successor in s, which must hold one."""
+        m = self.succ[v] & s
+        return (m & -m).bit_length() - 1
+
     def pre(self, b, within):
         out = 0
         m = within
@@ -382,7 +389,7 @@ class SetSpace:
         return self._track(VertexSet(self, payload))
 
     def tally(self, unions: int = 0, intersections: int = 0, differences: int = 0,
-              containment_tests: int = 0, cpre_ops: int = 0,
+              containment_tests: int = 0, cpre_ops: int = 0, equality_tests: int = 0,
               held: int = 0, result=None) -> VertexSet | None:
         """Count a batch of operations run on raw payloads as if each had
         built its set: the peak rises to the live sets plus `held`, the most
@@ -394,6 +401,7 @@ class SetSpace:
         c.differences += differences
         c.containment_tests += containment_tests
         c.cpre_ops += cpre_ops
+        c.equality_tests += equality_tests
         if c.live_sets + held > c.peak_live_sets:
             c.peak_live_sets = c.live_sets + held
         if result is None:
@@ -528,6 +536,39 @@ class SetSpace:
         if c.live_sets > c.peak_live_sets:
             c.peak_live_sets = c.live_sets
         return out
+
+    def closure(self, player: Player, seed, within=None, edges: dict | None = None):
+        """The payload of `player`'s attractor to the payload `seed` inside
+        the payload `within` (the whole game when None): the least fixpoint
+        of seed + cpre, grown until a cpre step is contained in it.
+
+        One tally counts what the loop on sets would: one cpre and one
+        containment test per round, one union per round that grows, and a
+        peak of the seed's copy, the step and their union. The result counts
+        as one live set that the caller gives back. When `edges` is a dict,
+        each attracted vertex of `player` gets its lowest-id successor one
+        layer closer to the seed; seed vertices get none.
+        """
+        backend = self._backend
+        mine = self.owned[player].payload
+        if within is None:
+            within = backend.full()
+        cpre, is_subset, union = backend.cpre, backend.is_subset, backend.union
+        current = seed
+        rounds = 1
+        step = cpre(mine, current, within)
+        while not is_subset(step, current):
+            if edges is not None:
+                new = backend.intersect(backend.difference(step, current), mine)
+                for v in backend.ids(new):
+                    edges[v] = backend.first_successor_in(v, current)
+            current = union(current, step)
+            rounds += 1
+            step = cpre(mine, current, within)
+        self.tally(unions=rounds - 1, containment_tests=rounds, cpre_ops=rounds,
+                   held=3 if rounds > 1 else 2)
+        self.counters.live_sets += 1
+        return current
 
     # -- uncounted helpers for debug checks ------------------------------------
 

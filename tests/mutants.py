@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SETS = "src/paritysets/sets.py"
 MEASURE = "src/paritysets/measure.py"
+ZIELONKA = "src/paritysets/zielonka.py"
 
 # (name, file, old, new)
 MUTANTS = [
@@ -63,6 +64,12 @@ MUTANTS = [
      "n = last - r[0] + 1", "n = last - r[0]"),
     ("stretch runs from position 0's end", MEASURE,
      "last = stretch(r, end) if r[0] < end else r[0]", "last = stretch(r, end)"),
+    ("a resumed level scans from its parent's bound, not p_star", ZIELONKA,
+     "        top = p_star\n", ""),
+    ("the hook's view counts as a live set", ZIELONKA,
+     "dominion_hook(space, VertexSet(space, current),", "dominion_hook(space, space._new(current),"),
+    ("first_successor_in returns the highest bit", SETS,
+     "return (m & -m).bit_length() - 1", "return m.bit_length() - 1"),
 ]
 
 

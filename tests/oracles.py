@@ -1,4 +1,4 @@
-"""Explicit dominion and trap checks the tests hold the solvers to.
+"""Explicit attractor, dominion and trap checks the tests hold the solvers to.
 
 Each reads the game vertex by vertex and counts nothing. The dominion
 checks solve the one-player-won region with the explicit lifting solver;
@@ -27,6 +27,35 @@ def is_trap(game: ParityGame, player: Player, vertices) -> bool:
         elif all(w not in vertices for w in succs):
             return False
     return True
+
+
+def attractor_layers(game: ParityGame, player: Player, seed, within=None):
+    """`player`'s attractor to `seed` inside `within` (every vertex when
+    None), grown one layer at a time: (vertices, edges, layers), with the
+    number of layers that added a vertex. A vertex of `within` joins a layer
+    when it is the player's and moves into the set so far inside `within`,
+    or the opponent's with a move inside `within` and every such move into
+    the set. Each joining vertex of the player gets its lowest-id successor
+    in the set so far as its edge."""
+    player = Player(player)
+    region = frozenset(range(game.vertex_count) if within is None else within)
+    attr = frozenset(seed)
+    edges = {}
+    layers = 0
+    while True:
+        new = set()
+        for v in region - attr:
+            inside = [w for w in game.successors[v] if w in region]
+            if game.owner[v] is player:
+                if any(w in attr for w in inside):
+                    new.add(v)
+                    edges[v] = min(w for w in game.successors[v] if w in attr)
+            elif inside and all(w in attr for w in inside):
+                new.add(v)
+        if not new:
+            return attr, edges, layers
+        attr |= new
+        layers += 1
 
 
 def is_dominion(game: ParityGame, player: Player, vertices) -> bool:

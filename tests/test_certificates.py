@@ -53,7 +53,7 @@ def test_solvers_agree_and_certify_on_random_games(n, solvers):
 
 
 def test_zielonka_certifies_a_ladder_just_under_the_recursion_limit():
-    # 600 nested levels; the 1,000-priority ladder overflows Python's stack.
+    # 600 nested levels, each won by even and certified with strategies.
     assert certified_even(classic_parity(ladder(600), strategies=True)) == frozenset(range(600))
 
 

@@ -15,6 +15,7 @@ import paritysets
 from paritysets import cli
 from paritysets.cli import main
 from paritysets.pgsolver import emit_pgsolver
+from paritysets.zielonka import RecursionDepthExceeded
 
 from conftest import corpus, ladder
 
@@ -276,13 +277,25 @@ def test_trace_environment_variable(game_file):
     assert "pm-trace" not in quiet.stderr
 
 
-def test_too_many_priorities_exit_two(tmp_path, capsys):
+def test_many_priorities_solve_and_a_depth_error_exits_two(tmp_path, capsys, monkeypatch):
+    # 1200 nested priorities, more than Python's default stack of 1000
+    # frames, solve: the recursion runs on an explicit stack.
     path = tmp_path / "ladder.gm"
     path.write_text(emit_pgsolver(ladder(1200)))
+    assert main(["solve", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "paritysol 1199;"
+    assert [line.split()[1] for line in lines[1:]] == ["0;"] * 1200
+
+    # The depth guard's error, were it raised, is one error line and exit 2.
+    def too_deep(*args, **kwargs):
+        raise RecursionDepthExceeded("recursion exceeded 3 levels")
+
+    monkeypatch.setattr(cli, "classic_parity", too_deep)
     assert main(["solve", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: 1200 priorities nest deeper")
+    assert captured.err == "error: recursion exceeded 3 levels\n"
 
 
 def _output(argv, capsys, fresh: bool):

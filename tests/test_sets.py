@@ -15,7 +15,8 @@ from paritysets.pgsolver import parse_pgsolver
 from paritysets.sets import _mask
 from paritysets.zielonka import attractor
 
-from conftest import corpus, ids, ladder
+from conftest import corpus, ids, ladder, small_games
+from oracles import attractor_layers
 
 
 @pytest.fixture
@@ -368,6 +369,34 @@ def test_bits_cpre_of_a_target_outside_the_view_looks_up_nothing(player):
     assert ids(got) == frozenset()
     want = bdd.cpre(player, bdd.from_ids(target), within=bdd.from_ids(view))
     assert ids(want) == cpre_oracle(g, player, set(target), view) == frozenset()
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(small_games(), st.sampled_from(["bits", "bdd"]), st.sampled_from(list(Player)), st.data())
+def test_closure_matches_the_per_vertex_attractor(g, backend, player, data):
+    # One round per layer that grows the set and a last one that finds it
+    # contained: a cpre and a containment test each, a union per growing
+    # round, and a peak of the seed's copy, the step and their union.
+    vertices = st.frozensets(st.integers(0, g.vertex_count - 1))
+    seed = data.draw(vertices, label="seed")
+    within = data.draw(st.none() | vertices, label="within")
+    want, want_edges, layers = attractor_layers(g, player, seed, within)
+    space = SetSpace(g, backend=backend)
+    backend_ = space._backend
+    view = None if within is None else backend_.from_ids(sorted(within))
+    for edges in (None, {}):
+        before = space.counters.snapshot()
+        got = space.closure(player, backend_.from_ids(sorted(seed)), view, edges)
+        c = space.counters
+        assert frozenset(backend_.ids(got)) == want
+        assert edges is None or edges == want_edges
+        assert c.cpre_ops - before.cpre_ops == layers + 1
+        assert c.containment_tests - before.containment_tests == layers + 1
+        assert c.unions - before.unions == layers
+        assert c.basic_total - before.basic_total == 2 * layers + 1
+        assert c.live_sets == before.live_sets + 1
+        assert c.peak_live_sets == max(before.peak_live_sets,
+                                       before.live_sets + (3 if layers else 2))
 
 
 def test_bits_attractor_kernel_work_is_linear_on_a_chain():

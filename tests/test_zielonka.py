@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritysets import Player, build_game, gen_random, solve_explicit_pm
-from paritysets.sets import SetSpace, VertexSet
+from paritysets import Player, bigstep, build_game, gen_random, solve_explicit_pm, zielonka
+from paritysets.bigstep import symbolic_big_step
+from paritysets.sets import SetSpace
 from paritysets.strategy import verify_strategy
 import pytest
 
 from paritysets.zielonka import (
     RecursionDepthExceeded,
+    _solve,
     _top_priority,
     attractor,
     classic_parity,
@@ -21,6 +24,7 @@ from paritysets.zielonka import (
 
 from conftest import corpus, ids, ladder, small_games
 from oracles import is_trap
+from reference_zielonka import reference_solve
 
 
 def test_attractor_on_the_sample(sample_game):
@@ -89,22 +93,21 @@ def test_players_given_as_ints_match_the_enum():
 
 
 @pytest.mark.parametrize("player", list(Player))
-def test_attractor_strategy_probes_only_the_new_vertices_successors(player, monkeypatch):
+def test_attractor_strategy_probes_only_the_new_vertices_successors(player):
     # The player owns every vertex; vertex v moves only to v - 1 and vertex
     # 0 to itself, so {0} grows by one vertex a round. Each attracted vertex
-    # is probed on its own successors once, not on every round after.
+    # is probed once, in the round it joins, not on every round after.
     n = 12
     chain = build_game([int(player)] * n, [0] * n,
                        [[0]] + [[v - 1] for v in range(1, n)])
     space = SetSpace(chain)
     calls = []
-    real = VertexSet.contains
-    monkeypatch.setattr(VertexSet, "contains", lambda s, v: calls.append(v) or real(s, v))
+    real = space._backend.first_successor_in
+    space._backend.first_successor_in = lambda v, s: calls.append(v) or real(v, s)
     res = attractor(chain, player, space.singleton(0), want_strategy=True)
-    monkeypatch.undo()
     assert ids(res.attractor) == frozenset(range(n))
     assert res.strategy_edges == {v: v - 1 for v in range(1, n)}
-    assert len(calls) <= sum(len(chain.successors[v]) for v in res.strategy_edges)
+    assert calls == list(range(1, n))
 
 
 def test_winning_regions_are_traps_for_the_loser():
@@ -177,24 +180,27 @@ def test_ladder_counts_are_linear_in_the_priorities(backend, k):
 
 def test_top_priority_of_an_empty_set_costs_one_test():
     space = SetSpace(ladder(40))
-    live = space.empty_set()
     before = space.counters.snapshot()
-    assert _top_priority(space, live, 39) == (-1, None)
+    assert _top_priority(space, space.empty.payload, 39) == (-1, None)
     c = space.counters
     assert c.equality_tests - before.equality_tests == 1
     assert c.basic_total - before.basic_total == 1  # so no intersection
+    assert (c.live_sets, c.peak_live_sets) == (before.live_sets, before.peak_live_sets)
 
 
 def test_top_priority_scans_from_the_bound_down():
     space = SetSpace(ladder(40))
     live = space.from_ids(range(10))
     before = space.counters.snapshot()
-    p, cls = _top_priority(space, live, 12)
-    assert p == 9 and ids(cls) == frozenset({9})
-    # one emptiness test of live, then classes 12, 11, 10 and 9
+    p, cls = _top_priority(space, live.payload, 12)
+    assert p == 9 and space._backend.ids(cls) == (9,)
+    # one emptiness test of live, then classes 12, 11, 10 and 9, one at a
+    # time; the class found stays counted as a live set
     c = space.counters
     assert c.intersections - before.intersections == 4
     assert c.equality_tests - before.equality_tests == 5
+    assert c.live_sets == before.live_sets + 1
+    assert c.peak_live_sets == max(before.peak_live_sets, c.live_sets)
 
 
 @pytest.mark.parametrize("backend", ["bits", "bdd"])
@@ -228,8 +234,64 @@ def test_winners_and_strategies_match_the_oracle(g, backend):
     assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
 
 
-def test_deep_ladder_raises_depth_error():
-    # 1200 nested priorities outgrow Python's default stack of 1000 frames.
-    with pytest.raises(RecursionDepthExceeded, match="1200 priorities") as err:
-        classic_parity(ladder(1200))
-    assert isinstance(err.value.__cause__, RecursionError)
+def _answer(rep) -> tuple:
+    return (asdict(rep.counters), ids(rep.winning_even), ids(rep.winning_odd),
+            rep.strategy_even.choice, rep.strategy_odd.choice, rep.diagnostics)
+
+
+def _repeats_the_reference(solve) -> bool:
+    """Whether `solve()` answers as it does with both solvers recursing
+    through `reference_solve`."""
+    saved = zielonka._solve, bigstep._solve
+    zielonka._solve = bigstep._solve = reference_solve
+    try:
+        expected = _answer(solve())
+    finally:
+        zielonka._solve, bigstep._solve = saved
+    return _answer(solve()) == expected
+
+
+# Random games of 2-40 vertices and 1-16 priorities, five seeds each. Many
+# levels make several passes, and in about one game in twenty a level's
+# later pass scans from below its first pass's bound.
+_GRID = [gen_random(n, c, 1, 3, seed)
+         for n in range(2, 41, 3) for c in range(1, 17, 3) for seed in range(5)]
+
+
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+def test_the_loop_repeats_the_set_level_recursion(backend):
+    # Every counter, the peak included, every winner and choice, and
+    # big-step's level log and dominion runs, as the recursion on sets
+    # leaves them. Big-step, and bdd (several times slower per op), run on
+    # the games of at most 14 vertices.
+    for g in _GRID:
+        small = g.vertex_count <= 14
+        if small or backend == "bits":
+            assert _repeats_the_reference(
+                lambda: classic_parity(g, strategies=True, backend=backend))
+        if small:
+            assert _repeats_the_reference(
+                lambda: symbolic_big_step(g, strategies=True, backend=backend))
+
+
+def test_deep_ladder_solves():
+    # 1200 nested levels, more than Python's default stack of 1000 frames:
+    # the recursion runs on an explicit stack. The counts follow
+    # LADDER_COUNTS' pattern: 7.5k + 1 basic ops, 2k cpre, peak 2k + 7.
+    k = 1200
+    rep = classic_parity(ladder(k))
+    assert ids(rep.winning_even) == frozenset(range(k))
+    c = rep.counters
+    assert (c.basic_total, c.cpre_ops, c.peak_live_sets) == (9001, 2400, 2 * k + 7)
+
+
+@pytest.mark.parametrize("max_depth", [0, 5, 30])
+def test_solve_past_its_depth_limit_raises(max_depth):
+    # ladder(40) nests 40 levels below the outermost one.
+    game = ladder(40)
+    space = SetSpace(game)
+    with pytest.raises(RecursionDepthExceeded, match=f"exceeded {max_depth} levels"):
+        _solve(game, space, space.copy(space.full), 0, max_depth, False)
+    space = SetSpace(game)
+    wins, _ = _solve(game, space, space.copy(space.full), 0, 40, False)
+    assert ids(wins[Player.EVEN]) == frozenset(range(40)) and wins[Player.ODD] is None
