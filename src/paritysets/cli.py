@@ -3,10 +3,12 @@
 Verbs: solve (print a solution), stats (structured counters), dominion
 (bounded dominion search), verify (check a solution file against a fresh
 solve), gen (seeded random game). Exit codes: 0 fine, 1 verification
-disagreement, 2 parse or usage trouble, or a game whose priorities nest
-deeper than the recursive solvers can go. Set PARITY_TRACE=1 to stream every
-measure run to stderr (pm's role-swapped strategy run over the odd region and
-bigstep's dominion runs included).
+disagreement, 2 parse or usage trouble. A recursive solve past its depth
+limit (`RecursionDepthExceeded`) would also exit 2, but no valid game
+reaches it: before each descent the nesting is at most the priority count,
+against a limit of the priority count plus 2. Set PARITY_TRACE=1 to stream
+every measure run to stderr (pm's role-swapped strategy run over the odd
+region and bigstep's dominion runs included).
 """
 
 from __future__ import annotations

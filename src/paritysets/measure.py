@@ -140,7 +140,8 @@ class _RankState:
     def read(self, r) -> VertexSet:
         """A fresh S_r that the caller releases."""
         payload, held = self._reconstruct(r)
-        return self.space.tally(held=held, result=payload)
+        self.space.tally(held=held)
+        return self.space._new(payload)
 
 
 class DirectFamilyState(_RankState):

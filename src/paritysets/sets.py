@@ -5,6 +5,9 @@ ownership sets and one set per priority are materialized up front and stay
 pinned; everything else is created by counted operations and must be
 released by the code that created it. Live-set accounting feeds the peak
 space measurements, so leaks show up as budget violations, not just waste.
+One rule, `_count_new`, counts a set into it: `_new` applies it to every
+set the space builds, and payload loops that keep a value as a set would
+(Zielonka's recursion) apply it directly.
 
 Two interchangeable representations sit behind the same interface: plain
 int bit masks (default) and a small reduced ordered BDD. A backend holds only
@@ -333,6 +336,13 @@ class _BitsBackend:
         return out
 
 
+def _count_new(c: OpCounters) -> None:
+    """The live-set rule: one more live set, raising the peak if passed."""
+    c.live_sets += 1
+    if c.live_sets > c.peak_live_sets:
+        c.peak_live_sets = c.live_sets
+
+
 class _Classes(dict):
     """Priority classes by priority; a missing priority reads as `empty`."""
 
@@ -356,16 +366,17 @@ class SetSpace:
             self._backend = BddBackend(game)
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        self.full = self._pin(self._backend.full())
+        self.full = self._new(self._backend.full(), pinned=True)
         from_mask = self._backend.from_mask
         evens = from_mask(_label_masks(game.owner).get(Player.EVEN, 0))
+        odds = self._backend.difference(self.full.payload, evens)
         # Each player's vertices, keyed by Player; its values 0 and 1 work too.
-        self.owned = {Player.EVEN: self._pin(evens),
-                      Player.ODD: self._pin(self._backend.difference(self.full.payload, evens))}
-        self.empty = self._pin(self._backend.empty())
+        self.owned = {Player.EVEN: self._new(evens, pinned=True),
+                      Player.ODD: self._new(odds, pinned=True)}
+        self.empty = self._new(self._backend.empty(), pinned=True)
         classes = _label_masks(game.priority)
         self.priority_sets = _Classes(
-            (p, self._pin(from_mask(classes[p]))) for p in sorted(classes)
+            (p, self._new(from_mask(classes[p]), pinned=True)) for p in sorted(classes)
         )
         # A missing priority reads as the pinned empty set and costs nothing
         # but one more live set in the count, as its own set would.
@@ -375,26 +386,18 @@ class SetSpace:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _pin(self, payload) -> VertexSet:
-        return self._track(VertexSet(self, payload, pinned=True))
-
-    def _track(self, s: VertexSet) -> VertexSet:
-        c = self.counters
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return s
-
-    def _new(self, payload) -> VertexSet:
-        return self._track(VertexSet(self, payload))
+    def _new(self, payload, pinned: bool = False) -> VertexSet:
+        """A fresh set of `payload`, counted by the live-set rule."""
+        _count_new(self.counters)
+        return VertexSet(self, payload, pinned)
 
     def tally(self, unions: int = 0, intersections: int = 0, differences: int = 0,
               containment_tests: int = 0, cpre_ops: int = 0, equality_tests: int = 0,
-              held: int = 0, result=None) -> VertexSet | None:
+              held: int = 0) -> None:
         """Count a batch of operations run on raw payloads as if each had
         built its set: the peak rises to the live sets plus `held`, the most
-        intermediates (the result included) alive at once. A `result`
-        payload comes back as one fresh live set."""
+        intermediates (a result included) alive at once. A result the caller
+        keeps joins the live count through `_new`."""
         c = self.counters
         c.unions += unions
         c.intersections += intersections
@@ -404,10 +407,6 @@ class SetSpace:
         c.equality_tests += equality_tests
         if c.live_sets + held > c.peak_live_sets:
             c.peak_live_sets = c.live_sets + held
-        if result is None:
-            return None
-        c.live_sets += 1
-        return VertexSet(self, result)
 
     def release(self, *sets: VertexSet) -> None:
         c = self.counters
@@ -443,99 +442,53 @@ class SetSpace:
         return self._new(self._backend.from_ids((v,)))
 
     def copy(self, s: VertexSet) -> VertexSet:
-        if s.space is not self or not s.alive:
-            self._arg(s)
-        c = self.counters
-        out = VertexSet(self, s.payload)
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return out
+        return self._new(self._arg(s))
 
     # -- counted operations ----------------------------------------------------
-    # The argument checks are folded into one fast test per operand; _arg
-    # re-runs them on the slow path purely to raise the precise error.
 
     def union(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        if a.space is not self or not a.alive or b.space is not self or not b.alive:
-            self._arg(a)
-            self._arg(b)
-        c = self.counters
-        c.unions += 1
-        out = VertexSet(self, self._backend.union(a.payload, b.payload))
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return out
+        a, b = self._arg(a), self._arg(b)
+        self.counters.unions += 1
+        return self._new(self._backend.union(a, b))
 
     def intersect(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        if a.space is not self or not a.alive or b.space is not self or not b.alive:
-            self._arg(a)
-            self._arg(b)
-        c = self.counters
-        c.intersections += 1
-        out = VertexSet(self, self._backend.intersect(a.payload, b.payload))
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return out
+        a, b = self._arg(a), self._arg(b)
+        self.counters.intersections += 1
+        return self._new(self._backend.intersect(a, b))
 
     def difference(self, a: VertexSet, b: VertexSet) -> VertexSet:
-        if a.space is not self or not a.alive or b.space is not self or not b.alive:
-            self._arg(a)
-            self._arg(b)
-        c = self.counters
-        c.differences += 1
-        out = VertexSet(self, self._backend.difference(a.payload, b.payload))
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return out
+        a, b = self._arg(a), self._arg(b)
+        self.counters.differences += 1
+        return self._new(self._backend.difference(a, b))
 
     def is_subset(self, a: VertexSet, b: VertexSet) -> bool:
-        if a.space is not self or not a.alive or b.space is not self or not b.alive:
-            self._arg(a)
-            self._arg(b)
+        a, b = self._arg(a), self._arg(b)
         self.counters.containment_tests += 1
-        return self._backend.is_subset(a.payload, b.payload)
+        return self._backend.is_subset(a, b)
 
     def equals(self, a: VertexSet, b: VertexSet) -> bool:
-        if a.space is not self or not a.alive or b.space is not self or not b.alive:
-            self._arg(a)
-            self._arg(b)
+        a, b = self._arg(a), self._arg(b)
         self.counters.equality_tests += 1
-        return self._backend.equals(a.payload, b.payload)
+        return self._backend.equals(a, b)
 
     def is_empty(self, s: VertexSet) -> bool:
         return self.equals(s, self.empty)
 
     def pre(self, b: VertexSet, within: VertexSet | None = None) -> VertexSet:
-        if b.space is not self or not b.alive:
-            self._arg(b)
+        b = self._arg(b)
         w = self._arg(within) if within is not None else self._backend.full()
-        c = self.counters
-        c.pre_ops += 1
-        out = VertexSet(self, self._backend.pre(b.payload, w))
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return out
+        self.counters.pre_ops += 1
+        return self._new(self._backend.pre(b, w))
 
     def cpre(self, player: Player, b: VertexSet, within: VertexSet | None = None) -> VertexSet:
         try:
             mine = self.owned[player].payload
         except (KeyError, TypeError):
             raise ValueError(f"not a player: {player!r}") from None
-        if b.space is not self or not b.alive:
-            self._arg(b)
+        b = self._arg(b)
         w = self._arg(within) if within is not None else self._backend.full()
-        c = self.counters
-        c.cpre_ops += 1
-        out = VertexSet(self, self._backend.cpre(mine, b.payload, w))
-        c.live_sets += 1
-        if c.live_sets > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets
-        return out
+        self.counters.cpre_ops += 1
+        return self._new(self._backend.cpre(mine, b, w))
 
     def closure(self, player: Player, seed, within=None, edges: dict | None = None):
         """The payload of `player`'s attractor to the payload `seed` inside

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .game import ParityGame, Player, normalize_priorities
 from .report import SolveReport
-from .sets import SetSpace, VertexSet
+from .sets import SetSpace, VertexSet, _count_new
 from .strategy import extract_attractor_strategies
 
 
@@ -100,17 +100,10 @@ def _top_priority(space: SetSpace, live, hi: int):
     return -1, None
 
 
-def _new_live(c) -> None:
-    """Count one more live set."""
-    c.live_sets += 1
-    if c.live_sets > c.peak_live_sets:
-        c.peak_live_sets = c.live_sets
-
-
 def _absorb(c, union, wins: list, p: int, region) -> None:
     """Join `region` to p's winnings: a copy when p has won nothing yet, else
     a counted union that replaces the old winnings."""
-    _new_live(c)
+    _count_new(c)
     if wins[p] is None:
         wins[p] = region
     else:
@@ -124,7 +117,7 @@ def _peel(c, union, difference, wins: list, p: int, current, region):
     `current` without it; `current` and `region` are given back."""
     _absorb(c, union, wins, p, region)
     c.differences += 1
-    _new_live(c)
+    _count_new(c)
     c.live_sets -= 2
     return difference(current, region)
 
@@ -251,7 +244,7 @@ def _solve(
         pull = closure(pl, cls, current, pull_edges)
         c.live_sets -= 1  # cls
         c.differences += 1
-        _new_live(c)
+        _count_new(c)
         rest = difference(current, pull)
         c.live_sets -= 1  # pull
         if depth + len(frames) > max_depth:

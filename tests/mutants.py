@@ -70,6 +70,13 @@ MUTANTS = [
      "dominion_hook(space, VertexSet(space, current),", "dominion_hook(space, space._new(current),"),
     ("first_successor_in returns the highest bit", SETS,
      "return (m & -m).bit_length() - 1", "return m.bit_length() - 1"),
+    ("the live-set rule never raises the peak", SETS,
+     "    c.live_sets += 1\n    if c.live_sets > c.peak_live_sets:\n"
+     "        c.peak_live_sets = c.live_sets\n",
+     "    c.live_sets += 1\n"),
+    ("a set-level op counts before checking its operands", SETS,
+     "        a, b = self._arg(a), self._arg(b)\n        self.counters.unions += 1\n",
+     "        self.counters.unions += 1\n        a, b = self._arg(a), self._arg(b)\n"),
 ]
 
 

@@ -89,30 +89,63 @@ def test_tally_counts_a_batch_as_if_it_built_its_sets(space):
     assert (c.unions, c.intersections, c.differences) == (2, 1, 3)
     assert (c.containment_tests, c.cpre_ops, c.equality_tests, c.pre_ops) == (4, 5, 0, 0)
     assert (c.live_sets, c.peak_live_sets) == (live, live + 2)
-    # A result payload comes back as one live set; `held` counts it.
-    s = space.tally(unions=1, held=1, result=space.priority_sets[1].payload)
+    # A batch's result joins the live count through _new; `held` counts it.
+    space.tally(unions=1, held=1)
+    s = space._new(space.priority_sets[1].payload)
     assert ids(s) == {0, 2, 7} and not s.pinned
     assert (c.unions, c.live_sets, c.peak_live_sets) == (3, live + 1, live + 2)
     space.release(s)
     assert c.live_sets == live
 
 
-def test_release_discipline(space):
-    a = space.from_ids((0,))
-    space.release(a)
-    with pytest.raises(ValueError):
+# Every counted set-level op by name, with the number of sets it takes
+# (cpre also takes a player first; pre and cpre take a view second), and
+# each operand position of each.
+_COUNTED_OPS = {
+    "union": 2, "intersect": 2, "difference": 2, "is_subset": 2, "equals": 2,
+    "is_empty": 1, "pre": 2, "cpre": 2, "copy": 1,
+}
+_OPERAND_CASES = [(op, i) for op, k in _COUNTED_OPS.items() for i in range(k)]
+
+
+def _refused(space, op, position, bad):
+    """Call `op` with `bad` at `position` and pinned sets elsewhere; return
+    the exception it raised, checking that no counter moved."""
+    operands = [space.full] * _COUNTED_OPS[op]
+    operands[position] = bad
+    if op == "cpre":
+        operands.insert(0, Player.EVEN)
+    before = space.counters.snapshot()
+    with pytest.raises(Exception) as refused:
+        getattr(space, op)(*operands)
+    assert space.counters == before, (op, position)
+    return refused.value
+
+
+def test_release_discipline(sample_game):
+    for backend in ("bits", "bdd"):
+        space = SetSpace(sample_game, backend)
+        a = space.from_ids((0,))
         space.release(a)
-    with pytest.raises(ValueError):
-        space.union(a, space.full)
-    with pytest.raises(ValueError):
-        space.release(space.full)
+        with pytest.raises(ValueError):
+            space.release(a)
+        with pytest.raises(ValueError):
+            space.release(space.full)
+        # Every counted op refuses a released operand before a counter moves.
+        for op, position in _OPERAND_CASES:
+            error = _refused(space, op, position, a)
+            assert type(error) is ValueError and "released" in str(error), (backend, op, position)
 
 
 def test_spaces_do_not_mix(sample_game):
-    one = SetSpace(sample_game)
-    two = SetSpace(sample_game)
-    with pytest.raises(UniverseMismatch):
-        one.union(one.full, two.full)
+    for backend in ("bits", "bdd"):
+        one = SetSpace(sample_game, backend)
+        two = SetSpace(sample_game, backend)
+        before = two.counters.snapshot()
+        for op, position in _OPERAND_CASES:
+            error = _refused(one, op, position, two.full)
+            assert type(error) is UniverseMismatch, (backend, op, position)
+        assert two.counters == before
 
 
 def test_uncounted_helpers_cost_nothing(space):
