@@ -30,7 +30,9 @@ gives S_r and the most sets reading it would have held at once,
 the ranks the loop's walk-down already holds: d = decr(r) and the floor the
 walk stopped at, and `_stretch(r, end)` finds a stationary stretch's end
 (below). So preimage and containment counts agree between them by
-construction. `read(r)` hands callers outside the loop a fresh S_r.
+construction. `read(r)` hands callers outside the loop a fresh S_r, and
+`ranks()` every vertex's rank, read off raw payloads and counted nowhere:
+strategy extraction and the invariant checker read ranks through it alone.
 
 Each iteration is one payload transaction that makes and releases no set:
 the loop counts the rest of its operations and the iteration's peak in one
@@ -184,18 +186,19 @@ class DirectFamilyState(_RankState):
             rp = self.domain.decr(rp)
         self.sets[r].payload = w
 
-    def rank_of(self, v: int):
-        """v's rank by counted singleton containment tests, lowest rank first."""
-        space = self.space
-        probe = space.singleton(v)
-        rank = None
+    def ranks(self) -> dict:
+        """Every universe vertex's rank, off raw payloads; counts nothing.
+        A vertex's rank is the last rank whose set holds it. Refuses a
+        family that is not anti-monotone."""
+        raw_ids = self.space.raw_ids
+        rank = {}
+        prev = None
         for r in self.domain.iterate():
-            if not space.is_subset(probe, self.sets[r]):
-                break
-            rank = r
-        space.release(probe)
-        if rank is None:
-            raise PreconditionViolated(f"vertex {v} missing from the rank family")
+            cur = frozenset(raw_ids(self.sets[r]))
+            if prev is not None and not cur <= prev:
+                raise InvariantViolation(f"family not anti-monotone at {r}")
+            rank.update(dict.fromkeys(cur, r))
+            prev = cur
         return rank
 
     def release_all(self) -> None:
@@ -382,23 +385,25 @@ class LinearSpaceState(_RankState):
         c.unions += unions
         c.differences += differences
 
-    def rank_of(self, v: int):
-        space = self.space
-        probe = space.singleton(v)
-        if space.is_subset(probe, self.top):
-            space.release(probe)
-            return TOP
-        vec = []
+    def ranks(self) -> dict:
+        """Every universe vertex's rank, off raw payloads; counts nothing. A
+        finite counter is the number of rows holding the vertex, less 1.
+        Refuses rows that are not nested below universe minus top."""
+        raw_ids = self.space.raw_ids
+        top = frozenset(raw_ids(self.top))
+        rest = frozenset(raw_ids(self.universe)) - top
+        held = []
         for p, row in enumerate(self.coordinate):
-            if not space.is_subset(probe, row[0]):
-                space.release(probe)
-                raise PreconditionViolated(f"vertex {v} missing from coordinate {p}")
-            x = 0
-            while x + 1 < len(row) and space.is_subset(probe, row[x + 1]):
-                x += 1
-            vec.append(x)
-        space.release(probe)
-        return tuple(vec)
+            cells = [frozenset(raw_ids(cell)) for cell in row]
+            if cells[0] != rest:
+                raise InvariantViolation(f"coordinate {p} row 0 is not universe minus top")
+            for x in range(1, len(cells)):
+                if not cells[x] <= cells[x - 1]:
+                    raise InvariantViolation(f"coordinate {p} not nested at row {x}")
+            held.append(Counter(v for cell in cells for v in cell))
+        rank = {v: tuple(n[v] - 1 for n in held) for v in rest}
+        rank.update(dict.fromkeys(top, TOP))
+        return rank
 
     def release_all(self) -> None:
         for row in self.coordinate:
@@ -415,9 +420,10 @@ class _InvariantChecker:
     """Boundary checks against the explicit solver on the same view.
 
     The oracle is the explicit least fixpoint on the view's game: the
-    universe's subgame, role-swapped under a swapped view. Every read, the
-    ranks included, goes through raw copies of the state's sets, never
-    counted operations, so debug runs report the same counts as plain runs.
+    universe's subgame, role-swapped under a swapped view. The ranks come
+    from the state's uncounted `ranks()`, which also checks the encoding's
+    shape, and the carried set is read raw, so debug runs report the same
+    counts as plain runs.
     """
 
     def __init__(self, view: _View, domain: RankDomain):
@@ -432,34 +438,7 @@ class _InvariantChecker:
     def boundary(self, state, processed_rank, next_rank, rolled_back, below) -> None:
         """`below` is the payload of the set carried into the next iteration."""
         domain = self.domain
-        raw_ids = state.space.raw_ids
-        # The family is anti-monotone / each coordinate's rows are nested;
-        # either shape lets the ranks be read off the raw sets.
-        if isinstance(state, DirectFamilyState):
-            rank_at = {}
-            prev = None
-            for r in domain.iterate():
-                cur = frozenset(raw_ids(state.sets[r]))
-                if prev is not None and not cur <= prev:
-                    raise InvariantViolation(f"family not anti-monotone at {r}")
-                # A vertex's rank is the last rank whose set holds it.
-                rank_at.update(dict.fromkeys(cur, r))
-                prev = cur
-        else:
-            top = frozenset(raw_ids(state.top))
-            rest = frozenset(self.ids) - top
-            held = []
-            for p, row in enumerate(state.coordinate):
-                cells = [frozenset(raw_ids(cell)) for cell in row]
-                if cells[0] != rest:
-                    raise InvariantViolation(f"coordinate {p} row 0 is not universe minus top")
-                for x in range(1, len(cells)):
-                    if not cells[x] <= cells[x - 1]:
-                        raise InvariantViolation(f"coordinate {p} not nested at row {x}")
-                held.append(Counter(v for cell in cells for v in cell))
-            # A finite counter is the number of rows holding the vertex, less 1.
-            rank_at = {v: tuple(n[v] - 1 for n in held) for v in rest}
-            rank_at.update(dict.fromkeys(top, TOP))
+        rank_at = state.ranks()
         # Ranks by subgame position: position i is vertex self.ids[i].
         ranks = []
         for v in self.ids:

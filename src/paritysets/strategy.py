@@ -4,10 +4,11 @@ The measure-based extraction reads the least fixpoint directly, as in
 Jurdziński's small progress measures: each winning vertex u of the
 rank-bounded player, at view level l, moves to its lowest-id successor w
 with incr_at(rank(w), l) = rank(u). Those successors are the ones inside
-the view and outside one rank set: S_rank(u) at an odd level, and at an
-even level the set of the least rank that beats rank(u) at l + 1. So per
-such vertex the extraction reads its rank and that one set, and probes its
-successors with uncounted membership tests.
+the view and outside one rank set, that is, ranked below its rank: at an
+odd level rank(u) projected to l, and at an even level the least rank that
+beats rank(u) at l + 1. The extraction reads every rank once through the
+state's uncounted `ranks()`, so, like the recursive solvers' choice maps,
+it adds nothing to the counters.
 
 Verification is explicit and independent of the solvers: check the choices
 stay inside the claimed region, check the opponent cannot leave it, then
@@ -50,38 +51,31 @@ def extract_strategy_from_pm(state) -> Strategy:
 
     `state` is a finished run's rank state, which carries the run's view;
     under a swapped view the strategy belongs to the base game's odd player.
-    One rank read and one rank-set read per winning vertex of the player.
+    One uncounted read of every rank; the run's counters do not move.
     """
     view = state.view
-    space = state.space
     domain = state.domain
-    game = space.game
+    game = state.space.game
     player = Player.ODD if view.swap else Player.EVEN
-    universe = view.universe
+    rank = state.ranks()
 
-    top_set = state.read(TOP)
     choice: dict[int, int] = {}
-    try:
-        for u in universe.ids():
-            if game.owner[u] is not player or top_set.contains(u):
-                continue
-            rank_u = state.rank_of(u)
-            level = game.priority[u] + view.shift
-            # w justifies rank_u exactly when incr_at(rank(w), level) == rank_u,
-            # which at the fixpoint means w lies outside S_target.
-            if level % 2:
-                target = domain.project(rank_u, level)
-            else:
-                target = domain.incr_at(rank_u, level + 1)
-            held = state.read(target)
-            picks = [w for w in game.successors[u]
-                     if universe.contains(w) and not held.contains(w)]
-            space.release(held)
-            if not picks:
-                raise IncompleteStrategy(f"no successor justifies the rank of vertex {u}")
-            choice[u] = min(picks)
-    finally:
-        space.release(top_set)
+    for u in view.universe.ids():
+        rank_u = rank[u]
+        if game.owner[u] is not player or rank_u is TOP:
+            continue
+        level = game.priority[u] + view.shift
+        # w justifies rank_u exactly when incr_at(rank(w), level) == rank_u,
+        # which at the fixpoint means w lies outside S_target: below target.
+        if level % 2:
+            target = domain.project(rank_u, level)
+        else:
+            target = domain.incr_at(rank_u, level + 1)
+        picks = [w for w in game.successors[u]
+                 if w in rank and domain.compare(rank[w], target) < 0]
+        if not picks:
+            raise IncompleteStrategy(f"no successor justifies the rank of vertex {u}")
+        choice[u] = min(picks)
     return Strategy(player=player, domain=frozenset(choice), choice=choice)
 
 

@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SETS = "src/paritysets/sets.py"
 MEASURE = "src/paritysets/measure.py"
 ZIELONKA = "src/paritysets/zielonka.py"
+STRATEGY = "src/paritysets/strategy.py"
 
 # (name, file, old, new)
 MUTANTS = [
@@ -77,6 +78,10 @@ MUTANTS = [
     ("a set-level op counts before checking its operands", SETS,
      "        a, b = self._arg(a), self._arg(b)\n        self.counters.unions += 1\n",
      "        self.counters.unions += 1\n        a, b = self._arg(a), self._arg(b)\n"),
+    ("a pm pick may keep its rank instead of justifying it", STRATEGY,
+     "domain.compare(rank[w], target) < 0", "domain.compare(rank[w], target) <= 0"),
+    ("the linear rank reader counts one row too many", MEASURE,
+     "tuple(n[v] - 1 for n in held)", "tuple(n[v] for n in held)"),
 ]
 
 

@@ -12,8 +12,9 @@ answers.
 `reference_extract_strategy_from_pm` reads a finished run's strategy by
 targets: for each winning vertex v it takes the controlled predecessors of
 {v} and, per predecessor priority, the set of the rank a move to v would
-justify. The library reads one rank set per player vertex instead; both
-must pick the same successors, and the library may spend no more ops.
+justify, with each vertex's rank from one uncounted `ranks()` read. The
+library compares ranks instead; both must pick the same successors, and
+the library may move no counter.
 """
 
 from __future__ import annotations
@@ -221,9 +222,10 @@ def reference_extract_strategy_from_pm(state) -> Strategy:
     top_set = state.read(TOP)
     uncovered = space.difference(view.universe, top_set)
     space.release(top_set)
+    rank = state.ranks()
     choice: dict[int, int] = {}
     for v in uncovered.ids():
-        rank_v = state.rank_of(v)
+        rank_v = rank[v]
         one = space.singleton(v)
         preds = space.cpre(view.odd_role.opponent(), one, within=view.universe)
         space.release(one)

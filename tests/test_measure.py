@@ -408,6 +408,20 @@ def test_agrees_with_explicit_solver():
         assert ids(rep.winning_even) == expected
 
 
+@pytest.mark.parametrize("backend", ["bits", "bdd"])
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_finished_ranks_are_the_explicit_fixpoint(backend, representation):
+    # The role-swapped game is solved as a game: a swapped view's ranks keep
+    # an empty position that the explicit solver's normalization drops.
+    for g in corpus(60, seed0=2100):
+        for game in (g, swap_roles_increment(g)):
+            for bound in (None, 0, 1, 2):
+                run = symbolic_parity_dominion(game, bound=bound, backend=backend,
+                                               representation=representation)
+                want = solve_explicit_pm(game, bound).rho
+                assert run.state.ranks() == dict(enumerate(want)), bound
+
+
 def test_bdd_backend_same_answers_and_counts(sample_game):
     bits = solve_pm_symbolic(sample_game)
     bdd = solve_pm_symbolic(sample_game, backend="bdd")
@@ -488,12 +502,11 @@ def _grow(state, r, vertices, floor=None):
 
 def test_state_update_and_rank_queries():
     space, state = _tiny_state()
-    assert state.rank_of(0) == (0,) and state.rank_of(1) == (0,)
+    assert state.ranks() == {0: (0,), 1: (0,)}
     _grow(state, (1,), [0])
-    assert state.rank_of(0) == (1,)
-    assert state.rank_of(1) == (0,)
+    assert state.ranks() == {0: (1,), 1: (0,)}
     _grow(state, TOP, [1], floor=(0,))
-    assert state.rank_of(1) is TOP
+    assert state.ranks() == {0: (1,), 1: TOP}
 
 
 def test_commits_walk_every_row_they_change():
@@ -513,7 +526,7 @@ def test_commits_walk_every_row_they_change():
     _grow(state, TOP, [1], floor=(0,))
     assert rows() == [{0, 2}, {0}, {0}, {0}]
     assert ids(state.top) == {1}
-    assert [state.rank_of(v) for v in range(3)] == [(3,), TOP, (0,)]
+    assert state.ranks() == dict(enumerate([(3,), TOP, (0,)]))
 
 
 def test_commits_without_a_roll_back_touch_known_rows():
@@ -543,14 +556,14 @@ def test_commits_without_a_roll_back_touch_known_rows():
     # and joins row 1 at position 1.
     assert commit((0, 1), [0]) == (1, 3, 0, 0)
     assert rows() == [[{0, 1, 2}, {1, 2}, {1}], [{0, 1, 2}, {0}]]
-    assert [state.rank_of(v) for v in range(3)] == [(0, 1), (2, 0), (1, 0)]
+    assert state.ranks() == dict(enumerate([(0, 1), (2, 0), (1, 0)]))
     commit((1, 1), [0])
     commit((2, 1), [0])
     # A TOP commit from (2,1): vertex 0 leaves every row.
     assert commit(TOP, [0]) == (1, 6, 0, 0)
     assert rows() == [[{1, 2}, {1, 2}, {1}], [{1, 2}, set()]]
     assert ids(state.top) == {0}
-    assert [state.rank_of(v) for v in range(3)] == [TOP, (2, 0), (1, 0)]
+    assert state.ranks() == dict(enumerate([TOP, (2, 0), (1, 0)]))
     # Without a roll-back the delta must come from decr(r): vertex 2 sits at (1,0).
     with pytest.raises(PreconditionViolated, match="decr"):
         _grow(state, (0, 1), [0, 1, 2])
@@ -567,8 +580,8 @@ def test_roll_back_commits_bound_counters_by_the_floor():
                         ((2, 1, 0), [0, 2, 3]), ((0, 2, 0), [0, 3]), ((1, 2, 0), [0]),
                         ((2, 2, 0), [0])):
         _grow(state, r, vertices)
-    assert [state.rank_of(v) for v in range(5)] == [
-        (2, 2, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0), (0, 0, 0)]
+    assert state.ranks() == dict(enumerate([
+        (2, 2, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0), (0, 0, 0)]))
 
     def rows():
         return [[ids(s) for s in row] for row in state.coordinate]
@@ -590,7 +603,7 @@ def test_roll_back_commits_bound_counters_by_the_floor():
             c.equality_tests - before.equality_tests) == (2, 3, 0, 0)
     four = {0, 1, 2, 3}
     assert rows() == [[every, set(), set()], [every, four, four, four], [every, set()]]
-    assert [state.rank_of(v) for v in range(5)] == [(0, 3, 0)] * 4 + [(0, 0, 0)]
+    assert state.ranks() == dict(enumerate([(0, 3, 0)] * 4 + [(0, 0, 0)]))
     # Vertex 4 sits at (0,0,0), below the claimed floor (2,2,0).
     with pytest.raises(PreconditionViolated, match="between the floor and decr"):
         _grow(state, (1, 3, 0), list(range(5)), floor=(2, 2, 0))
