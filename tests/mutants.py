@@ -3,18 +3,22 @@
     python tests/mutants.py [--only TEXT]
 
 Each mutant below is one (file, old, new) edit of the package source that
-breaks the condition a shortcut rests on. For each, the script copies the
-repository into a temporary directory, applies the edit there and runs the
-tier-1 suite on the copy with `-x`, then prints the mutant's name and
-"killed" (some test failed, with the first such test) or "survived" (every
-test passed). A mutant whose `old` text is not in the source exactly once
-prints "stale": the code it was written against has changed.
+breaks the condition a shortcut rests on, with the test that killed it
+last. For each, the script copies the repository into a temporary
+directory and applies the edit there. It runs that test first, with `-x`,
+and the whole tier-1 suite with `-x` only when the test passes (or when no
+killer is recorded). It then prints the mutant's name and "killed" (some
+test failed, with the first such test) or "survived" (every test passed).
+When the recorded killer passed, the line says so: update it to the new
+one. A mutant whose `old` text is not in the source exactly once prints
+"stale": the code it was written against has changed.
 
 A survivor is a condition no test can break. It is either redundant code,
 to be deleted with a proof, or an unguarded risk, to be covered by a new
-test; never a reason to loosen a check. The checks run outside tier-1: each
-mutant costs one suite run, 15 s to a minute on a 2-vCPU machine.
-`--only TEXT` runs the mutants whose name contains TEXT.
+test; never a reason to loosen a check. The checks run outside tier-1: a
+mutant that its recorded killer kills costs a few seconds, and any other
+one suite run, 15 s to a minute on a 2-vCPU machine. `--only TEXT` runs
+the mutants whose name contains TEXT.
 """
 
 from __future__ import annotations
@@ -33,59 +37,101 @@ MEASURE = "src/paritysets/measure.py"
 ZIELONKA = "src/paritysets/zielonka.py"
 STRATEGY = "src/paritysets/strategy.py"
 
-# (name, file, old, new)
+ACCEPTANCE = "tests/test_acceptance.py::test_criterion_"
+SAMPLE_RUN = "tests/test_bigstep.py::test_sample_run"
+CPRE_REFERENCE = "tests/test_sets.py::test_bits_cpre_matches_a_from_scratch_reference"
+PM_REFERENCE = "tests/test_measure.py::test_payload_encoding_counts_like_the_set_level_reference"
+
+# (name, file, old, new, the test that killed it last or None)
 MUTANTS = [
     ("recheck ignores view changes", SETS,
-     "changed = bw ^ same[2] | within ^ same[1]", "changed = bw ^ same[2]"),
+     "changed = bw ^ same[2] | within ^ same[1]", "changed = bw ^ same[2]", CPRE_REFERENCE),
     ("recheck skips vertices entering the view", SETS,
-     "check = within & ~same[1]", "check = 0"),
+     "check = within & ~same[1]", "check = 0",
+     "tests/test_pgsolver.py::test_solution_text_matches_per_vertex_lookups"),
     ("recheck's opponent rule drops 'has a move into b'", SETS,
-     "if s & bw and not s & leave:", "if not s & leave:"),
+     "if s & bw and not s & leave:", "if not s & leave:", CPRE_REFERENCE),
     ("frontier path without its growth test", SETS,
-     "last[1] == within\n                and last[2] & ~bw == 0):", "last[1] == within):"),
+     "last[1] == within\n                and last[2] & ~bw == 0):", "last[1] == within):",
+     ACCEPTANCE + "2_symbolic_iteration"),
     ("stationary rule without r[0] > 0", MEASURE,
-     "r is not TOP and r[0] and not rolled_back", "r is not TOP and not rolled_back"),
+     "r is not TOP and r[0] and not rolled_back", "r is not TOP and not rolled_back",
+     ACCEPTANCE + "4_solver_agreement"),
     ("stationary rule without 'no roll-back before'", MEASURE,
-     "r[0] and not rolled_back and equals(old, below)", "r[0] and equals(old, below)"),
+     "r[0] and not rolled_back and equals(old, below)", "r[0] and equals(old, below)", None),
     ("difference count ignores `forbidden is None`", MEASURE,
-     "differences=0 if forbidden is None else rounds,", "differences=rounds,"),
+     "differences=0 if forbidden is None else rounds,", "differences=rounds,", SAMPLE_RUN),
     # The idle commit runs only with floor == d, so this one is equivalent.
     ("idle commit counts from the floor, not d", MEASURE,
-     "for p, x in enumerate(d):", "for p, x in enumerate(floor):"),
+     "for p, x in enumerate(d):", "for p, x in enumerate(floor):", None),
     ("stretch ignores the sum bound", MEASURE,
      "end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))",
-     "end = domain.caps[0]"),
+     "end = domain.caps[0]", ACCEPTANCE + "4_solver_agreement"),
     ("stretch drops the last row's read counts", MEASURE,
-     "segments = n - (last == self.eff_caps[0])", "segments = n"),
+     "segments = n - (last == self.eff_caps[0])", "segments = n", PM_REFERENCE),
     ("stretch keeps the accumulator in what S_r must keep", MEASURE,
-     "        kept = backend.difference(kept, acc)\n", ""),
+     "        kept = backend.difference(kept, acc)\n", "",
+     "tests/test_measure.py::test_stationary_stretches_are_jumped"),
     ("stretch start drops its idle commit", MEASURE,
-     "            commit(r, old, old, d, d)\n", ""),
+     "            commit(r, old, old, d, d)\n", "", SAMPLE_RUN),
     ("stationary block tallies n - 1 iterations", MEASURE,
-     "n = last - r[0] + 1", "n = last - r[0]"),
+     "n = last - r[0] + 1", "n = last - r[0]", SAMPLE_RUN),
     ("stretch runs from position 0's end", MEASURE,
-     "last = stretch(r, end) if r[0] < end else r[0]", "last = stretch(r, end)"),
+     "last = stretch(r, end) if r[0] < end else r[0]", "last = stretch(r, end)", PM_REFERENCE),
     ("a resumed level scans from its parent's bound, not p_star", ZIELONKA,
-     "        top = p_star\n", ""),
+     "        top = p_star\n", "",
+     "tests/test_zielonka.py::test_the_loop_repeats_the_set_level_recursion"),
     ("the hook's view counts as a live set", ZIELONKA,
-     "dominion_hook(space, VertexSet(space, current),", "dominion_hook(space, space._new(current),"),
+     "dominion_hook(space, VertexSet(space, current),", "dominion_hook(space, space._new(current),",
+     SAMPLE_RUN),
     ("first_successor_in returns the highest bit", SETS,
-     "return (m & -m).bit_length() - 1", "return m.bit_length() - 1"),
+     "return (m & -m).bit_length() - 1", "return m.bit_length() - 1",
+     "tests/test_sets.py::test_closure_matches_the_per_vertex_attractor"),
     ("the live-set rule never raises the peak", SETS,
      "    c.live_sets += 1\n    if c.live_sets > c.peak_live_sets:\n"
      "        c.peak_live_sets = c.live_sets\n",
-     "    c.live_sets += 1\n"),
+     "    c.live_sets += 1\n", "tests/test_basic_fixpoint.py::test_ladder_counts"),
     ("a set-level op counts before checking its operands", SETS,
      "        a, b = self._arg(a), self._arg(b)\n        self.counters.unions += 1\n",
-     "        self.counters.unions += 1\n        a, b = self._arg(a), self._arg(b)\n"),
+     "        self.counters.unions += 1\n        a, b = self._arg(a), self._arg(b)\n",
+     "tests/test_sets.py::test_release_discipline"),
     ("a pm pick may keep its rank instead of justifying it", STRATEGY,
-     "domain.compare(rank[w], target) < 0", "domain.compare(rank[w], target) <= 0"),
+     "domain.compare(rank[w], target) < 0", "domain.compare(rank[w], target) <= 0",
+     ACCEPTANCE + "9_strategies"),
     ("the linear rank reader counts one row too many", MEASURE,
-     "tuple(n[v] - 1 for n in held)", "tuple(n[v] for n in held)"),
+     "tuple(n[v] - 1 for n in held)", "tuple(n[v] for n in held)",
+     ACCEPTANCE + "6_invariants_hold"),
+    ("the cpre memo holds closure's difference, not the raw cpre", MEASURE,
+     "add = difference(add, forbidden)", "add = memo[w] = difference(add, forbidden)",
+     ACCEPTANCE + "4_solver_agreement"),
+    ("one cpre memo per space, shared by its runs", MEASURE,
+     "memo: dict = {}", "memo = vars(space).setdefault('memo', {})",
+     ACCEPTANCE + "4_solver_agreement"),
+    ("the cpre memo evicts its newest entry", MEASURE,
+     "del memo[next(iter(memo))]", "memo.popitem()",
+     "tests/test_measure.py::test_runs_ask_the_kernel_once_per_recent_target"),
 ]
 
 
-def run_mutant(file: str, old: str, new: str) -> str:
+def _first_failure(copy: Path, env: dict, *tests: str) -> str | None:
+    """The first test to fail in a `pytest -x` run on the copy, over `tests`
+    when given and the whole suite otherwise; None when none failed."""
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", *tests],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=1800)
+    except subprocess.TimeoutExpired:
+        return "timed out"
+    failed = [line.split()[1] for line in done.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR "))]
+    if failed:
+        return failed[0]
+    # A named test that no longer exists fails nothing: the suite decides.
+    return None if done.returncode == 0 or tests else f"pytest exit {done.returncode}"
+
+
+def run_mutant(file: str, old: str, new: str, killer: str | None = None) -> str:
     source = (ROOT / file).read_text()
     if source.count(old) != 1:
         return "stale"
@@ -95,28 +141,23 @@ def run_mutant(file: str, old: str, new: str) -> str:
             ".git", ".bench_work", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
         (copy / file).write_text(source.replace(old, new))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                 "--continue-on-collection-errors"],
-                cwd=copy, env=env, capture_output=True, text=True, timeout=1800)
-        except subprocess.TimeoutExpired:
-            return "killed: timed out"
-    if done.returncode == 0:
-        return "survived"
-    failed = [line.split()[1] for line in done.stdout.splitlines()
-              if line.startswith(("FAILED ", "ERROR "))]
-    return f"killed: {failed[0]}" if failed else f"killed: pytest exit {done.returncode}"
+        failed = _first_failure(copy, env, killer) if killer else None
+        if failed is None:
+            failed = _first_failure(copy, env)
+    return "survived" if failed is None else f"killed: {failed}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--only", default="", help="run the mutants whose name holds this")
     args = parser.parse_args(argv)
-    for name, file, old, new in MUTANTS:
+    for name, file, old, new, killer in MUTANTS:
         if args.only not in name:
             continue
-        print(f"{name}: {run_mutant(file, old, new)}", flush=True)
+        result = run_mutant(file, old, new, killer)
+        if killer and not result.startswith(f"killed: {killer}"):
+            result += f" (its recorded killer {killer} passed)"
+        print(f"{name}: {result}", flush=True)
     return 0
 
 
