@@ -23,16 +23,17 @@ Two interchangeable encodings of the whole family {S_r}:
   Rows change in place.
 
 Both encodings are built from the run's view and run through the same
-control loop, which needs three operations of them, all on payloads and all
+control loop, which needs four operations of them, all on payloads and all
 adding their own operations to the space's counters: `_reconstruct(r)`
 gives S_r and the most sets reading it would have held at once,
-`commit(r, w, old, d, floor)` stores S_r's growth from `old` to `w`, given
-the ranks the loop's walk-down already holds: d = decr(r) and the floor the
-walk stopped at, and `_stretch(r, end)` finds a stationary stretch's end
-(below). So preimage and containment counts agree between them by
-construction. `read(r)` hands callers outside the loop a fresh S_r, and
-`ranks()` every vertex's rank, read off raw payloads and counted nowhere:
-strategy extraction and the invariant checker read ranks through it alone.
+`_floor(w, below, d)` runs the roll-back walk (below), `commit(r, w, old,
+d, floor)` stores S_r's growth from `old` to `w`, given the ranks the walk
+holds: d = decr(r) and the floor it stopped at, and `_stretch(r, end)`
+finds a stationary stretch's end (below). So preimage and containment
+counts agree between them by construction. `read(r)` hands callers outside
+the loop a fresh S_r, and `ranks()` every vertex's rank, read off raw
+payloads and counted nowhere: strategy extraction and the invariant checker
+read ranks through it alone.
 
 Each iteration is one payload transaction that makes and releases no set:
 the loop counts the rest of its operations and the iteration's peak in one
@@ -51,10 +52,18 @@ and trace are those of a run without the memo.
 
 The loop carries decr(r) and S_decr(r) between iterations. S_decr(r) seeds
 position 0 (decr_at(r, 1) is decr(r)) and is the first set the roll-back
-walk tests. As decr(incr(x)) is x, both are in hand for the next rank: r
-and the committed S_r when nothing rolled back, else the walk's floor and
-last read, which the commit leaves unchanged. Per run, one descending pass
-of c - 3 unions builds the at most c/2 sets of classes closure may not add.
+walk tests. The walk steps down from decr(r), reading and testing one set
+per rank, until a set holds the grown S_r, w. Every lower set holds w's part
+in S_decr(r), so the floor is the least rank in the rest of w. The linear
+`_floor` reads it off the rows with uncounted payload ops, counts the
+skipped reads per block of ranks in which only r[0] moves, as `_stretch`
+does, and reads S_floor; the direct one steps, as its reads count nothing.
+Both raise `AssertionError` for a w that leaves the universe, where a step
+walk would loop at zero. As decr(incr(x)) is x, both are in hand for the
+next rank: r and the committed S_r when nothing rolled back, else the
+walk's floor and S_floor, which the commit leaves unchanged. Per run, one
+descending pass of c - 3 unions builds the at most c/2 sets of classes
+closure may not add.
 
 An iteration is stationary when nothing rolled back before it, r is finite
 with r[0] > 0 (so seeding reads position 0 alone) and S_r equals the
@@ -181,6 +190,18 @@ class DirectFamilyState(_RankState):
             last += 1
         return last
 
+    def _floor(self, w, below, d):
+        """The roll-back walk (module docstring) rank by rank, as reads count
+        nothing in this encoding."""
+        floor, held, tests = d, below, 1
+        while not self.space._backend.is_subset(w, held):
+            if floor == self.domain.zero:
+                raise AssertionError("the roll-back walk left the universe")
+            floor = self.domain.decr(floor)
+            held = self.sets[floor].payload
+            tests += 1
+        return floor, held, tests
+
     def commit(self, r, w, old, d, floor) -> None:
         """Store the payload `w` as S_r and join it into every set from d
         down to, not including, floor; each join is one counted union."""
@@ -297,12 +318,11 @@ class LinearSpaceState(_RankState):
 
     def _stretch(self, r, end):
         """The last x <= end with S_(x, r[1:]) equal to S_r, by uncounted
-        payload ops; r is a stationary rank and r[0] < end (at position
-        0's cap, r[0] == end would count -1 segments). The counters gain
-        what the reads and idle commits of the ranks after r up to that
-        one would have added."""
+        payload ops; r is a stationary rank and r[0] < end. The counters
+        gain what the reads and idle commits of the ranks after r up to
+        that one would have added."""
         backend = self.space._backend
-        acc, running, unions, intersections, _ = self._fold(r, 1)
+        fold = acc, running, _, _, _ = self._fold(r, 1)
         row = self.coordinate[0]
         x = r[0]
         # S_(y, r[1:]) is acc joined with running's meet with row y. It stays
@@ -312,16 +332,57 @@ class LinearSpaceState(_RankState):
         last = x
         while last < end and backend.is_subset(kept, row[last + 1].payload):
             last += 1
-        # Per jumped rank, a read of the ranks fixed above plus position 0's
-        # segment (none at its cap) and counter, each narrowed by `running`;
-        # an idle commit raises position 0 by one row union and one difference.
-        n = last - x
-        segments = n - (last == self.eff_caps[0])
+        # Per jumped rank a read and an idle commit: a row union and a difference.
+        n = self._count_reads(fold, x + 1, last)
         c = self.space.counters
-        c.unions += n * (unions + 1) + segments
-        c.intersections += n * intersections + (0 if running is None else segments + n)
+        c.unions += n
         c.differences += n
         return last
+
+    def _count_reads(self, fold, lo, hi):
+        """Count the reads of S_(x, high), x = lo..hi >= lo - 1, and return
+        their number; `fold` is `_fold((0, *high), 1)`. Beside the fold's ops
+        a read joins x's segment (none at the last row) and narrows by row x
+        (not at 0), each narrowed by the fold's `running` when it has one."""
+        n = hi - lo + 1
+        if n:
+            _, running, unions, intersections, _ = fold
+            segments = n - (hi == self.eff_caps[0])
+            c = self.space.counters
+            c.unions += n * unions + segments
+            c.intersections += n * intersections + (
+                0 if running is None else segments + n - (lo == 0))
+        return n
+
+    def _floor(self, w, below, d):
+        """The roll-back walk (module docstring) as one jump to its floor: the
+        least rank in w minus S_d, read off the rows by uncounted payload ops.
+        The reads strictly between floor and d are counted block by block."""
+        backend, domain = self.space._backend, self.domain
+        if backend.is_subset(w, below):
+            return d, below, 1
+        rest = backend.difference(w, below)
+        # Per position, most significant first, the counter is the last row
+        # holding `rest`, which then keeps only the vertices it counts.
+        floor = ()
+        for row in reversed(self.coordinate):
+            x = -1
+            while x + 1 < len(row) and backend.is_subset(rest, row[x + 1].payload):
+                x += 1
+            if x < 0:
+                raise AssertionError("the roll-back walk left the universe")
+            floor = (x, *floor)
+            if x + 1 < len(row):
+                rest = backend.difference(rest, row[x + 1].payload)
+        if not domain.contains(floor) or domain.compare(floor, d) >= 0:
+            raise AssertionError("the roll-back walk found no floor below decr(r)")
+        tests, high, hi = 2, d[1:], d[0] - 1
+        while high != floor[1:]:
+            tests += self._count_reads(self._fold((0, *high), 1), 0, hi)
+            top = domain.decr((0, *high))
+            high, hi = top[1:], top[0]
+        tests += self._count_reads(self._fold(floor, 1), floor[0] + 1, hi)
+        return floor, self._reconstruct(floor)[0], tests
 
     def commit(self, r, w, old, d, floor) -> None:
         """Raise the vertices the payload `w` gains over `old` to rank r.
@@ -657,16 +718,9 @@ def _pm_run(
                 break
             w = union(w, add)
 
-        # Walk down while the grown set is not yet contained; the ranks
-        # from decr(r) down to the floor it stops at must absorb it
-        # (directly, or implicitly through the commit).
-        floor = d
-        held = below
-        tests = 1
-        while not is_subset(w, held):
-            floor = domain.decr(floor)
-            held, _ = reconstruct(floor)
-            tests += 1
+        # The ranks from decr(r) down to the walk's floor must absorb the
+        # grown set (directly, or implicitly through the commit).
+        floor, held, tests = state._floor(w, below, d)
         # The peak as if every payload had been a set; the 1 is `below`.
         # Beside `old` and `w`, seeding holds a read (2 + seeded), then its
         # step, seeded part and union (5). A view with no odd priority never

@@ -67,8 +67,8 @@ MUTANTS = [
     ("stretch ignores the sum bound", MEASURE,
      "end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))",
      "end = domain.caps[0]", ACCEPTANCE + "4_solver_agreement"),
-    ("stretch drops the last row's read counts", MEASURE,
-     "segments = n - (last == self.eff_caps[0])", "segments = n", PM_REFERENCE),
+    ("a block of reads counts a segment at the last row", MEASURE,
+     "segments = n - (hi == self.eff_caps[0])", "segments = n", PM_REFERENCE),
     ("stretch keeps the accumulator in what S_r must keep", MEASURE,
      "        kept = backend.difference(kept, acc)\n", "",
      "tests/test_measure.py::test_stationary_stretches_are_jumped"),
@@ -77,7 +77,8 @@ MUTANTS = [
     ("stationary block tallies n - 1 iterations", MEASURE,
      "n = last - r[0] + 1", "n = last - r[0]", SAMPLE_RUN),
     ("stretch runs from position 0's end", MEASURE,
-     "last = stretch(r, end) if r[0] < end else r[0]", "last = stretch(r, end)", PM_REFERENCE),
+     "last = stretch(r, end) if r[0] < end else r[0]", "last = stretch(r, end)",
+     "tests/test_measure.py::test_stretches_start_below_their_end"),
     ("a resumed level scans from its parent's bound, not p_star", ZIELONKA,
      "        top = p_star\n", "",
      "tests/test_zielonka.py::test_the_loop_repeats_the_set_level_recursion"),
@@ -107,9 +108,21 @@ MUTANTS = [
     ("one cpre memo per space, shared by its runs", MEASURE,
      "memo: dict = {}", "memo = vars(space).setdefault('memo', {})",
      ACCEPTANCE + "4_solver_agreement"),
+    # Before the walk was bounded, tier-1 hung on this one.
+    ("one cpre memo for the whole process", MEASURE,
+     "memo: dict = {}", "memo = _pm_run.__dict__.setdefault('memo', {})",
+     ACCEPTANCE + "4_solver_agreement"),
     ("the cpre memo evicts its newest entry", MEASURE,
      "del memo[next(iter(memo))]", "memo.popitem()",
      "tests/test_measure.py::test_runs_ask_the_kernel_once_per_recent_target"),
+    ("the floor's row scan stops one row short", MEASURE,
+     "while x + 1 < len(row) and backend.is_subset(rest,",
+     "while x + 2 < len(row) and backend.is_subset(rest,", ACCEPTANCE + "4_solver_agreement"),
+    ("a block of reads narrows at counter 0", MEASURE,
+     "segments + n - (lo == 0))", "segments + n)", PM_REFERENCE),
+    ("the floor search keeps every vertex of the rest", MEASURE,
+     "rest = backend.difference(rest, row[x + 1].payload)", "rest = rest",
+     "tests/test_measure.py::test_the_floor_is_the_least_rank_outside_the_set_of_d"),
 ]
 
 

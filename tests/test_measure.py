@@ -202,7 +202,9 @@ def test_solves_hold_only_their_results_and_the_pinned_sets():
 def test_runs_step_down_only_in_the_roll_back_walk(monkeypatch):
     # decr(r) is carried between iterations: decr(incr(x)) is x, so the next
     # rank's decr is r, or the floor after a roll-back. The walk from decr(r)
-    # down to the floor is then the only caller of decr.
+    # down to the floor is then the only caller of decr, and it jumps: it
+    # steps down once per position-0 block it leaves, so a walk over ranks
+    # whose counters from position 1 up take k values calls decr k - 1 times.
     calls = []
     real_decr = RankDomain.decr
 
@@ -211,19 +213,26 @@ def test_runs_step_down_only_in_the_roll_back_walk(monkeypatch):
         return real_decr(self, r)
 
     monkeypatch.setattr(RankDomain, "decr", decr)
-    walked = 0
+    walked = left = 0
     for g in corpus(30, seed0=940):
         for bound, swap in ((None, False), (2, False), (None, True)):
             space = SetSpace(g)
             events = []
             calls.clear()
             run = _pm_run(space, space.full, bound=bound, swap=swap, trace=events.append)
-            index = {r: i for i, r in enumerate(run.domain.iterate())}
-            steps = sum(index[e["rank"]] - index[e["next_rank"]]
-                        for e in events if e["rolled_back"])
-            assert len(calls) == steps, (bound, swap)
-            walked += steps
+            ranks = list(run.domain.iterate())
+            index = {r: i for i, r in enumerate(ranks)}
+            blocks = 0
+            for e in events:
+                if e["rolled_back"]:
+                    # From decr(r) down to the floor, decr(next_rank).
+                    span = ranks[index[e["next_rank"]] - 1:index[e["rank"]]]
+                    blocks += len({q[1:] for q in span}) - 1
+                    walked += len(span) - 1
+            assert len(calls) == blocks, (bound, swap)
+            left += blocks
     assert walked > 100
+    assert 0 < left < walked // 2
 
 
 def test_runs_unite_the_priority_classes_once(monkeypatch):
@@ -569,9 +578,9 @@ def test_commits_without_a_roll_back_touch_known_rows():
         _grow(state, (0, 1), [0, 1, 2])
 
 
-def test_roll_back_commits_bound_counters_by_the_floor():
-    # Counters capped at 2, 3 and 1. Vertices 0..3 sit at (2,2,0), (1,1,0),
-    # (2,1,0) and (0,2,0); vertex 4 stays at zero.
+def _three_counter_state():
+    """Counters capped at 2, 3 and 1. Vertices 0..3 sit at (2,2,0), (1,1,0),
+    (2,1,0) and (0,2,0); vertex 4 stays at zero."""
     g = build_game([0] * 5, [1] * 5, [[1], [2], [3], [4], [0]])
     space = SetSpace(g)
     state = LinearSpaceState(_View(space, space.full, False), RankDomain(c=6, caps=(2, 3, 1)))
@@ -580,6 +589,11 @@ def test_roll_back_commits_bound_counters_by_the_floor():
                         ((2, 1, 0), [0, 2, 3]), ((0, 2, 0), [0, 3]), ((1, 2, 0), [0]),
                         ((2, 2, 0), [0])):
         _grow(state, r, vertices)
+    return space, state
+
+
+def test_roll_back_commits_bound_counters_by_the_floor():
+    space, state = _three_counter_state()
     assert state.ranks() == dict(enumerate([
         (2, 2, 0), (1, 1, 0), (2, 1, 0), (0, 2, 0), (0, 0, 0)]))
 
@@ -701,6 +715,89 @@ def test_payload_encoding_counts_like_the_set_level_reference(
             assert got == want, (bound, swap, representation)
 
 
+def _step_walk(state, w, below, d):
+    """The roll-back walk rank by rank from d down, each read counted."""
+    is_subset = state.space._backend.is_subset
+    floor, held, tests = d, below, 1
+    while not is_subset(w, held):
+        floor = state.domain.decr(floor)
+        held, _ = state._reconstruct(floor)
+        tests += 1
+    return floor, held, tests
+
+
+# The longest roll-back walk, in ranks stepped, of each reference case's runs.
+_LONGEST_WALKS = {4069: 189, 4091: 14, 6070: 2111, 6100: 839, 4129: 35, 4137: 143, None: 0}
+
+
+@pytest.mark.parametrize("backend, n, c, seed, swapped_unbounded", _REFERENCE_CASES)
+def test_the_walk_jumps_to_the_step_walks_floor(monkeypatch, backend, n, c, seed,
+                                                 swapped_unbounded):
+    # On every walk of the linear encoding, the jump finds the step walk's
+    # floor, S_floor's payload and test count, adds to each counter what the
+    # step walk's reads add, and reads one set, S_floor, when it rolls back.
+    jump = LinearSpaceState._floor
+    reads = _counting_calls(monkeypatch, LinearSpaceState, "_reconstruct")
+    walks = []
+
+    def checked(self, w, below, d):
+        c = self.space.counters
+        before = c.snapshot()
+        want = _step_walk(self, w, below, d)
+        stepped = c.snapshot()
+        reads.clear()
+        got = jump(self, w, below, d)
+        after = c.snapshot()
+        assert got == want, d
+        assert len(reads) == (got[0] != d)
+        step = {f: getattr(stepped, f) - getattr(before, f) for f in vars(before)}
+        assert step == {f: getattr(after, f) - getattr(stepped, f) for f in vars(before)}, d
+        # Leave the counters as one walk left them.
+        for f, rise in step.items():
+            setattr(c, f, getattr(after, f) - rise)
+        walks.append(got[2] - 1)
+        return got
+
+    monkeypatch.setattr(LinearSpaceState, "_floor", checked)
+    for g, bound, swap in _reference_runs(n, c, seed, swapped_unbounded):
+        space = SetSpace(g, backend=backend)
+        _pm_run(space, space.full, bound=bound, swap=swap)
+    assert max(walks) == _LONGEST_WALKS[seed]
+
+
+def test_the_floor_is_the_least_rank_outside_the_set_of_d():
+    # Every vertex set against every d. The rest's least rank need not be
+    # least at each position: vertex 1 at (1,1,0) is below vertex 3 at
+    # (0,2,0), so the search keeps only the rest's vertices at a position's
+    # counter. Loop runs have not produced such a rest, but `_floor` is the
+    # step walk for any w.
+    space, state = _three_counter_state()
+    for d in state.domain.iterate():
+        if d is TOP:
+            continue
+        below, _ = state._reconstruct(d)
+        for k in range(32):
+            w = _payload(space, [v for v in range(5) if k >> v & 1])
+            want = _rise(space, lambda: _step_walk(state, w, below, d))
+            assert _rise(space, lambda: state._floor(w, below, d)) == want, (d, k)
+
+
+@pytest.mark.parametrize("representation", ["linear", "direct"])
+def test_the_walk_refuses_a_vertex_outside_the_universe(representation):
+    # A fault that let closure add such a vertex would otherwise send the
+    # walk on forever, as decr(zero) is zero.
+    g = build_game([0, 0, 0], [1, 2, 1], [[0], [1], [2]])
+    space = SetSpace(g)
+    run = _pm_run(space, space.from_ids([0, 1]), representation=representation)
+    state, domain = run.state, run.domain
+    assert state.ranks() == {0: TOP, 1: (0,)}
+    w = _payload(space, [0, 1, 2])
+    for d in (domain.zero, domain.decr(TOP)):
+        below, _ = state._reconstruct(d)
+        with pytest.raises(AssertionError, match="left the universe"):
+            state._floor(w, below, d)
+
+
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(small_games(max_n=16), st.sampled_from([None, 0, 1, 2, 3]), st.booleans(),
        st.sampled_from(["linear", "direct"]))
@@ -735,11 +832,12 @@ def test_stationary_iterations_skip_the_kernel(monkeypatch):
     assert len(calls) < 544 // 2
 
 
-# Read one at a time, these runs make 331 and 937 reads. On seed 5, vertices
-# ranked above r's higher counters sit in position 0's rows, and a stretch
-# that let them end it would stop too soon.
+# Read one at a time, these runs make 277 and 578 reads (331 and 937 when
+# the roll-back walk also read rank by rank). On seed 5, vertices ranked
+# above r's higher counters sit in position 0's rows, and a stretch that
+# let them end it would stop too soon.
 @pytest.mark.parametrize("seed, iterations, cpre_ops, reads",
-                         [(1000, 260, 544, 116), (5, 517, 1264, 744)])
+                         [(1000, 260, 544, 62), (5, 517, 1264, 385)])
 def test_stationary_stretches_are_jumped(monkeypatch, seed, iterations, cpre_ops, reads):
     # After a stationary iteration the rest of its stretch is neither read
     # nor committed rank by rank, and no count moves. The exact read count
@@ -801,8 +899,8 @@ def test_bounded_stretches_stop_at_the_sum_bound(monkeypatch, swap):
 
 @pytest.mark.parametrize("representation", ["linear", "direct"])
 def test_stretches_start_below_their_end(monkeypatch, representation):
-    # `_stretch` takes a stationary rank r with r[0] < end: at position 0's
-    # cap the linear encoding would count a negative number of segments.
+    # `_stretch` takes a stationary rank r with r[0] < end: a stretch that
+    # starts at its end has nothing to scan, and the loop skips the call.
     cls = LinearSpaceState if representation == "linear" else measure.DirectFamilyState
     stretch = cls._stretch
     starts = []
