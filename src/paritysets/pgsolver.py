@@ -17,20 +17,26 @@ No id, chosen successors included, may exceed the header's maximum.
 
 Both formats load column-wise. The lines are stripped, the header is read,
 and one pattern scans the lines after it in one pass; its rows become
-columns, one per field, and the row tuples are freed. Each column is then
-converted whole: ids with one `map(int, ...)`, priorities and owners with
-one conversion per distinct text, each successor list by mapping int()
-over its split text. Every per-line check is made in bulk: fewer matches
+columns, one per field, and the row tuples are freed. The game scan reads a
+successor list flat, as digits, commas and blanks ending in a digit; a line
+it takes that the strict vertex pattern refuses fails the conversion. Each
+column is then converted whole: ids with one `map(int, ...)`, priorities
+and owners with one conversion per distinct text, and all successor lists
+with one `json.loads` of their texts joined into a JSON array of arrays.
+JSON refuses a leading zero, which int() reads, so a file holding one (or a
+number past the digit limit) has its lists converted again by mapping int()
+over each split text. Every per-line check is made in bulk: fewer matches
 than non-blank lines, a number past the interpreter's digit limit, an
 empty successor list, an id declared twice, an id over the header's
-maximum. When one fails, the lines are read again one at a time, only to
-raise the first error in line order, with the same message and line number
-as a line-by-line reader. Lines out of id order, and ids left to self-loop
-repair, are placed by one index over the columns.
+maximum. When one fails, the lines are read again one at a time with the
+strict pattern, only to raise the first error in line order, with the same
+message and line number as a line-by-line reader. Lines out of id order,
+and ids left to self-loop repair, are placed by one index over the columns.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from itertools import chain, repeat
 
@@ -51,11 +57,21 @@ class ParseError(Exception):
 # one whole line, and on one stripped line they match what \s and [^"]
 # would. A vertex name is captured with its quotes, so a missing name ("")
 # stays apart from an empty one ('""').
-_VERTEX = re.compile(
-    r'^(\d+)[ \t]+(\d+)[ \t]+([01])((?:[ \t]+\d+(?:[ \t]*,[ \t]*\d+)*)?)[ \t]*'
-    r'("[^"\n]*")?[ \t]*;$',
-    re.ASCII | re.MULTILINE,
-)
+def _vertex_pattern(successors: str) -> re.Pattern:
+    return re.compile(
+        r'^(\d+)[ \t]+(\d+)[ \t]+([01])((?:[ \t]+' + successors + r')?)[ \t]*'
+        r'("[^"\n]*")?[ \t]*;$',
+        re.ASCII | re.MULTILINE,
+    )
+
+
+_VERTEX = _vertex_pattern(r"\d+(?:[ \t]*,[ \t]*\d+)*")
+# The scan's pattern reads a successor list flat, as any run of digits,
+# commas, spaces and tabs ending in a digit: one character-class loop for
+# the regex engine, not a nested repeat. It matches every line _VERTEX
+# matches, with the same groups; a line only it matches has a list piece that
+# is blank or holds a space between digits, which the conversion refuses.
+_VERTEX_SCAN = _vertex_pattern(r"[\d, \t]*\d")
 _HEADER = re.compile(r"^parity\s+(\d+)\s*;$", re.ASCII)
 _SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$", re.ASCII)
 _SOL_LINE = re.compile(r"^(\d+)[ \t]+([01])(?:[ \t]+(\d+))?[ \t]*;$",
@@ -132,9 +148,13 @@ def _vertex_columns(columns, header_max: int | None, add_self_loops: bool):
         ids = list(map(int, ids))
         # Priorities repeat: one int() per distinct text.
         priority_of = {p: int(p) for p in set(priorities)}
-        # int() skips the spaces around each comma-separated id.
-        successor_lists = list(map(tuple, map(map, repeat(int),
-                                              map(str.split, successor_texts, repeat(",")))))
+        try:
+            # One JSON array of arrays: JSON skips the spaces and tabs around
+            # each comma-separated id, as int() does.
+            successor_lists = json.loads("[[" + "],[".join(successor_texts) + "]]")
+        except ValueError:  # a leading zero, which int() reads; too many digits, which it refuses
+            successor_lists = map(map, repeat(int), map(str.split, successor_texts, repeat(",")))
+        successor_lists = list(map(tuple, successor_lists))
     except ValueError:
         return None
     if len(set(ids)) < len(ids):
@@ -168,7 +188,7 @@ def _raise_first_bad_vertex_line(lines, header_line, header_max, add_self_loops)
 
 
 def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
-    lines, header_max, header_line, columns = _scan(text, _HEADER, _VERTEX)
+    lines, header_max, header_line, columns = _scan(text, _HEADER, _VERTEX_SCAN)
     if columns == []:
         raise ParseError(1, "no vertices")
     if columns is not None:

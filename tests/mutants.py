@@ -36,11 +36,13 @@ SETS = "src/paritysets/sets.py"
 MEASURE = "src/paritysets/measure.py"
 ZIELONKA = "src/paritysets/zielonka.py"
 STRATEGY = "src/paritysets/strategy.py"
+PGSOLVER = "src/paritysets/pgsolver.py"
 
 ACCEPTANCE = "tests/test_acceptance.py::test_criterion_"
 SAMPLE_RUN = "tests/test_bigstep.py::test_sample_run"
 CPRE_REFERENCE = "tests/test_sets.py::test_bits_cpre_matches_a_from_scratch_reference"
 PM_REFERENCE = "tests/test_measure.py::test_payload_encoding_counts_like_the_set_level_reference"
+PGSOLVER_TEST = "tests/test_pgsolver.py::test_"
 
 # (name, file, old, new, the test that killed it last or None)
 MUTANTS = [
@@ -123,6 +125,23 @@ MUTANTS = [
     ("the floor search keeps every vertex of the rest", MEASURE,
      "rest = backend.difference(rest, row[x + 1].payload)", "rest = rest",
      "tests/test_measure.py::test_the_floor_is_the_least_rank_outside_the_set_of_d"),
+    ("the loader's successor JSON has no fallback", PGSOLVER,
+     'successor_lists = map(map, repeat(int), map(str.split, successor_texts, repeat(",")))',
+     "return None", PGSOLVER_TEST + "zero_padded_ids_load_like_unpadded_ones"),
+    ("the loader's line check reads the flat successor pattern", PGSOLVER,
+     '_VERTEX = _vertex_pattern(r"\\d+(?:[ \\t]*,[ \\t]*\\d+)*")',
+     '_VERTEX = _vertex_pattern(r"[\\d, \\t]*\\d")',
+     PGSOLVER_TEST + "space_separated_successors_are_malformed"),
+    ("the loader's scan drops its match-count check", PGSOLVER,
+     "    if len(columns[0] if columns else ()) != len(body) - body.count(\"\"):\n"
+     "        columns = None\n", "",
+     PGSOLVER_TEST + "malformed_line_reports_its_number"),
+    ("the loader's bulk check lets an id repeat", PGSOLVER,
+     "    if len(set(ids)) < len(ids):\n        return None\n", "",
+     PGSOLVER_TEST + "duplicate_declaration_rejected"),
+    ("the loader's bulk check skips the header maximum", PGSOLVER,
+     "    if header_max is not None and top > header_max:\n        return None\n", "",
+     PGSOLVER_TEST + "ids_above_the_header_maximum_rejected"),
 ]
 
 

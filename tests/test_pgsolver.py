@@ -242,6 +242,31 @@ def test_numbers_past_the_digit_limit_are_parse_errors():
         parse_pgsolver(f"parity 0;\n0 0 0 {big[1:]};\n")
 
 
+def test_zero_padded_ids_load_like_unpadded_ones():
+    # JSON refuses a leading zero, which int() reads: such a file takes the
+    # per-list conversion
+    padded = parse_pgsolver("0 1 0 01, 002;\n001 0 1 0;\n2 2 0 2;\n")
+    assert padded == parse_pgsolver("0 1 0 1, 2;\n1 0 1 0;\n2 2 0 2;\n")
+    assert padded.successors == ((1, 2), (0,), (2,))
+    # repair fills an empty list with the id's own text
+    assert parse_pgsolver("0 1 0 01;\n01 0 1;\n", True).successors == ((1,), (1,))
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter reads any number of digits")
+def test_too_many_digits_after_a_padded_line_fail_at_their_line():
+    big = "1" * (_DIGIT_LIMIT + 1)
+    with pytest.raises(ParseError) as err:
+        parse_pgsolver(f"parity 2;\n0 1 0 01, 002;\n1 0 1 0;\n2 2 0 2,{big};\n")
+    assert str(err.value) == "line 4: a number has too many digits"
+
+
+def test_lines_only_a_flat_successor_pattern_takes_are_malformed():
+    for bad in ("0 1 0 1,2 3;", "0 1 0 1,,2;", "0 1 0 1\t2;"):
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(f"parity 3;\n1 0 1 0;\n{bad}\n2 2 0 3;\n3 1 1 1;\n")
+        assert str(err.value) == f"line 3: malformed vertex line: {bad!r}"
+
+
 def _long_file(last: str, header: int | None = None, skip: int | None = None) -> str:
     """A 2048-line game file: the header if given, a cycle through the
     vertices 0, 1, ... (leaving out `skip`) up to the line before the last,
@@ -445,9 +470,15 @@ def game_files(draw, repair: bool = False):
     """A valid game file as (header line or None, [(vertex id or None for a
     blank line, line)]): lines in any order, blank lines, tabs and spaces
     around commas, names absent, empty, a space or anything quotable,
-    duplicate edges. With `repair`, some ids are left undeclared and some
-    successor lists empty, and the header may name ids beyond the lines."""
+    duplicate edges, in some files ids and successors padded with zeros
+    (`007`). With `repair`, some ids are left undeclared and some successor
+    lists empty, and the header may name ids beyond the lines."""
     n = draw(st.integers(1, 10))
+    pads = st.sampled_from(["", "0", "00"] if draw(st.booleans()) else [""])
+
+    def text(u: int) -> str:
+        return draw(pads) + str(u)
+
     if repair:
         declared = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
     else:
@@ -459,9 +490,9 @@ def game_files(draw, repair: bool = False):
         top = max(top, *succs, 0)
         name = draw(st.none() | st.sampled_from(["", " "]) | NAMES)
         priority, owner = draw(st.integers(0, 120)), draw(st.integers(0, 1))
-        line = f"{v}{draw(SPACES)}{priority}{draw(SPACES)}{owner}"
+        line = f"{text(v)}{draw(SPACES)}{priority}{draw(SPACES)}{owner}"
         if succs:
-            line += draw(SPACES) + draw(COMMAS).join(map(str, succs))
+            line += draw(SPACES) + draw(COMMAS).join(map(text, succs))
         if name is not None:
             line += f'{draw(GAPS)}"{name}"'
         entries.append((v, f"{draw(ENDS)}{line}{draw(GAPS)};{draw(ENDS)}"))
