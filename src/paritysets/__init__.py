@@ -4,120 +4,50 @@ Progress measures driven entirely by vertex-set operations, with a
 linear-space encoding of the rank family, the classic recursive solver,
 and a dominion-accelerated big-step variant, all over one counted
 set-operation interface (bit masks or BDDs).
+
+Importing the package loads no submodule: each public name below is
+imported from its module on first access (PEP 562), so a program, the
+command line included, loads only the modules it runs.
 """
 
-from __future__ import annotations
-
-from .game import (
-    DanglingEdge,
-    GameError,
-    NotClosed,
-    ParityGame,
-    Player,
-    PriorityOutOfRange,
-    VertexWithoutSuccessor,
-    build_game,
-    normalize_priorities,
-    subgame,
-    swap_roles_increment,
-)
-from .sets import OpCounters, SetSpace, UniverseMismatch, VertexSet
-from .ranks import TOP, RankDomain
-from .explicit import (
-    ExplicitResult,
-    best_rank,
-    lift_rank,
-    solve_explicit_pm,
-)
-from .measure import (
-    DirectFamilyState,
-    InvariantViolation,
-    LinearSpaceState,
-    PreconditionViolated,
-    dominion,
-    solve_pm_symbolic,
-    symbolic_parity_dominion,
-)
-from .zielonka import (
-    AttractorResult,
-    RecursionDepthExceeded,
-    attractor,
-    classic_parity,
-)
-from .bigstep import (
-    Fixed,
-    GammaPolicy,
-    SqrtPolicy,
-    beta,
-    choose_h,
-    gamma,
-    symbolic_big_step,
-)
-from .strategy import (
-    IncompleteStrategy,
-    Strategy,
-    StrategyLeavesW,
-    extract_attractor_strategies,
-    extract_strategy_from_pm,
-    verify_strategy,
-)
-from .pgsolver import ParseError, emit_pgsolver, emit_solution, parse_pgsolver, parse_solution
-from .generate import gen_random
-from .report import SolveReport
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttractorResult",
-    "DanglingEdge",
-    "DirectFamilyState",
-    "ExplicitResult",
-    "Fixed",
-    "GameError",
-    "GammaPolicy",
-    "IncompleteStrategy",
-    "InvariantViolation",
-    "LinearSpaceState",
-    "NotClosed",
-    "OpCounters",
-    "ParityGame",
-    "ParseError",
-    "Player",
-    "PreconditionViolated",
-    "PriorityOutOfRange",
-    "RankDomain",
-    "RecursionDepthExceeded",
-    "SetSpace",
-    "SolveReport",
-    "SqrtPolicy",
-    "Strategy",
-    "StrategyLeavesW",
-    "TOP",
-    "UniverseMismatch",
-    "VertexSet",
-    "VertexWithoutSuccessor",
-    "attractor",
-    "best_rank",
-    "beta",
-    "build_game",
-    "choose_h",
-    "classic_parity",
-    "dominion",
-    "emit_pgsolver",
-    "emit_solution",
-    "extract_attractor_strategies",
-    "extract_strategy_from_pm",
-    "gamma",
-    "gen_random",
-    "lift_rank",
-    "normalize_priorities",
-    "parse_pgsolver",
-    "parse_solution",
-    "solve_explicit_pm",
-    "solve_pm_symbolic",
-    "subgame",
-    "swap_roles_increment",
-    "symbolic_big_step",
-    "symbolic_parity_dominion",
-    "verify_strategy",
-]
+# Every public name, by the submodule that defines it.
+_EXPORTS = {
+    "game": ("DanglingEdge", "GameError", "NotClosed", "ParityGame", "Player",
+             "PriorityOutOfRange", "VertexWithoutSuccessor", "build_game",
+             "normalize_priorities", "subgame", "swap_roles_increment"),
+    "sets": ("OpCounters", "SetSpace", "UniverseMismatch", "VertexSet"),
+    "ranks": ("TOP", "RankDomain"),
+    "explicit": ("ExplicitResult", "best_rank", "lift_rank", "solve_explicit_pm"),
+    "measure": ("DirectFamilyState", "InvariantViolation", "LinearSpaceState",
+                "PreconditionViolated", "dominion", "solve_pm_symbolic",
+                "symbolic_parity_dominion"),
+    "zielonka": ("AttractorResult", "RecursionDepthExceeded", "attractor", "classic_parity"),
+    "bigstep": ("Fixed", "GammaPolicy", "SqrtPolicy", "beta", "choose_h", "gamma",
+                "symbolic_big_step"),
+    "strategy": ("IncompleteStrategy", "Strategy", "StrategyLeavesW",
+                 "extract_attractor_strategies", "extract_strategy_from_pm",
+                 "verify_strategy"),
+    "pgsolver": ("ParseError", "emit_pgsolver", "emit_solution", "parse_pgsolver",
+                 "parse_solution"),
+    "generate": ("gen_random",),
+    "report": ("SolveReport",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module("." + module, __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,20 +19,39 @@ import gc
 import glob as globmod
 import sys
 
-from .bigstep import Fixed, GammaPolicy, SqrtPolicy, symbolic_big_step
 from .game import GameError, ParityGame, Player
-from .measure import dominion, solve_pm_symbolic
 from .pgsolver import ParseError, emit_pgsolver, emit_solution, parse_pgsolver, parse_solution
-from .strategy import Strategy, verify_strategy
 from .zielonka import RecursionDepthExceeded, classic_parity
-from .generate import gen_random
 
 
-def _parse_policy(text: str):
+def __getattr__(name: str):
+    """pm's and big-step's entry points, imported on first use (PEP 562).
+
+    A command loads only the modules it runs: this module imports the
+    loader and the default Zielonka solver; pm, big-step and the policy
+    objects, the dominion search, the strategy checker and the generator
+    load on first use. (The module docstring is the --help text, so this
+    note lives here.)
+    """
+    if name not in ("solve_pm_symbolic", "symbolic_big_step"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _solver(name: str):
+    """A solver read as this module's attribute, which is where a patched
+    one (a tracer's wrapper, say) is installed."""
+    return getattr(sys.modules[__name__], name)
+
+
+def _parse_policy(text: str) -> tuple[str, tuple[int, ...]]:
+    """Check a --policy value: the name of big-step's policy class and its
+    arguments, built into a policy only when big-step runs."""
     if text == "sqrt":
-        return SqrtPolicy()
+        return "SqrtPolicy", ()
     if text == "gamma":
-        return GammaPolicy()
+        return "GammaPolicy", ()
     if text.startswith("fixed:"):
         arg = text.split(":", 1)[1]
         try:
@@ -42,13 +61,13 @@ def _parse_policy(text: str):
                 f"fixed policy needs an integer h, got {arg!r}") from None
         if h < 0:
             raise argparse.ArgumentTypeError(f"fixed policy needs h >= 0, got {h}")
-        return Fixed(h)
+        return "Fixed", (h,)
     raise argparse.ArgumentTypeError(f"unknown policy {text!r}")
 
 
 def _solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--algo", choices=("zielonka", "pm", "bigstep"), default="zielonka")
-    sub.add_argument("--policy", type=_parse_policy, default=SqrtPolicy(),
+    sub.add_argument("--policy", type=_parse_policy, default="sqrt",
                      help="bigstep schedule: sqrt, gamma, or fixed:<h>")
     sub.add_argument("--strategies", action="store_true")
     sub.add_argument("--check-invariants", action="store_true")
@@ -68,15 +87,16 @@ def _run(game: ParityGame, args) -> "SolveReport":
     if args.algo == "zielonka":
         return classic_parity(game, strategies=args.strategies, backend=args.backend)
     if args.algo == "pm":
-        return solve_pm_symbolic(
+        return _solver("solve_pm_symbolic")(
             game,
             strategies=args.strategies,
             backend=args.backend,
             check_invariants=args.check_invariants,
         )
-    return symbolic_big_step(
+    policy_class, params = args.policy
+    return _solver("symbolic_big_step")(
         game,
-        policy=args.policy,
+        policy=getattr(sys.modules[__package__], policy_class)(*params),
         strategies=args.strategies,
         backend=args.backend,
         check_invariants=args.check_invariants,
@@ -112,6 +132,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dominion(args) -> int:
+    from .measure import dominion
+
     if args.h < 0:
         print("error: --h must be a natural number", file=sys.stderr)
         return 2
@@ -123,6 +145,8 @@ def _cmd_dominion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .strategy import Strategy, verify_strategy
+
     game = _load(args.files[0], args)
     with open(args.solution, "r", encoding="utf-8") as fh:
         claimed = parse_solution(fh.read())
@@ -169,6 +193,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generate import gen_random
+
     try:
         game = gen_random(args.n, args.c, args.min_deg, args.max_deg, args.seed)
     except ValueError as exc:  # gen_random's checks of the size flags

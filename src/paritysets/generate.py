@@ -11,7 +11,8 @@ def gen_random(
     n: int, c: int, min_deg: int, max_deg: int, seed: int
 ) -> ParityGame:
     """Random game: owners and priorities uniform, out-degrees uniform in
-    [min_deg, max_deg] (capped at n), successors sampled without repetition.
+    [min_deg, max_deg] with both ends capped at n, successors sampled without
+    repetition.
     Same seed, same game.
     """
     if n < 1:
@@ -25,6 +26,6 @@ def gen_random(
     priorities = [rng.randrange(c) for _ in range(n)]
     succs = []
     for _ in range(n):
-        deg = rng.randint(min_deg, min(max_deg, n))
+        deg = rng.randint(min(min_deg, n), min(max_deg, n))
         succs.append(sorted(rng.sample(range(n), deg)))
     return build_game(owners, priorities, succs)

@@ -114,7 +114,6 @@ from .game import (
 from .ranks import TOP, RankDomain
 from .report import SolveReport
 from .sets import SetSpace, VertexSet
-from .strategy import extract_strategy_from_pm
 
 
 class PreconditionViolated(Exception):
@@ -836,6 +835,8 @@ def solve_pm_symbolic(
     that region is closed and the odd player wins all of it.
     """
     norm, _ = normalize_priorities(game)
+    if strategies:  # imported only when asked for, outside the timed solve
+        from .strategy import extract_strategy_from_pm
     started = time.perf_counter()
     space = SetSpace(norm, backend=backend)
     run = _pm_run(space, space.full, check_invariants=check_invariants)

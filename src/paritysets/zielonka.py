@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from .game import ParityGame, Player, normalize_priorities
 from .report import SolveReport
 from .sets import SetSpace, VertexSet, _count_new
-from .strategy import extract_attractor_strategies
 
 
 class RecursionDepthExceeded(Exception):
@@ -270,6 +269,8 @@ def _report(norm, space, started, algorithm, strategies, solve):
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
     if strategies:
+        from .strategy import extract_attractor_strategies
+
         strategy_even, strategy_odd = extract_attractor_strategies(
             norm, w_even.ids(), w_odd.ids(), choices[Player.EVEN], choices[Player.ODD]
         )

@@ -37,12 +37,14 @@ MEASURE = "src/paritysets/measure.py"
 ZIELONKA = "src/paritysets/zielonka.py"
 STRATEGY = "src/paritysets/strategy.py"
 PGSOLVER = "src/paritysets/pgsolver.py"
+CLI = "src/paritysets/cli.py"
 
 ACCEPTANCE = "tests/test_acceptance.py::test_criterion_"
 SAMPLE_RUN = "tests/test_bigstep.py::test_sample_run"
 CPRE_REFERENCE = "tests/test_sets.py::test_bits_cpre_matches_a_from_scratch_reference"
 PM_REFERENCE = "tests/test_measure.py::test_payload_encoding_counts_like_the_set_level_reference"
 PGSOLVER_TEST = "tests/test_pgsolver.py::test_"
+IMPORTS_TEST = "tests/test_imports.py::test_a_"
 
 # (name, file, old, new, the test that killed it last or None)
 MUTANTS = [
@@ -142,6 +144,16 @@ MUTANTS = [
     ("the loader's bulk check skips the header maximum", PGSOLVER,
      "    if header_max is not None and top > header_max:\n        return None\n", "",
      PGSOLVER_TEST + "ids_above_the_header_maximum_rejected"),
+    ("the command line imports pm's solver eagerly", CLI,
+     "from .zielonka import RecursionDepthExceeded, classic_parity\n",
+     "from .zielonka import RecursionDepthExceeded, classic_parity\n"
+     "from .measure import solve_pm_symbolic\n",
+     IMPORTS_TEST + "zielonka_solve_loads_no_other_solver"),
+    ("Zielonka imports its strategy code eagerly", ZIELONKA,
+     "from .sets import SetSpace, VertexSet, _count_new\n",
+     "from .sets import SetSpace, VertexSet, _count_new\n"
+     "from .strategy import extract_attractor_strategies\n",
+     IMPORTS_TEST + "zielonka_solve_loads_no_other_solver"),
 ]
 
 

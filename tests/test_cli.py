@@ -221,6 +221,11 @@ def test_gen_is_deterministic(capsys):
     )
     assert main(["gen", "--n", "5", "--c", "3", "--seed", "10"]) == 0
     assert capsys.readouterr().out != first
+    # Out-degrees are capped at n at both ends of their range.
+    assert main(["gen", "--n", "2", "--c", "3", "--min-deg", "3", "--max-deg", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [line.split()[3] for line in captured.out.splitlines()[1:]] == ["0,1;", "0,1;"]
 
 
 def test_gen_writes_files_and_they_solve(tmp_path, capsys):
