@@ -137,6 +137,7 @@ def symbolic_big_step(
     n0 = norm.vertex_count
     levels: list[dict] = []
     pm_stats: list[dict] = []
+    choices = ({}, {}) if strategies else None
 
     def hook(space_, live, op, c_level):
         n_live = live.count()
@@ -160,14 +161,13 @@ def symbolic_big_step(
                 "basic_ops": after.basic_total - before.basic_total,
             }
         )
-        dom_choices = None
-        if strategies and run.winning.count():
-            dom_choices = extract_strategy_from_pm(run.state).choice
+        if choices is not None and run.winning.count():
+            choices[op].update(extract_strategy_from_pm(run.state).choice)
         run.state.release_all()
-        return run.winning, dom_choices, h
+        return run.winning, h
 
-    report = _report(norm, space, started, "bigstep", strategies,
-                     lambda live, depth: _solve(norm, space, live, 0, depth, strategies,
+    report = _report(norm, space, started, "bigstep", choices,
+                     lambda live, depth: _solve(norm, space, live, 0, depth, choices,
                                                 hook, levels))
     report.diagnostics = {"policy": str(policy), "levels": levels,
                           "violations": removal_violations(levels), "pm_runs": pm_stats}

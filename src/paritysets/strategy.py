@@ -85,8 +85,9 @@ def extract_attractor_strategies(
     """Package the raw choice maps recorded by the recursive solvers.
 
     Takes each player's winning region as vertex ids and their choice map.
-    Each map must cover exactly the player's vertices inside their winning
-    region, with every choice an existing edge; choices outside it are dropped.
+    Each map must cover the player's vertices inside their winning region,
+    with every choice there an existing edge. A map may also hold entries
+    outside the region, which a solve leaves behind; those are dropped.
     """
     out = []
     for player, winning, raw in (

@@ -20,11 +20,12 @@ side that wins nothing stays None, never an empty set), and the class and
 attractor sets of a pass are dropped before descending. The peak number of
 live sets stays linear in the priority count.
 
-Strategy fragments are produced functionally: every level hands back the
-winning sets together with choice maps for both players. Opponent-side
-fragments are final when produced (their regions are peeled and never
-revisited); player-side fragments are kept only from the level's final
-iteration.
+Strategies go into one choice dict per player that the caller owns for the
+whole solve. A vertex is decided by the last pass that touches it, and each
+pass writes over the entries of what it covers: attractor edges, and for the
+class's own-player vertices their lowest-id successor in the pass's set.
+Entries left behind lie outside their owner's winning region, and
+extraction drops them.
 """
 
 from __future__ import annotations
@@ -127,18 +128,21 @@ def _solve(
     live: VertexSet,
     depth: int,
     max_depth: int,
-    record: bool,
+    choices: tuple[dict, dict] | None,
     dominion_hook=None,
     level_sink=None,
 ):
-    """Returns (wins, choices), two dicts keyed by Player.
+    """Returns the wins, a dict keyed by Player.
 
     Takes ownership of `live` and releases it. A win is a fresh set, or None
-    when that side won nothing; choice dicts are populated only when
-    `record`. When `level_sink` is a list, each level appends `{"n_start":
-    ..., "passes": [(h, removed), ...]}` with h the dominion hook's parameter
-    (None when the hook did not run). `live` is at nesting `depth`, and a
-    level nested deeper than `max_depth` raises RecursionDepthExceeded.
+    when that side won nothing. `choices` is None or the caller's pair of
+    choice dicts, Even's then Odd's, which the passes write into. When
+    `level_sink` is a list, each level appends `{"n_start": ..., "passes":
+    [(h, removed), ...]}` with h the dominion hook's parameter (None when the
+    hook did not run). The hook, `hook(space, live, player, priority_count)`,
+    writes its dominion's picks into `choices` and returns `(dominion, h)`.
+    `live` is at nesting `depth`, and a level nested deeper than `max_depth`
+    raises RecursionDepthExceeded.
     """
     if depth > max_depth:
         space.release(live)
@@ -148,7 +152,7 @@ def _solve(
     union, difference, intersect = backend.union, backend.difference, backend.intersect
     equals, count, ids = backend.equals, backend.count, backend.ids
     first, closure, empty = backend.first_successor_in, space.closure, space.empty.payload
-    owned = (space.owned[Player.EVEN].payload, space.owned[Player.ODD].payload)
+    edges = choices or (None, None)
     # From here on every set is a payload. Each that a set-level recursion
     # would hold counts as one live set in `c.live_sets`, so the counts and
     # the peak repeat its own; `live` stays counted as the level's `current`.
@@ -157,90 +161,76 @@ def _solve(
     c.live_sets += 1
     # Suspended levels, innermost last, over a sentinel for the caller. A
     # level holds its current set, its scan bound, its pass's player, both
-    # players' win payloads and choices, its level record and its pass state.
+    # players' win payloads, its level record, and its pass's start size
+    # (kept with a level record only) and hook parameter.
     frames = [None]
     top = game.priority_count - 1
     wins = [None, None]
-    choices = ({}, {}) if record else None
-    level = None
-    done = None  # (wins, choices) of a finished level, for the one it returns to
+    level = n0 = None
+    done = None  # the wins of a finished level, for the one it returns to
     while True:
         if done is not None:
             frame = frames.pop()
             if frame is None:
                 break
-            sub_wins, sub_choices = done
-            current, top, pl, wins, choices, level, removed, hook_h, pl_cls, pull_edges = frame
+            sub_wins, done = done, None
+            current, top, pl, wins, level, n0, hook_h = frame
             op = 1 - pl
             sub_sets = (sub_wins[0] is not None) + (sub_wins[1] is not None)
             if sub_wins[op] is None:
                 # Final pass: everything still live belongs to pl.
                 c.live_sets -= sub_sets
-                if record:
-                    mine = choices[pl]
-                    mine.update(sub_choices[pl])
-                    mine.update(pull_edges)
-                    for v in ids(pl_cls):
-                        mine[v] = first(v, current)
+                if level is not None:
+                    level["passes"].append((hook_h, n0 - count(current)))
                 _absorb(c, union, wins, pl, current)
                 c.live_sets -= 1  # current
-                if level is not None:
-                    level["passes"].append((hook_h, removed))
-                done = wins, choices
+                done = wins
                 continue
-            edges = {} if record else None
-            grab = closure(op, sub_wins[op], current, edges)
+            grab = closure(op, sub_wins[op], current, edges[op])
             c.live_sets -= sub_sets
-            if record:
-                choices[op].update(sub_choices[op])
-                choices[op].update(edges)
-            removed += count(grab)
             current = _peel(c, union, difference, wins, op, current, grab)
             if level is not None:
-                level["passes"].append((hook_h, removed))
-            done = None
+                level["passes"].append((hook_h, n0 - count(current)))
         p_star, cls = _top_priority(space, current, top)
         if p_star < 0:
             c.live_sets -= 1  # current
-            done = wins, choices
+            done = wins
             continue
-        if level_sink is not None and level is None:
-            level = {"n_start": count(current), "passes": []}
-            level_sink.append(level)
-        removed = 0
+        if level_sink is not None:
+            n0 = count(current)
+            if level is None:
+                level = {"n_start": n0, "passes": []}
+                level_sink.append(level)
         hook_h = None
         if dominion_hook is not None and p_star >= 2:
             c.live_sets -= 1  # cls
             op = 1 - p_star % 2
             # The hook sees `current` through a view that is not a new set.
-            dom, dom_choices, hook_h = dominion_hook(space, VertexSet(space, current),
-                                                     _PLAYERS[op], p_star + 1)
+            dom, hook_h = dominion_hook(space, VertexSet(space, current), _PLAYERS[op],
+                                        p_star + 1)
             c.equality_tests += 1
             if not equals(dom.payload, empty):
-                edges = {} if record else None
-                grab = closure(op, dom.payload, current, edges)
-                if record:
-                    choices[op].update(edges)
-                    choices[op].update(dom_choices or {})
-                removed += count(grab)
+                grab = closure(op, dom.payload, current, edges[op])
                 current = _peel(c, union, difference, wins, op, current, grab)
             space.release(dom)
             # The peel may have emptied the top class; rescan.
             p_star, cls = _top_priority(space, current, p_star)
             if p_star < 0:
                 if level is not None:
-                    level["passes"].append((hook_h, removed))
+                    level["passes"].append((hook_h, n0 - count(current)))
                 c.live_sets -= 1  # current
-                done = wins, choices
+                done = wins
                 continue
         # A peel never raises the top priority, so the next pass scans from
         # this one's.
         top = p_star
         pl = p_star % 2
-        # The class's pl vertices, each of which a final pass gives an edge.
-        pl_cls = intersect(cls, owned[pl]) if record else None
-        pull_edges = {} if record else None
-        pull = closure(pl, cls, current, pull_edges)
+        mine = edges[pl]
+        pull = closure(pl, cls, current, mine)
+        if mine is not None:
+            # The class's pl vertices; a final pass leaves these entries standing.
+            for v in ids(intersect(cls, space.owned[pl].payload)):
+                mine[v] = first(v, current)
         c.live_sets -= 1  # cls
         c.differences += 1
         _count_new(c)
@@ -249,31 +239,28 @@ def _solve(
         if depth + len(frames) > max_depth:
             c.live_sets -= 1  # rest
             raise RecursionDepthExceeded(f"recursion exceeded {max_depth} levels")
-        frames.append((current, top, pl, wins, choices, level, removed, hook_h, pl_cls,
-                       pull_edges))
+        frames.append((current, top, pl, wins, level, n0, hook_h))
         # The attractor took the whole p_star class, so `rest` lies below it.
         current, top = rest, p_star - 1
         wins = [None, None]
-        choices = ({}, {}) if record else None
         level = None
-    return ({p: None if w is None else VertexSet(space, w) for p, w in zip(_PLAYERS, wins)},
-            dict(zip(_PLAYERS, choices or ({}, {}))))
+    return {p: None if w is None else VertexSet(space, w) for p, w in zip(_PLAYERS, wins)}
 
 
-def _report(norm, space, started, algorithm, strategies, solve):
-    """Run `solve(live, max_depth)`, a recursive solve, from the full set
-    under the depth limit both solvers share; stop the clock before strategy
-    extraction and package the answer."""
-    wins, choices = solve(space.copy(space.full), norm.priority_count + 2)
+def _report(norm, space, started, algorithm, choices, solve):
+    """Run `solve(live, max_depth)`, a recursive solve that fills `choices`
+    (None for no strategies), from the full set under the depth limit both
+    solvers share; stop the clock before strategy extraction and package
+    the answer."""
+    wins = solve(space.copy(space.full), norm.priority_count + 2)
     w_even, w_odd = (space.empty_set() if wins[p] is None else wins[p] for p in Player)
     elapsed = time.perf_counter() - started
     strategy_even = strategy_odd = None
-    if strategies:
+    if choices is not None:
         from .strategy import extract_attractor_strategies
 
         strategy_even, strategy_odd = extract_attractor_strategies(
-            norm, w_even.ids(), w_odd.ids(), choices[Player.EVEN], choices[Player.ODD]
-        )
+            norm, w_even.ids(), w_odd.ids(), *choices)
     return SolveReport(winning_even=w_even, winning_odd=w_odd, counters=space.counters,
                        algorithm=algorithm, wall_time=elapsed, game=norm,
                        strategy_even=strategy_even, strategy_odd=strategy_odd)
@@ -289,5 +276,6 @@ def classic_parity(
     norm, _ = normalize_priorities(game)
     started = time.perf_counter()
     space = SetSpace(norm, backend=backend)
-    return _report(norm, space, started, "zielonka", strategies,
-                   lambda live, depth: _solve(norm, space, live, 0, depth, strategies))
+    choices = ({}, {}) if strategies else None
+    return _report(norm, space, started, "zielonka", choices,
+                   lambda live, depth: _solve(norm, space, live, 0, depth, choices))

@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SETS = "src/paritysets/sets.py"
 MEASURE = "src/paritysets/measure.py"
 ZIELONKA = "src/paritysets/zielonka.py"
+BIGSTEP = "src/paritysets/bigstep.py"
 STRATEGY = "src/paritysets/strategy.py"
 PGSOLVER = "src/paritysets/pgsolver.py"
 CLI = "src/paritysets/cli.py"
@@ -45,6 +46,7 @@ CPRE_REFERENCE = "tests/test_sets.py::test_bits_cpre_matches_a_from_scratch_refe
 PM_REFERENCE = "tests/test_measure.py::test_payload_encoding_counts_like_the_set_level_reference"
 PGSOLVER_TEST = "tests/test_pgsolver.py::test_"
 IMPORTS_TEST = "tests/test_imports.py::test_a_"
+CHOICE_REWRITES = "tests/test_zielonka.py::test_later_passes_write_over_the_choices_of_earlier_ones"
 
 # (name, file, old, new, the test that killed it last or None)
 MUTANTS = [
@@ -154,6 +156,15 @@ MUTANTS = [
      "from .sets import SetSpace, VertexSet, _count_new\n"
      "from .strategy import extract_attractor_strategies\n",
      IMPORTS_TEST + "zielonka_solve_loads_no_other_solver"),
+    ("a pass writes its class's own-player edges only while its level has won nothing",
+     ZIELONKA, "        if mine is not None:\n",
+     "        if mine is not None and wins == [None, None]:\n", CHOICE_REWRITES),
+    ("the opponent peel's closure records into a throwaway dict", ZIELONKA,
+     "grab = closure(op, sub_wins[op], current, edges[op])",
+     "grab = closure(op, sub_wins[op], current, edges[op] and {})", CHOICE_REWRITES),
+    ("removal_violations' pass cap drops its + 1", BIGSTEP,
+     'cap = level["n_start"] // (h_min + 2) + 1', 'cap = level["n_start"] // (h_min + 2)',
+     ACCEPTANCE + "8_operation_budgets"),
 ]
 
 

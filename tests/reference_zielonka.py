@@ -4,9 +4,11 @@ time.
 `reference_solve` takes `_solve`'s arguments and recurses in Python: each
 intermediate is a `VertexSet` built by a counted operation and released by
 the code that made it, and each attractor grows by `SetSpace.cpre` and
-`is_subset`. The library runs one loop over an explicit stack on raw
-payloads; both must leave the same counters, peak included, winners,
-choices, level logs and dominion-hook calls.
+`is_subset`. Strategies are built functionally: each level returns its
+own choice maps and its parent merges the parts it keeps. The library runs
+one loop over an explicit stack on raw payloads and writes into one map per
+player; both must leave the same counters, peak included, winners,
+strategies, level logs and dominion-hook calls.
 """
 
 from __future__ import annotations
@@ -47,9 +49,23 @@ def _top_priority(space, live, hi):
     return -1, None
 
 
-def reference_solve(game, space, live, depth, max_depth, record, dominion_hook=None,
-                    level_sink=None, hi=None):
-    """`_solve`'s answer, recursing on sets."""
+def reference_solve(game, space, live, depth, max_depth, maps, dominion_hook=None,
+                    level_sink=None):
+    """`_solve`'s answer, recursing on sets.
+
+    The hook writes its dominion's picks into `maps` itself; the levels'
+    merged choices are written over them once the outermost level returns."""
+    wins, choices = _reference_level(game, space, live, depth, max_depth, maps is not None,
+                                     dominion_hook, level_sink, None)
+    if maps is not None:
+        for p in Player:
+            maps[p].update(choices[p])
+    return wins
+
+
+def _reference_level(game, space, live, depth, max_depth, record, dominion_hook, level_sink,
+                     hi):
+    """One level's (wins, choices), both keyed by Player."""
     if depth > max_depth:
         space.release(live)
         raise RecursionDepthExceeded(f"recursion exceeded {max_depth} levels")
@@ -86,13 +102,12 @@ def reference_solve(game, space, live, depth, max_depth, record, dominion_hook=N
         if dominion_hook is not None and p_star >= 2:
             space.release(cls)
             op = Player.ODD if p_star % 2 == 0 else Player.EVEN
-            dom, dom_choices, hook_h = dominion_hook(space, current, op, p_star + 1)
+            dom, hook_h = dominion_hook(space, current, op, p_star + 1)
             if not space.is_empty(dom):
                 edges = {} if record else None
                 grab = reference_attractor(space, op, dom, current, edges)
                 if record:
                     choices[op].update(edges)
-                    choices[op].update(dom_choices or {})
                 removed += grab.count()
                 current = peel(op, current, grab)
             space.release(dom)
@@ -111,8 +126,8 @@ def reference_solve(game, space, live, depth, max_depth, record, dominion_hook=N
         space.release(cls)
         rest = space.difference(current, pull)
         space.release(pull)
-        sub_wins, sub_choices = reference_solve(game, space, rest, depth + 1, max_depth, record,
-                                                dominion_hook, level_sink, p_star - 1)
+        sub_wins, sub_choices = _reference_level(game, space, rest, depth + 1, max_depth,
+                                                 record, dominion_hook, level_sink, p_star - 1)
         if sub_wins[op] is None:
             space.release(*(s for s in sub_wins.values() if s is not None))
             if record:

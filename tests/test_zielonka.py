@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import asdict
 
 from hypothesis import given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from paritysets import Player, bigstep, build_game, gen_random, solve_explicit_pm, zielonka
 from paritysets.bigstep import symbolic_big_step
+from paritysets.game import normalize_priorities
 from paritysets.sets import SetSpace
-from paritysets.strategy import verify_strategy
+from paritysets.strategy import extract_attractor_strategies, verify_strategy
 import pytest
 
 from paritysets.zielonka import (
@@ -274,6 +276,40 @@ def test_the_loop_repeats_the_set_level_recursion(backend):
                 lambda: symbolic_big_step(g, strategies=True, backend=backend))
 
 
+class _Recording(dict):
+    """A choice map that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_later_passes_write_over_the_choices_of_earlier_ones():
+    # `_solve` keeps one map per player for the whole solve, and a pass
+    # writes over the entries of the vertices it revisits. Over the grid some
+    # entry is written more than once, and some entry is left standing
+    # outside its owner's winning region; extraction drops those, and what it
+    # keeps wins.
+    rewritten = stale = 0
+    for g in _GRID:
+        norm = normalize_priorities(g)[0]
+        space = SetSpace(norm)
+        maps = (_Recording(), _Recording())
+        wins = _solve(norm, space, space.copy(space.full), 0, norm.priority_count + 2, maps)
+        regions = [frozenset() if wins[p] is None else ids(wins[p]) for p in Player]
+        for p in Player:
+            rewritten += any(n > 1 for n in maps[p].writes.values())
+            stale += any(v not in regions[p] for v in maps[p])
+        strategies = extract_attractor_strategies(norm, *regions, *maps)
+        for p in Player:
+            assert verify_strategy(norm, p, regions[p], strategies[p])
+    assert rewritten and stale
+
+
 def test_deep_ladder_solves():
     # 1200 nested levels, more than Python's default stack of 1000 frames:
     # the recursion runs on an explicit stack. The counts follow
@@ -291,7 +327,7 @@ def test_solve_past_its_depth_limit_raises(max_depth):
     game = ladder(40)
     space = SetSpace(game)
     with pytest.raises(RecursionDepthExceeded, match=f"exceeded {max_depth} levels"):
-        _solve(game, space, space.copy(space.full), 0, max_depth, False)
+        _solve(game, space, space.copy(space.full), 0, max_depth, None)
     space = SetSpace(game)
-    wins, _ = _solve(game, space, space.copy(space.full), 0, 40, False)
+    wins = _solve(game, space, space.copy(space.full), 0, 40, None)
     assert ids(wins[Player.EVEN]) == frozenset(range(40)) and wins[Player.ODD] is None
