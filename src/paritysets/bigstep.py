@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import ParityGame, normalize_priorities, Player
+from .game import ParityGame, normalize_priorities, Player, _Record
 from .measure import _pm_run
 from .sets import SetSpace
-from .strategy import extract_strategy_from_pm
 from .zielonka import _report, _solve
 
 
@@ -42,25 +40,23 @@ def beta(c: int) -> Fraction:
     return gamma(c) / (c // 2 + 1)
 
 
-@dataclass(frozen=True)
-class SqrtPolicy:
+class SqrtPolicy(_Record):
     def __str__(self) -> str:
         return "sqrt"
 
 
-@dataclass(frozen=True)
-class GammaPolicy:
+class GammaPolicy(_Record):
     def __str__(self) -> str:
         return "gamma"
 
 
-@dataclass(frozen=True)
-class Fixed:
-    h: int
+class Fixed(_Record):
+    _fields = ("h",)
 
-    def __post_init__(self):
-        if not isinstance(self.h, int) or isinstance(self.h, bool):
-            raise TypeError(f"Fixed needs an int h, got {self.h!r}")
+    def __init__(self, h: int):
+        if not isinstance(h, int) or isinstance(h, bool):
+            raise TypeError(f"Fixed needs an int h, got {h!r}")
+        self.h = h
 
     def __str__(self) -> str:
         return f"fixed:{self.h}"
@@ -162,6 +158,8 @@ def symbolic_big_step(
             }
         )
         if choices is not None and run.winning.count():
+            from .strategy import extract_strategy_from_pm
+
             choices[op].update(extract_strategy_from_pm(run.state).choice)
         run.state.release_all()
         return run.winning, h

@@ -10,7 +10,6 @@ every even dominion of at most h+1 vertices.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .game import ParityGame, Player, normalize_priorities, subgame, swap_roles_increment
 from .ranks import TOP, RankDomain
@@ -64,13 +63,14 @@ def lift_fixpoint(game: ParityGame, domain: RankDomain, order=None):
     return rho, lifts
 
 
-@dataclass
 class ExplicitResult:
-    game: ParityGame
-    domain: RankDomain
-    rho: tuple
-    winning_even: frozenset[int]
-    lift_count: int
+    def __init__(self, game: ParityGame, domain: RankDomain, rho: tuple,
+                 winning_even: frozenset[int], lift_count: int):
+        self.game = game
+        self.domain = domain
+        self.rho = rho
+        self.winning_even = winning_even
+        self.lift_count = lift_count
 
 
 def solve_explicit_pm(

@@ -1,16 +1,36 @@
 """Parity game structure: vertices, ownership, priorities, edges.
 
-Games are immutable once built. Every vertex must have at least one
+Games are never changed once built. Every vertex must have at least one
 successor (infinite plays only). Priorities are naturals; the priority
 count c is one past the largest priority in use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain
+
+
+class _Record:
+    """Value equality, hashing and a field-listing repr over `_fields`: what
+    a frozen record type needs, with nothing to import."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class GameError(Exception):
@@ -54,12 +74,16 @@ class Player(IntEnum):
 _PLAYERS = {0: Player.EVEN, 1: Player.ODD}
 
 
-@dataclass(frozen=True)
-class ParityGame:
-    owner: tuple[Player, ...]
-    priority: tuple[int, ...]
-    successors: tuple[tuple[int, ...], ...]
-    names: tuple[str | None, ...] | None = None
+class ParityGame(_Record):
+    _fields = ("owner", "priority", "successors", "names")
+
+    def __init__(self, owner: tuple[Player, ...], priority: tuple[int, ...],
+                 successors: tuple[tuple[int, ...], ...],
+                 names: tuple[str | None, ...] | None = None):
+        self.owner = owner
+        self.priority = priority
+        self.successors = successors
+        self.names = names
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:

@@ -99,10 +99,8 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from .explicit import lift_fixpoint, lift_rank
 from .game import (
     NotClosed,
     ParityGame,
@@ -496,6 +494,8 @@ class _InvariantChecker:
     """
 
     def __init__(self, view: _View, domain: RankDomain):
+        from .explicit import lift_fixpoint
+
         self.domain = domain
         try:
             game, self.ids = subgame(view.space.game, view.space.raw_ids(view.universe))
@@ -506,6 +506,8 @@ class _InvariantChecker:
 
     def boundary(self, state, processed_rank, next_rank, rolled_back, below) -> None:
         """`below` is the payload of the set carried into the next iteration."""
+        from .explicit import lift_rank
+
         domain = self.domain
         rank_at = state.ranks()
         # Ranks by subgame position: position i is vertex self.ids[i].
@@ -559,15 +561,16 @@ class _InvariantChecker:
 # -- The iteration ------------------------------------------------------------------
 
 
-@dataclass
 class PmRun:
     """One measure run: its space, winning set, final rank state and domain."""
 
-    space: SetSpace
-    winning: VertexSet
-    state: object
-    domain: RankDomain
-    iterations: int
+    def __init__(self, space: SetSpace, winning: VertexSet, state, domain: RankDomain,
+                 iterations: int):
+        self.space = space
+        self.winning = winning
+        self.state = state
+        self.domain = domain
+        self.iterations = iterations
 
 
 # Entries of a run's cpre memo (module docstring). On the pm-random

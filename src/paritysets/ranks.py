@@ -14,8 +14,9 @@ in a masked subgame view) freeze out naturally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, prod
+
+from .game import _Record
 
 
 class _Top:
@@ -30,24 +31,23 @@ TOP = _Top()
 Rank = "tuple[int, ...] | _Top"
 
 
-@dataclass(frozen=True)
-class RankDomain:
+class RankDomain(_Record):
     """All ranks for a game with c priorities, counter caps, optional sum bound."""
 
-    c: int
-    caps: tuple[int, ...]
-    bound: int | None = None
-    # Number of counters, stored once: every step reads it.
-    positions: int = field(init=False, repr=False, compare=False)
+    _fields = ("c", "caps", "bound")
 
-    def __post_init__(self):
-        if len(self.caps) != self.c // 2:
+    def __init__(self, c: int, caps: tuple[int, ...], bound: int | None = None):
+        if len(caps) != c // 2:
             raise ValueError("need one counter cap per odd priority")
-        if any(k < 0 for k in self.caps):
+        if any(k < 0 for k in caps):
             raise ValueError("caps must be naturals")
-        if self.bound is not None and self.bound < 0:
+        if bound is not None and bound < 0:
             raise ValueError("bound must be a natural")
-        object.__setattr__(self, "positions", len(self.caps))
+        self.c = c
+        self.caps = caps
+        self.bound = bound
+        # Number of counters, stored once: every step reads it.
+        self.positions = len(caps)
 
     @classmethod
     def for_game(cls, game, bound: int | None = None) -> "RankDomain":

@@ -17,9 +17,7 @@ solve the one-player restriction and require the player to win everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .game import GameError, ParityGame, Player
+from .game import GameError, ParityGame, Player, _Record
 from .explicit import _wins_everywhere
 from .ranks import TOP
 
@@ -34,16 +32,16 @@ class StrategyLeavesW(Exception):
         super().__init__(f"strategy sends vertex {vertex} outside the claimed region")
 
 
-@dataclass(frozen=True)
-class Strategy:
-    player: Player
-    domain: frozenset[int]
-    choice: dict[int, int]
+class Strategy(_Record):
+    _fields = ("player", "domain", "choice")
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "player", Player(self.player))
-        if frozenset(self.choice) != self.domain:
+    def __init__(self, player: Player, domain: frozenset[int], choice: dict[int, int]):
+        self.player = Player(player)
+        if frozenset(choice) != domain:
             raise IncompleteStrategy("choice map does not cover the domain exactly")
+        self.domain = domain
+        self.choice = choice
 
 
 def extract_strategy_from_pm(state) -> Strategy:

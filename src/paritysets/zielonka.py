@@ -31,7 +31,6 @@ extraction drops them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .game import ParityGame, Player, normalize_priorities
 from .report import SolveReport
@@ -45,10 +44,10 @@ class RecursionDepthExceeded(Exception):
 _PLAYERS = (Player.EVEN, Player.ODD)
 
 
-@dataclass
 class AttractorResult:
-    attractor: VertexSet
-    strategy_edges: dict | None = None
+    def __init__(self, attractor: VertexSet, strategy_edges: dict | None = None):
+        self.attractor = attractor
+        self.strategy_edges = strategy_edges
 
 
 def attractor(

@@ -39,7 +39,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -80,7 +79,7 @@ PM_RUNS = (
 def record(report) -> dict:
     strategies = [None if s is None else sorted(s.choice.items())
                   for s in (report.strategy_even, report.strategy_odd)]
-    return {"counters": asdict(report.counters), "winning_even": report.winning_even.ids(),
+    return {"counters": dict(vars(report.counters)), "winning_even": report.winning_even.ids(),
             "strategies": strategies, "diagnostics": report.diagnostics}
 
 
@@ -88,7 +87,7 @@ def pm_record(game, bound, swap, representation) -> dict:
     norm, _ = normalize_priorities(game)
     space = SetSpace(norm)
     run = _pm_run(space, space.full, bound=bound, swap=swap, representation=representation)
-    return {"counters": asdict(space.counters), "iterations": run.iterations,
+    return {"counters": dict(vars(space.counters)), "iterations": run.iterations,
             "winning": run.winning.ids()}
 
 

@@ -59,6 +59,13 @@ def test_policy_names():
     assert str(Fixed(3)) == "fixed:3"
 
 
+def test_policies_compare_and_hash_by_value():
+    assert Fixed(3) == Fixed(3) and hash(Fixed(3)) == hash(Fixed(3))
+    assert Fixed(3) != Fixed(4) and SqrtPolicy() == SqrtPolicy() != GammaPolicy()
+    assert len({SqrtPolicy(), SqrtPolicy(), GammaPolicy(), Fixed(3), Fixed(3), Fixed(0)}) == 4
+    assert repr(Fixed(3)) == "Fixed(h=3)" and repr(SqrtPolicy()) == "SqrtPolicy()"
+
+
 def test_parameter_schedule():
     assert choose_h(SqrtPolicy(), 8, 8, 5) == math.ceil(math.sqrt(16)) - 2 == 2
     assert choose_h(SqrtPolicy(), 2, 2, 2) == 0

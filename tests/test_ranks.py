@@ -48,6 +48,15 @@ def test_cap_mismatch_rejected():
         RankDomain(c=5, caps=(3,))
 
 
+def test_domains_compare_and_hash_by_value():
+    dom = RankDomain(c=5, caps=(3, 1), bound=2)
+    assert dom == RankDomain(5, (3, 1), 2) and hash(dom) == hash(RankDomain(5, (3, 1), 2))
+    assert dom != RankDomain(c=5, caps=(3, 1)) and dom != RankDomain(c=6, caps=(3, 1, 0))
+    assert len({dom, RankDomain(5, (3, 1), 2), full_domain(), full_domain()}) == 2
+    assert dom.positions == 2
+    assert repr(dom) == "RankDomain(c=5, caps=(3, 1), bound=2)"
+
+
 def test_top_is_a_shared_singleton():
     assert repr(TOP) == "TOP"
     assert (TOP == (0, 0)) is False

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritysets import (
-    Player, SetSpace, UniverseMismatch, build_game, classic_parity, gen_random, sets,
+    OpCounters, Player, SetSpace, UniverseMismatch, build_game, classic_parity, gen_random,
+    sets,
 )
 from paritysets.pgsolver import parse_pgsolver
 from paritysets.sets import _mask
@@ -69,6 +70,29 @@ def test_each_operation_counts_once(space):
     assert c.equality_tests == 2  # emptiness is an equality test
     assert c.basic_total == 7
     assert c.pre_ops == 0 and c.cpre_ops == 0
+
+
+def test_a_snapshot_equals_the_counters_and_stays_as_it_was(space):
+    space.union(space.from_ids((0,)), space.from_ids((1,)))
+    live = space.counters
+    before = live.snapshot()
+    assert before == live and before is not live
+    space.cpre(Player.EVEN, space.full)
+    assert before != live
+    assert (before.cpre_ops, live.cpre_ops) == (0, 1)
+    assert live.snapshot() == live
+
+
+def test_counters_build_from_keywords_and_list_their_fields():
+    c = OpCounters(unions=3)
+    assert (c.unions, c.intersections, c.peak_live_sets) == (3, 0, 0)
+    assert c == OpCounters(3) and c != OpCounters(unions=3, cpre_ops=1)
+    assert repr(c) == (
+        "OpCounters(unions=3, intersections=0, differences=0, containment_tests=0, "
+        "equality_tests=0, pre_ops=0, cpre_ops=0, live_sets=0, peak_live_sets=0)")
+    assert list(vars(c)) == [
+        "unions", "intersections", "differences", "containment_tests", "equality_tests",
+        "pre_ops", "cpre_ops", "live_sets", "peak_live_sets"]
 
 
 def test_live_and_peak_accounting(space):

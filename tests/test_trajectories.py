@@ -16,7 +16,6 @@ before and after and how many records rose; say so in CHANGES.md.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -56,7 +55,7 @@ def games():
 
 def record(report) -> dict:
     out = {
-        "counters": asdict(report.counters),
+        "counters": dict(vars(report.counters)),
         "diagnostics": report.diagnostics,
         "winning_even": list(report.winning_even.ids()),
         "strategy_even": sorted(report.strategy_even.choice.items()),
@@ -117,7 +116,7 @@ def test_counters_are_blind_to_vertex_ids(case):
     renamed = _relabel(game, perm)
     for solver, solve in SOLVERS.items():
         a, b = solve(game, backend), solve(renamed, backend)
-        assert asdict(a.counters) == asdict(b.counters), solver
+        assert vars(a.counters) == vars(b.counters), solver
         assert sorted(perm[v] for v in a.winning_even.ids()) == list(b.winning_even.ids())
 
 

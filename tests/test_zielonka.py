@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from paritysets import Player, bigstep, build_game, gen_random, solve_explicit_pm, zielonka
 from paritysets.bigstep import symbolic_big_step
 from paritysets.game import normalize_priorities
+from paritysets.report import SolveReport
 from paritysets.sets import SetSpace
 from paritysets.strategy import extract_attractor_strategies, verify_strategy
 import pytest
@@ -236,8 +236,17 @@ def test_winners_and_strategies_match_the_oracle(g, backend):
     assert verify_strategy(rep.game, Player.ODD, odd, rep.strategy_odd)
 
 
+def test_reports_never_share_a_diagnostics_dict(sample_game):
+    first, second = classic_parity(sample_game), classic_parity(sample_game)
+    first.diagnostics["seen"] = True
+    assert second.diagnostics == {}
+    built = [SolveReport(None, None, None, "x", 0.0, None) for _ in range(2)]
+    built[0].diagnostics["seen"] = True
+    assert built[1].diagnostics == {}
+
+
 def _answer(rep) -> tuple:
-    return (asdict(rep.counters), ids(rep.winning_even), ids(rep.winning_odd),
+    return (dict(vars(rep.counters)), ids(rep.winning_even), ids(rep.winning_odd),
             rep.strategy_even.choice, rep.strategy_odd.choice, rep.diagnostics)
 
 
