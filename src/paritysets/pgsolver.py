@@ -15,9 +15,9 @@ way, then `<id> <winner> [<choice>];` per vertex, the choice column present
 where the winner's strategy is defined.
 No id, chosen successors included, may exceed the header's maximum.
 
-Both formats load column-wise. The lines are stripped, the header is read,
+Game files load column-wise. The lines are stripped, the header is read,
 and one pattern scans the lines after it in one pass; its rows become
-columns, one per field, and the row tuples are freed. The game scan reads a
+columns, one per field, and the row tuples are freed. The scan reads a
 successor list flat, as digits, commas and blanks ending in a digit; a line
 it takes that the strict vertex pattern refuses fails the conversion. Each
 column is then converted whole: ids with one `map(int, ...)`, priorities
@@ -32,6 +32,9 @@ maximum. When one fails, the lines are read again one at a time with the
 strict pattern, only to raise the first error in line order, with the same
 message and line number as a line-by-line reader. Lines out of id order,
 and ids left to self-loop repair, are placed by one index over the columns.
+
+Solution files, which only `verify` reads, are read one strict line at a
+time.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class ParseError(Exception):
 
 
 # ASCII only: \d and \s would otherwise take any Unicode digit or space.
-# The record patterns run once over the stripped lines after the header,
+# The game scan runs once over the stripped lines after the header,
 # joined by "\n". Only [ \t] and [^"\n] match inside a line, so a match is
 # one whole line, and on one stripped line they match what \s and [^"]
 # would. A vertex name is captured with its quotes, so a missing name ("")
@@ -74,8 +77,7 @@ _VERTEX = _vertex_pattern(r"\d+(?:[ \t]*,[ \t]*\d+)*")
 _VERTEX_SCAN = _vertex_pattern(r"[\d, \t]*\d")
 _HEADER = re.compile(r"^parity\s+(\d+)\s*;$", re.ASCII)
 _SOL_HEADER = re.compile(r"^paritysol\s+(\d+)\s*;$", re.ASCII)
-_SOL_LINE = re.compile(r"^(\d+)[ \t]+([01])(?:[ \t]+(\d+))?[ \t]*;$",
-                       re.ASCII | re.MULTILINE)
+_SOL_LINE = re.compile(r"^(\d+)[ \t]+([01])(?:[ \t]+(\d+))?[ \t]*;$", re.ASCII)
 # The patterns take ASCII digits only, so int() refuses one of them only past
 # the interpreter's limit on the digits of a literal.
 _TOO_LONG = "a number has too many digits"
@@ -97,15 +99,15 @@ def _header(lines: list[str], pattern: re.Pattern) -> tuple[int | None, int]:
     return None, 0
 
 
-def _scan(text: str, header: re.Pattern, record: re.Pattern):
+def _scan(text: str):
     """The stripped lines, the header's maximum id and line number, and the
-    fields of the record lines after the header as columns, one tuple per
-    group ([] for no record); None for the columns when some non-blank line
-    there is no record. The row tuples are freed before this returns."""
+    fields of the vertex lines after the header as columns, one tuple per
+    group ([] for no vertex); None for the columns when some non-blank line
+    there is no vertex line. The row tuples are freed before this returns."""
     lines = list(map(str.strip, text.splitlines()))
-    header_max, header_line = _header(lines, header)
+    header_max, header_line = _header(lines, _HEADER)
     body = lines[header_line:]
-    columns = list(zip(*record.findall("\n".join(body))))
+    columns = list(zip(*_VERTEX_SCAN.findall("\n".join(body))))
     if len(columns[0] if columns else ()) != len(body) - body.count(""):
         columns = None
     return lines, header_max, header_line, columns
@@ -188,7 +190,7 @@ def _raise_first_bad_vertex_line(lines, header_line, header_max, add_self_loops)
 
 
 def parse_pgsolver(text: str, add_self_loops: bool = False) -> ParityGame:
-    lines, header_max, header_line, columns = _scan(text, _HEADER, _VERTEX_SCAN)
+    lines, header_max, header_line, columns = _scan(text)
     if columns == []:
         raise ParseError(1, "no vertices")
     if columns is not None:
@@ -284,49 +286,23 @@ def emit_solution(report: SolveReport, form: str = "text") -> str:
     raise ValueError(f"unknown form {form!r}")
 
 
-def _solution_entries(columns, header_max: int | None):
-    """Winner and choice by vertex id, in line order; None when some line
-    fails a check of its own: a number past the digit limit, an id listed
-    before, or an id over the header's maximum."""
-    ids, winners, picks = columns
-    try:
-        ids = list(map(int, ids))
-        picks = [int(pick) if pick else None for pick in picks]
-    except ValueError:
-        return None
-    out = dict(zip(ids, zip(map(int, winners), picks)))
-    if len(out) < len(ids):
-        return None
-    # filter() drops the missing choices, and the 0s, which exceed nothing.
-    if header_max is not None and max(chain(ids, filter(None, picks))) > header_max:
-        return None
-    return out
-
-
-def _raise_first_bad_solution_line(lines, header_line, header_max):
-    """Raise the ParseError of the first solution line, in line order, that
-    fails a check of its own; the bulk checks have seen that one does."""
-    listed = set()
+def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
+    """Winner and optional strategy choice per vertex id."""
+    lines = list(map(str.strip, text.splitlines()))
+    header_max, header_line = _header(lines, _SOL_HEADER)
+    out: dict[int, tuple[int, int | None]] = {}
     for lineno, m in _entries(lines, header_line, _SOL_LINE, "solution"):
         try:
             vid = int(m[1])
             pick = int(m[3]) if m[3] is not None else None
         except ValueError:
             raise ParseError(lineno, _TOO_LONG) from None
-        if vid in listed:
+        if vid in out:
             raise ParseError(lineno, f"vertex {vid} listed twice")
-        listed.add(vid)
         for w in (vid, pick):
             if header_max is not None and w is not None and w > header_max:
                 raise ParseError(lineno, f"vertex {w} exceeds the header maximum {header_max}")
-
-
-def parse_solution(text: str) -> dict[int, tuple[int, int | None]]:
-    """Winner and optional strategy choice per vertex id."""
-    lines, header_max, header_line, columns = _scan(text, _SOL_HEADER, _SOL_LINE)
-    if columns == []:
+        out[vid] = (int(m[2]), pick)
+    if not out:
         raise ParseError(1, "no solution entries")
-    out = None if columns is None else _solution_entries(columns, header_max)
-    if out is None:
-        _raise_first_bad_solution_line(lines, header_line, header_max)
     return out

@@ -104,24 +104,13 @@ class VertexSet:
 
 # bin() digits to the bytes 0 and 1, for compress().
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
-# _mask ORs fewer ids than this in one at a time. Each OR copies the growing
-# mask, so from here on writing binary digits and reading them with one int()
-# is faster: about level at 128 ids on masks 1,024-2,048 bits wide.
-_DIGITS_FROM = 128
 
 
 def _mask(ids) -> int:
-    ids = tuple(ids)
-    if len(ids) < _DIGITS_FROM:
-        m = 0
-        for v in ids:
-            m |= 1 << v
-        return m
-    top = max(ids)
-    digits = bytearray(b"0") * (top + 1)
+    m = 0
     for v in ids:
-        digits[top - v] = 49  # ord("1")
-    return int(digits, 2)
+        m |= 1 << v
+    return m
 
 
 def _label_masks(labels) -> dict[int, int]:

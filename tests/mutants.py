@@ -49,6 +49,7 @@ CPRE_REFERENCE = "tests/test_sets.py::test_bits_cpre_matches_a_from_scratch_refe
 PM_REFERENCE = "tests/test_measure.py::test_payload_encoding_counts_like_the_set_level_reference"
 PGSOLVER_TEST = "tests/test_pgsolver.py::test_"
 IMPORTS_TEST = "tests/test_imports.py::test_a_"
+MASKS_TEST = "tests/test_sets.py::test_bits_masks_match_the_id_lists"
 CHOICE_REWRITES = "tests/test_zielonka.py::test_later_passes_write_over_the_choices_of_earlier_ones"
 # Fails for every mutant in the copy, whose `old` text is gone by design.
 TEXT_CHECK = "tests/test_mutants.py::test_every_mutant_edits_text_that_occurs_once"
@@ -175,6 +176,13 @@ MUTANTS = [
     ("the opponent peel's closure records into a throwaway dict", ZIELONKA,
      "grab = closure(op, sub_wins[op], current, edges[op])",
      "grab = closure(op, sub_wins[op], current, edges[op] and {})", CHOICE_REWRITES),
+    ("the label masks read the byte string unreversed", SETS,
+     "digits = bytes(labels)[::-1]", "digits = bytes(labels)", MASKS_TEST),
+    ("the grouped label masks keep each label's first vertex only", SETS,
+     "ids.setdefault(x, []).append(v)", "ids.setdefault(x, [v])", MASKS_TEST),
+    ("removal_violations asks a pass for h + 1 removals", BIGSTEP,
+     "removed < h + 2:", "removed < h + 1:",
+     "tests/test_bigstep.py::test_removal_violations_reads_the_level_log"),
     ("removal_violations' pass cap drops its + 1", BIGSTEP,
      'cap = level["n_start"] // (h_min + 2) + 1', 'cap = level["n_start"] // (h_min + 2)',
      ACCEPTANCE + "8_operation_budgets"),

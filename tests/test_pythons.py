@@ -3,9 +3,10 @@
 `pyproject.toml` promises Python 3.10 or later. This looks for the CPythons
 installed beside the running one in pyenv's layout (`versions/3.X.Y/bin/python`,
 X >= 10) and, in one fresh interpreter each, solves the sample game with
-every algorithm and with strategies. Each solve must exit 0 and print what it
-prints here. The other interpreters need only the standard library; the test
-skips when there is none.
+every algorithm and with strategies, then verifies the game against the
+solution that the solve with strategies emitted. Each run must exit 0 and
+print what it prints here. The other interpreters need only the standard
+library; the test skips when there is none.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from paritysets import cli, emit_pgsolver
 SRC = str(Path(paritysets.__file__).resolve().parents[1])
 SOLVES = [[], ["--algo", "pm"], ["--algo", "bigstep"], ["--strategies"]]
 
-# Solves the file in argv[1] once per flag list in argv[2] and prints each
-# exit code and output as JSON.
-SOLVE = """
+# Runs cli.main once per argument list in argv[1] and prints each exit code
+# and output as JSON.
+MAIN = """
 import contextlib, io, json, sys
 from paritysets import cli
 answers = []
-for flags in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["solve", sys.argv[1], *flags])
+        code = cli.main(argv)
     answers.append([code, out.getvalue()])
 print(json.dumps(answers))
 """
@@ -56,16 +57,22 @@ PYTHONS = _other_pythons()
 @pytest.mark.skipif(not PYTHONS, reason="no other CPython >= 3.10 beside this one")
 @pytest.mark.parametrize("python", PYTHONS, ids=lambda exe: exe.parents[1].name)
 def test_every_algorithm_solves_alike_on_other_pythons(python, tmp_path, sample_game, capsys):
-    path = tmp_path / "sample.gm"
-    path.write_text(emit_pgsolver(sample_game))
+    game, solution = tmp_path / "sample.gm", tmp_path / "sample.sol"
+    game.write_text(emit_pgsolver(sample_game))
+    runs = [["solve", str(game), *flags] for flags in SOLVES]
     expected = []
-    for flags in SOLVES:
-        code = cli.main(["solve", str(path), *flags])
+    for argv in runs:
+        code = cli.main(argv)
         expected.append([code, capsys.readouterr().out])
-    assert [code for code, _ in expected] == [0] * len(SOLVES)
+    # The last solve has strategies: verify reads its solution back, choices included.
+    solution.write_text(expected[-1][1])
+    runs.append(["verify", str(game), str(solution)])
+    expected.append([cli.main(runs[-1]), capsys.readouterr().out])
+    assert [code for code, _ in expected] == [0] * len(runs)
+    assert expected[-1][1] == "verify: ok\n"
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([str(python), "-c", SOLVE, str(path), json.dumps(SOLVES)],
+    proc = subprocess.run([str(python), "-c", MAIN, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == expected

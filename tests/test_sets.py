@@ -530,11 +530,19 @@ def test_bits_kernel_lookups_on_a_ladder_solve(monkeypatch):
 
 
 def _loader_games():
-    """Random games up to n = 2048, a ladder, and parsed hand-made games with
-    duplicate edges, out-of-order lines, names and self-loop repair."""
+    """Random games up to n = 2048, a ladder, a game of 300 priorities with
+    several vertices per priority, and parsed hand-made games with duplicate
+    edges, out-of-order lines, names and self-loop repair."""
     games = [gen_random(n, 5, 1, 3, seed) for seed, n in enumerate((1, 2, 7, 64, 65, 300, 2048))]
     games += corpus(40, seed0=2300)
     games.append(ladder(300))
+    # Past 255 priorities the classes are grouped a vertex at a time: two
+    # vertices for each priority but 299, which holds 152, in shuffled order.
+    rng = random.Random(12)
+    priorities = [p % 300 for p in range(600)] + [299] * 150
+    rng.shuffle(priorities)
+    games.append(build_game([rng.randrange(2) for _ in priorities], priorities,
+                            [rng.sample(range(750), 3) for _ in priorities]))
     games.append(parse_pgsolver(
         'parity 4;\n3 2 1 0,0,3 ;\n0 4 0 1,1 "zero";\n1 0 1 3, 0,3 "one";\n'
         '2 1 0 2;\n4 3 1 4,4,0;\n'))
@@ -568,7 +576,7 @@ def test_bits_masks_match_the_id_lists():
 def test_mask_matches_the_bit_loop():
     rng = random.Random(9)
     cases = [(), (0,), (2047,), range(2048), [5, 5, 0, 5]]
-    # either side of the switch to the digit path, in any order, with repeats
+    # a few to a thousand ids, in any order, with repeats
     for k in (127, 128, 129, 1000):
         ids = rng.sample(range(3000), k)
         cases += [ids, sorted(ids), ids + ids[: k // 3]]
