@@ -29,7 +29,7 @@ gives S_r and the most sets reading it would have held at once,
 `_floor(w, below, d)` runs the roll-back walk (below), `commit(r, w, old,
 d, floor)` stores S_r's growth from `old` to `w`, given the ranks the walk
 holds: d = decr(r) and the floor it stopped at, and `_stretch(r, end)`
-finds a stationary stretch's end (below). So preimage and containment
+says how far a stationary stretch jumps (below). So preimage and containment
 counts agree between them by construction. `read(r)` hands callers outside
 the loop a fresh S_r, and `ranks()` every vertex's rank, read off raw
 payloads and counted nowhere: strategy extraction and the invariant checker
@@ -38,8 +38,10 @@ read ranks through it alone.
 Each iteration is one payload transaction that makes and releases no set:
 the loop counts the rest of its operations and the iteration's peak in one
 `SetSpace.tally`, so the counters and the peak read as if every
-intermediate had been a set. The peak is seeding's, as no other phase
-holds more; a view with no odd priority never seeds and peaks in closure.
+intermediate had been a set, and reports after its commit: a trace event,
+and a boundary check when checking invariants. The peak is seeding's, as
+no other phase holds more; a view with no odd priority never seeds and
+peaks in closure.
 
 Every `cpre` of a run has the same player and view, so the loop asks the
 kernel through a per-run memo keyed by the target payload alone (a bit
@@ -79,12 +81,12 @@ come in stretches, in which only r[0] moves and the rank state stays as
 it is: with high = r[1:], S_(x+1, high) is S_(x, high) less the vertices
 of rank (x, high), so a stretch runs on while no vertex holds the rank
 just processed, and ends there, at position 0's cap or at a bounded
-domain's sum bound. From a stationary iteration the encoding's `_stretch`
-finds its stretch's end with uncounted payload ops and counts each later
-rank's read and idle commit; the loop commits r idly and tallies every
-rank of the stretch as a stationary iteration, with its trace event and
-boundary check, so counters, peak, trace and iteration count stay as
-they were.
+domain's sum bound. From a stationary iteration the linear encoding's
+`_stretch` finds its stretch's end with uncounted payload ops and counts
+each later rank's read and idle commit; the direct one jumps nowhere, so
+the loop meets each of its stationary ranks in turn. The loop commits r
+idly and tallies every rank up to the jump's end as a stationary
+iteration, so counters, peak, trace and iteration count stay as they were.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -137,15 +139,17 @@ class _View:
         self.odd_role = Player.EVEN if swap else Player.ODD
         # View priority = game priority + shift.
         self.shift = 1 if swap else 0
-        # One uncounted pass over the universe gives the view's priority
-        # count and, per odd view priority, its counter cap.
-        priority = space.game.priority
-        counts = Counter(priority[v] for v in space.raw_ids(universe))
+        # One uncounted meet per game class sizes it within the universe,
+        # which gives the view's priority count and its counter caps.
+        classes = space.priority_sets
+        count, meet, within = space._backend.count, space._backend.intersect, universe.payload
+        counts = {p: n for p, s in classes.items() if (n := count(meet(s.payload, within)))}
         self.c = max(counts) + 1 + self.shift if counts else 0
-        self.caps = tuple(counts[2 * p + 1 - self.shift] for p in range(self.c // 2))
-        # The game's class at each view level, None below the game's priorities.
-        classes = map(space.priority_sets.__getitem__, range(space.game.priority_count))
-        self.classes = (None,) * self.shift + tuple(classes)
+        self.caps = tuple(counts.get(2 * p + 1 - self.shift, 0) for p in range(self.c // 2))
+        # The game's class at each view level, None below the game's
+        # priorities; every game priority has one, in the universe or not.
+        levels = range(max(classes, default=-1) + 1)
+        self.classes = (None,) * self.shift + tuple(map(classes.__getitem__, levels))
 
 
 # -- Rank-state encodings ---------------------------------------------------------
@@ -176,16 +180,8 @@ class DirectFamilyState(_RankState):
         return self.sets[r].payload, 1
 
     def _stretch(self, r, end):
-        """The last x <= end with S_(x, r[1:]) equal to S_r, by uncounted
-        equalities; r is a stationary rank and r[0] < end. Reads and idle
-        commits count nothing in this encoding."""
-        equals = self.space._backend.equals
-        sets, high = self.sets, r[1:]
-        s = sets[r].payload
-        last = r[0]
-        while last < end and equals(sets[(last + 1,) + high].payload, s):
-            last += 1
-        return last
+        """No jump: the loop runs each stationary rank in turn."""
+        return r[0]
 
     def _floor(self, w, below, d):
         """The roll-back walk (module docstring) rank by rank, as reads count
@@ -642,6 +638,16 @@ def _pm_run(
                 del memo[next(iter(memo))]
         return out
 
+    def report(iteration, rank, next_rank, rolled_back, w, old, below):
+        # An iteration's trace event and boundary check, after its commit;
+        # `below` is the set carried into the next iteration.
+        if trace is not None:
+            trace({"iteration": iteration, "rank": rank,
+                   "added": backend.count(w) - backend.count(old),
+                   "next_rank": next_rank, "rolled_back": rolled_back})
+        if checker is not None:
+            checker.boundary(state, rank, next_rank, rolled_back, below)
+
     odd_classes = [classes[2 * p + 1].payload for p in range(positions)]
     # decr(r) and S_decr(r)'s payload, carried from one iteration to the
     # next. As a set, S_decr(r) would stay alive from a copy of the universe
@@ -660,7 +666,9 @@ def _pm_run(
             # Stationary (module docstring), as is every rank of r's stretch
             # up to `last`. r's commit is idle; each rank counts as run
             # (seeding's cpre, one closure round under above[1] and the
-            # walk's one test; peak 6) and is traced and checked.
+            # walk's one test; peak 6) and is reported, S_r being its grown,
+            # old and carried set. A stretch never ends the run, so the next
+            # turn's bound check comes first.
             high = r[1:]
             end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))
             last = stretch(r, end) if r[0] < end else r[0]
@@ -669,18 +677,11 @@ def _pm_run(
             space.tally(cpre_ops=2 * n, intersections=n, unions=n,
                         differences=0 if above[1] is None else n,
                         containment_tests=2 * n, held=6)
-            iterations += last - r[0]
-            if iterations > guard:
-                raise AssertionError("progress measure iteration exceeded its bound")
             if trace is not None or checker is not None:
                 for x in range(r[0], last + 1):
                     rank = (x,) + high
-                    next_rank = domain.incr(rank)
-                    if trace is not None:
-                        trace({"iteration": iterations - last + x, "rank": rank, "added": 0,
-                               "next_rank": next_rank, "rolled_back": False})
-                    if checker is not None:
-                        checker.boundary(state, rank, next_rank, False, below)
+                    report(iterations + x - r[0], rank, domain.incr(rank), False, old, old, old)
+            iterations += last - r[0]
             d = (last,) + high
             r = domain.incr(d)
             continue
@@ -742,24 +743,12 @@ def _pm_run(
             next_rank = None
         else:
             next_rank = domain.incr(r)
-        if trace is not None:
-            trace(
-                {
-                    "iteration": iterations,
-                    "rank": r,
-                    "added": backend.count(w) - backend.count(old),
-                    "next_rank": next_rank,
-                    "rolled_back": rolled_back,
-                }
-            )
-
         # The next iteration's `below` is S_decr(next_rank). After a roll-back
         # that is S_floor, which the commit leaves alone since `w` lies inside
         # it; otherwise it is S_r, which the commit makes `w`.
         below = held if rolled_back else w
         commit(r, w, old, d, floor)
-        if checker is not None:
-            checker.boundary(state, r, next_rank, rolled_back, below)
+        report(iterations, r, next_rank, rolled_back, w, old, below)
         if next_rank is None:
             break
         r, d = next_rank, floor if rolled_back else r

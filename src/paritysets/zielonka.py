@@ -79,9 +79,9 @@ def _top_priority(space: SetSpace, live, hi: int):
     """Highest priority present in the payload `live`, scanning classes `hi`
     down to 0, and the payload of its restricted class, which counts as one
     live set for the caller to give back; (-1, None) when `live` is empty.
-    `live` must hold no priority above `hi`. Counted as on sets: one
-    emptiness test of `live`, then per class scanned one intersection and
-    one emptiness test, with one class alive at a time."""
+    A priority above `hi` in `live` raises `AssertionError`. Counted as on
+    sets: one emptiness test of `live`, then per class scanned one
+    intersection and one emptiness test, with one class alive at a time."""
     backend = space._backend
     equals, empty = backend.equals, space.empty.payload
     if equals(live, empty):
@@ -95,8 +95,7 @@ def _top_priority(space: SetSpace, live, hi: int):
             space.tally(intersections=hi - i + 1, equality_tests=hi - i + 2, held=1)
             space.counters.live_sets += 1
             return i, cls
-    space.tally(intersections=hi + 1, equality_tests=hi + 2, held=1 if hi >= 0 else 0)
-    return -1, None
+    raise AssertionError(f"`live` holds a priority above the scan's bound {hi}")
 
 
 def _absorb(c, union, wins: list, p: int, region) -> None:

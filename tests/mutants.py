@@ -186,6 +186,15 @@ MUTANTS = [
     ("removal_violations' pass cap drops its + 1", BIGSTEP,
      'cap = level["n_start"] // (h_min + 2) + 1', 'cap = level["n_start"] // (h_min + 2)',
      ACCEPTANCE + "8_operation_budgets"),
+    ("the pm peak rule leaves out `below`", MEASURE,
+     "held=1 + max(2 + seeded, 5 if max_pos else 3))",
+     "held=max(2 + seeded, 5 if max_pos else 3))", SAMPLE_RUN),
+    ("the view's caps read without the swap shift", MEASURE,
+     "counts.get(2 * p + 1 - self.shift, 0)", "counts.get(2 * p + 1, 0)",
+     ACCEPTANCE + "5_bounded_dominions"),
+    ("the report skips a stretch's last rank", MEASURE,
+     "for x in range(r[0], last + 1):", "for x in range(r[0], last):",
+     "tests/test_cli.py::test_trace_environment_variable"),
 ]
 
 

@@ -55,12 +55,14 @@ def test_solve_policy_and_backend_flags(game_file, capsys):
         main(["solve", game_file, "--algo", "bigstep", "--policy", "fixed:-1"])
     assert exc.value.code == 2
     assert "h >= 0" in capsys.readouterr().err
-    for text, arg in (("fixed:abc", "'abc'"), ("fixed:", "''")):
+    for text, message in (("fixed:abc", "fixed policy needs an integer h, got 'abc'"),
+                          ("fixed:", "fixed policy needs an integer h, got ''"),
+                          ("bogus", "argument --policy: unknown policy 'bogus'")):
         with pytest.raises(SystemExit) as exc:
             main(["solve", game_file, "--algo", "bigstep", "--policy", text])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"fixed policy needs an integer h, got {arg}" in err
+        assert message in err
         assert "_parse_policy" not in err
 
 
@@ -91,10 +93,13 @@ def test_dominion_output(game_file, capsys):
 
 
 def test_verify_accepts_correct_solutions(game_file, tmp_path, capsys):
-    sol = tmp_path / "ex1.sol"
-    sol.write_text(SOLUTION_WITH_PICKS)
-    assert main(["verify", game_file, str(sol)]) == 0
-    assert capsys.readouterr().out == "verify: ok\n"
+    # with both sides' picks, and with only Even's: a side without picks
+    # claims its winners only
+    for text in (SOLUTION_WITH_PICKS, SOLUTION_WITH_PICKS.replace("1 1 0;", "1 1;")):
+        sol = tmp_path / "ex1.sol"
+        sol.write_text(text)
+        assert main(["verify", game_file, str(sol)]) == 0
+        assert capsys.readouterr().out == "verify: ok\n"
 
 
 def test_verify_rejects_tampered_solutions(game_file, tmp_path, capsys):
@@ -102,6 +107,7 @@ def test_verify_rejects_tampered_solutions(game_file, tmp_path, capsys):
     for text, code, message in [
         (SOLUTION_WITH_PICKS.replace("2 0 3;", "2 1 3;"), 1,
          "vertex 2: claimed winner 1, solved 0"),
+        (SOLUTION_WITH_PICKS.replace("0 1;\n", ""), 1, "vertex 0 missing from the solution"),
         # an id the game lacks is reported, not an interpreter error
         (headerless + "99 0;\n", 1, "vertex 99 is not in the game"),
         # with a header, ids above its maximum fail to parse at their line

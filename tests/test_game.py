@@ -8,6 +8,7 @@ import pytest
 
 from paritysets import (
     DanglingEdge,
+    GameError,
     NotClosed,
     ParityGame,
     Player,
@@ -95,6 +96,13 @@ def test_the_first_bad_vertex_is_blamed():
     with pytest.raises(PriorityOutOfRange) as err:
         build_game([0, 1, 0], [0, -2, -1], [[0], [1], [2]])
     assert (err.value.vertex, err.value.priority) == (1, -2)
+
+
+def test_unequal_columns_rejected():
+    with pytest.raises(GameError, match="must have equal length"):
+        build_game([0, 1], [0], [[0], [0]])
+    with pytest.raises(GameError, match="names must match the vertex count"):
+        build_game([0], [0], [[0]], names="ab")
 
 
 def _normalize_by_shifting(priorities):
@@ -190,3 +198,5 @@ def test_subgame_reindexes_and_checks_closure(sample_game):
     with pytest.raises(NotClosed) as err:
         subgame(g, {0, 3})  # a's only move leaves the region
     assert err.value.vertex == 0
+    with pytest.raises(GameError, match="vertex 3 outside the game"):
+        subgame(build_game([0], [0], [[0]]), [3])

@@ -117,6 +117,13 @@ def test_header_is_optional():
     assert g.owner == (Player.EVEN, Player.ODD)
 
 
+def test_files_without_vertices_fail_at_line_one():
+    for text in ("", "\n  \n\t\n", "parity 3;\n"):
+        with pytest.raises(ParseError) as err:
+            parse_pgsolver(text)
+        assert (err.value.line, err.value.reason) == (1, "no vertices"), text
+
+
 def test_spacing_and_blank_lines_are_tolerated():
     g = parse_pgsolver("\nparity 1;\n\n0 2 1   1 , 0 ;\n1 0 0 0;\n")
     assert g.successors == ((1, 0), (0,))
@@ -442,6 +449,9 @@ def test_solution_parse_errors():
         parse_solution("0 1;\n0 0;\n")
     with pytest.raises(ParseError, match="no solution entries"):
         parse_solution("paritysol 3;\n")
+    with pytest.raises(ParseError, match="no solution entries") as err:
+        parse_solution("")
+    assert err.value.line == 1
     # a header counts only on the first non-blank line
     with pytest.raises(ParseError, match="malformed solution line") as err:
         parse_solution("5 1;\nparitysol 3;\n0 0;\n")

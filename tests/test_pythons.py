@@ -3,10 +3,13 @@
 `pyproject.toml` promises Python 3.10 or later. This looks for the CPythons
 installed beside the running one in pyenv's layout (`versions/3.X.Y/bin/python`,
 X >= 10) and, in one fresh interpreter each, solves the sample game with
-every algorithm and with strategies, then verifies the game against the
-solution that the solve with strategies emitted. Each run must exit 0 and
-print what it prints here. The other interpreters need only the standard
-library; the test skips when there is none.
+every algorithm and with strategies, verifies the game against the
+solution that the solve with strategies emitted, and prints `stats` for
+every algorithm, checking pm's and big-step's invariants against the
+explicit solver. Each run must exit 0 and print what it prints here, but
+for `stats`' wall time, so op counts and peaks repeat too. The other
+interpreters need only the standard library; the test skips when there is
+none.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from paritysets import cli, emit_pgsolver
 
 SRC = str(Path(paritysets.__file__).resolve().parents[1])
 SOLVES = [[], ["--algo", "pm"], ["--algo", "bigstep"], ["--strategies"]]
+STATS = [["--algo", "zielonka"], ["--algo", "pm", "--check-invariants"],
+         ["--algo", "bigstep", "--check-invariants"]]
 
 # Runs cli.main once per argument list in argv[1] and prints each exit code
 # and output as JSON.
@@ -54,6 +59,11 @@ def _other_pythons() -> list[Path]:
 PYTHONS = _other_pythons()
 
 
+def _untimed(answers):
+    """The answers without `stats`' wall_time_ms lines."""
+    return [[code, re.sub(r"(?m)^wall_time_ms: .*\n", "", out)] for code, out in answers]
+
+
 @pytest.mark.skipif(not PYTHONS, reason="no other CPython >= 3.10 beside this one")
 @pytest.mark.parametrize("python", PYTHONS, ids=lambda exe: exe.parents[1].name)
 def test_every_algorithm_solves_alike_on_other_pythons(python, tmp_path, sample_game, capsys):
@@ -67,12 +77,14 @@ def test_every_algorithm_solves_alike_on_other_pythons(python, tmp_path, sample_
     # The last solve has strategies: verify reads its solution back, choices included.
     solution.write_text(expected[-1][1])
     runs.append(["verify", str(game), str(solution)])
-    expected.append([cli.main(runs[-1]), capsys.readouterr().out])
+    runs += [["stats", str(game), *flags] for flags in STATS]
+    for argv in runs[len(expected):]:
+        expected.append([cli.main(argv), capsys.readouterr().out])
     assert [code for code, _ in expected] == [0] * len(runs)
-    assert expected[-1][1] == "verify: ok\n"
+    assert expected[len(SOLVES)][1] == "verify: ok\n"
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([str(python), "-c", MAIN, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == expected
+    assert _untimed(json.loads(proc.stdout)) == _untimed(expected)

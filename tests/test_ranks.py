@@ -46,6 +46,18 @@ def test_bounded_domains_shrink():
 def test_cap_mismatch_rejected():
     with pytest.raises(ValueError):
         RankDomain(c=5, caps=(3,))
+    with pytest.raises(ValueError, match="caps must be naturals"):
+        RankDomain(c=5, caps=(3, -1))
+    with pytest.raises(ValueError, match="bound must be a natural"):
+        RankDomain(c=5, caps=(3, 1), bound=-1)
+
+
+def test_contains_refuses_wrong_shapes_caps_and_sums():
+    dom = RankDomain(c=5, caps=(3, 1), bound=2)
+    assert dom.contains((2, 0)) and dom.contains((1, 1)) and dom.contains(TOP)
+    assert not dom.contains((1,)) and not dom.contains((0, 0, 0))  # wrong length
+    assert not dom.contains((0, 2)) and not dom.contains((4, 0))  # over a cap
+    assert not dom.contains((2, 1))  # over the bound
 
 
 def test_domains_compare_and_hash_by_value():
@@ -153,6 +165,9 @@ def test_restricted_steps_on_the_sample_domain():
     assert dom.decr_at(TOP, 3) == (0, 1)
     assert dom.decr_at((0, 1), 1) == (3, 0)
     assert dom.decr_at((0, 1), 3) == (0, 0)
+    # even level: plain projection, as for incr_at
+    assert dom.decr_at((3, 1), 2) == (0, 1)
+    assert dom.decr_at((3, 1), 0) == (3, 1)
 
 
 def test_restricted_steps_bounded_domain():

@@ -170,6 +170,9 @@ def test_spaces_do_not_mix(sample_game):
             error = _refused(one, op, position, two.full)
             assert type(error) is UniverseMismatch, (backend, op, position)
         assert two.counters == before
+        # nor does a release
+        with pytest.raises(UniverseMismatch):
+            one.release(two.from_ids((0,)))
 
 
 def test_uncounted_helpers_cost_nothing(space):

@@ -205,6 +205,13 @@ def test_top_priority_scans_from_the_bound_down():
     assert c.peak_live_sets == max(before.peak_live_sets, c.live_sets)
 
 
+def test_top_priority_refuses_a_priority_above_its_bound():
+    # Such a vertex would miss the scan and drop out of both regions.
+    space = SetSpace(ladder(40))
+    with pytest.raises(AssertionError, match="above the scan's bound 5"):
+        _top_priority(space, space.singleton(9).payload, 5)
+
+
 @pytest.mark.parametrize("backend", ["bits", "bdd"])
 @pytest.mark.parametrize("n", [20, 40, 80])
 def test_many_priorities_agree_and_strategies_verify(backend, n):
