@@ -15,13 +15,14 @@ the edges and the payload algebra; its cpre gets the acting player's set from
 the space's `owned`. Counters record logical operations, never representation
 internals; in particular the BDD controlled-predecessor costs one cpre_op even
 though it is assembled from two relational preimages. Code that runs a batch of
-operations on raw payloads counts them through `tally`, by the counters' own
-names, cpre_ops and containment_tests included, and raises the peak to what
-the batch's intermediates would have reached had each been built as a set. The
-measure iteration is one such batch per iteration: its encoding's reads and
-commits add their own operations to the counters, and the loop's one tally
-adds the rest and the peak of the whole iteration. `closure`, the attractor
-on payloads, is another: one tally per call.
+operations on raw payloads counts them through `tally`, or in place on the
+counters, by the counters' own names, cpre_ops and containment_tests
+included, and raises the peak to what the batch's intermediates would have
+reached had each been built as a set. The measure iteration is one such batch
+per iteration: its encoding's reads and commits add their own operations to
+the counters, and the loop adds the rest and the peak of the whole iteration
+in place. `closure`, the attractor on payloads, is another: one tally per
+call.
 
 count()/ids()/contains() on a VertexSet, and a backend's
 first_successor_in(), are uncounted instrumentation for tests, traces, IO
