@@ -93,10 +93,10 @@ count the same.
 
 A linear run takes its turns in blocks: the ranks (x, high) that share
 their higher counters high = r[1:]. A turn at (x, high) with x > 0 has d
-= (x - 1, high), and while its floor stays in the block its commit
-changes rows of position 0 alone, never TOP. So the loop keeps three
-constants from the block's first such turn until a commit of another
-kind (at x = 0, at TOP, or rolling back into a lower block): the fold of
+= (x - 1, high), and unless it rolls back its commit changes row x of
+position 0 alone, never TOP. So the loop keeps three constants from the
+block's first such turn until a commit of another kind (at x = 0, at TOP,
+or after a roll-back, which goes to `commit`): the fold of
 positions >= 1 (`_fold(r, 1)`), with which S_(x, high) is acc joined with
 running's meet with row x, one meet and one join counted as the full
 read; position 0's end, at which the next rank leaves the block by a
@@ -105,7 +105,7 @@ block's first growing commit on, the band `_band(high)`: universe minus
 TOP, at each position p >= 1 inside row high[p - 1] and outside the next.
 `_commit_in_block` tests the delta against the band in one containment
 test, which stands for commit's TOP check and its checks at positions >=
-1, and joins it into position 0's rows; a delta outside goes to `commit`,
+1, and joins it into row x of position 0; a delta outside goes to `commit`,
 which raises. The loop calls `report` only when traced or checked. On
 the benchmark's catalogues 7,180 of pm-random's 8,615 loop
 turns (83%) and 8,161 of bigstep-random's 12,572 (65%) are in-block.
@@ -202,16 +202,18 @@ class DirectFamilyState(_RankState):
         return self.sets[r].payload, 1
 
     def _floor(self, w, below, d):
-        """The roll-back walk (module docstring) rank by rank, as reads count
-        nothing in this encoding."""
-        floor, held, tests = d, below, 1
-        while not self.space._backend.is_subset(w, held):
+        """The roll-back walk (module docstring) for a w outside `below`,
+        S_d's payload, rank by rank, as reads count nothing in this
+        encoding."""
+        floor, tests, is_subset = d, 1, self.space._backend.is_subset
+        while True:
             if floor == self.domain.zero:
                 raise AssertionError("the roll-back walk left the universe")
             floor = self.domain.decr(floor)
             held = self.sets[floor].payload
             tests += 1
-        return floor, held, tests
+            if is_subset(w, held):
+                return floor, held, tests
 
     def commit(self, r, w, old, d, floor) -> None:
         """Store the payload `w` as S_r and join it into every set from d
@@ -366,12 +368,11 @@ class LinearSpaceState(_RankState):
         return n
 
     def _floor(self, w, below, d):
-        """The roll-back walk (module docstring) as one jump to its floor: the
-        least rank in w minus S_d, read off the rows by uncounted payload ops.
-        The reads strictly between floor and d are counted block by block."""
+        """The roll-back walk (module docstring) for a w outside `below`,
+        S_d's payload, as one jump to its floor: the least rank in w minus
+        S_d, read off the rows by uncounted payload ops. The reads strictly
+        between floor and d are counted block by block."""
         backend, domain = self.space._backend, self.domain
-        if backend.is_subset(w, below):
-            return d, below, 1
         rest = backend.difference(w, below)
         # Per position, most significant first, the counter is the last row
         # holding `rest`, which then keeps only the vertices it counts.
@@ -478,22 +479,21 @@ class LinearSpaceState(_RankState):
                 band = backend.difference(band, row[h + 1].payload)
         return band
 
-    def _commit_in_block(self, r, w, old, floor, band):
-        """`commit(r, w, old, decr(r), floor)` for a growing S_r, r = (x,
-        high) and floor = (f, high), given `_band(high)`: a delta inside the
-        band joins rows f+1..x of position 0 alone, and one outside goes to
-        `commit`, which raises. The loop grows `w` from `old` and tests it
-        against S_floor, so the delta grows S_r within position 0's range."""
+    def _commit_in_block(self, r, w, old, band):
+        """`commit(r, w, old, d, d)` for a growing S_r, r = (x, high) with x
+        > 0, d = decr(r) = (x - 1, high) and no roll-back, given
+        `_band(high)`: a delta inside the band joins row x of position 0
+        alone, and one outside goes to `commit`, which raises. The loop grows
+        `w` from `old` inside S_d, so the delta lies in row x - 1."""
         backend = self.space._backend
         delta = backend.difference(w, old)
-        x, f = r[0], floor[0]
         if not backend.is_subset(delta, band):
-            return self.commit(r, w, old, (x - 1,) + r[1:], floor)
-        union = backend.union
-        for cell in self.coordinate[0][f + 1:x + 1]:
-            cell.payload = union(cell.payload, delta)
+            d = (r[0] - 1,) + r[1:]
+            return self.commit(r, w, old, d, d)
+        cell = self.coordinate[0][r[0]]
+        cell.payload = backend.union(cell.payload, delta)
         c = self.space.counters
-        c.unions += x - f
+        c.unions += 1
         c.differences += 1
 
     def ranks(self) -> dict:
@@ -706,7 +706,7 @@ def _pm_run(
     # `band` from the block's first growing commit on.
     blocks = representation == "linear" and positions > 0
     if blocks:
-        rows, last_row = state.coordinate[0], state.eff_caps[0]
+        rows = state.coordinate[0]
     fold = None
     # decr(r) and S_decr(r)'s payload, carried from one iteration to the
     # next. As a set, S_decr(r) would stay alive from a copy of the universe
@@ -725,16 +725,14 @@ def _pm_run(
             x = r[0]
             if fold is None:
                 high = r[1:]
-                fold = acc, running, fold_unions, fold_intersections, _ = state._fold(r, 1)
+                fold = acc, running, _, _, _ = state._fold(r, 1)
                 end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))
                 band = None
             # S_r is acc joined with running's meet with row x, counted as
-            # `_reconstruct` counts it: x's segment joins below the last row.
+            # `_reconstruct` counts it.
             old = rows[x].payload if running is None else intersect(running, rows[x].payload)
             old = union(acc, old)
-            inner = x < last_row
-            c.unions += fold_unions + inner
-            c.intersections += fold_intersections + (0 if running is None else 1 + inner)
+            state._count_reads(fold, x, x)
             if not rolled_back and equals(old, below):
                 # Stationary (module docstring), as is every rank of r's
                 # stretch up to `last`. r's commit is idle (a row union and a
@@ -825,17 +823,16 @@ def _pm_run(
         # it; otherwise it is S_r, which the commit makes `w`.
         below = held if rolled_back else w
 
-        if in_block and (not rolled_back or floor[1:] == high):
-            # The floor is in r's block, so the commit changes rows of
-            # position 0 alone and the block's constants hold. An idle one
-            # counts a row union and a difference.
+        if in_block and not rolled_back:
+            # The commit changes row x of position 0 alone, so the block's
+            # constants hold. An idle one counts a row union and a difference.
             if equals(w, old):
                 c.unions += 1
                 c.differences += 1
             else:
                 if band is None:
                     band = state._band(high)
-                state._commit_in_block(r, w, old, floor, band)
+                state._commit_in_block(r, w, old, band)
         else:
             commit(r, w, old, d, floor)
             fold = None

@@ -69,10 +69,11 @@ MUTANTS = [
     ("block turns (and the stationary rule) without r[0] > 0", MEASURE,
      "in_block = blocks and r is not TOP and r[0]", "in_block = blocks and r is not TOP",
      ACCEPTANCE + "4_solver_agreement"),
-    # Only the exact stretch count kills this one: every count, event and
-    # answer repeat, and seed 5 takes 32 stretches instead of 23. Whether
-    # the conjunct can go is ROADMAP item 12's open question.
-    ("stationary rule without 'no roll-back before'", MEASURE,
+    # A false kill: its killer pins only an internal call count (seed 5
+    # takes 32 stretches instead of 23), while every op count, event and
+    # answer repeat. Whether the conjunct can go is ROADMAP item 12's open
+    # question.
+    ("stationary rule without 'no roll-back before' (killer pins a call count only)", MEASURE,
      "if not rolled_back and equals(old, below):", "if equals(old, below):",
      "tests/test_measure.py::test_stationary_stretches_are_jumped"),
     ("difference count ignores `forbidden is None`", MEASURE,
