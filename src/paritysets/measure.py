@@ -183,7 +183,9 @@ class _RankState:
     def read(self, r) -> VertexSet:
         """A fresh S_r that the caller releases."""
         payload, held = self._reconstruct(r)
-        self.space.tally(held=held)
+        c = self.space.counters
+        if c.live_sets + held > c.peak_live_sets:
+            c.peak_live_sets = c.live_sets + held
         return self.space._new(payload)
 
 
@@ -331,7 +333,7 @@ class LinearSpaceState(_RankState):
 
     def _stretch(self, r, end, fold):
         """The last x <= end with S_(x, r[1:]) equal to S_r, by uncounted
-        payload ops; r is a stationary rank, r[0] < end and `fold` is
+        payload ops; r is a stationary rank, r[0] <= end and `fold` is
         `_fold(r, 1)`. The counters gain what the reads and idle commits of
         the ranks after r up to that one would have added."""
         backend = self.space._backend
@@ -741,7 +743,7 @@ def _pm_run(
                 # 6) and is reported, S_r being its grown, old and carried
                 # set. A stretch never ends the run, so the next turn's bound
                 # check comes first.
-                last = state._stretch(r, end, fold) if x < end else x
+                last = state._stretch(r, end, fold)
                 n = last - x + 1
                 c.cpre_ops += 2 * n
                 c.intersections += n

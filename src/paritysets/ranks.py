@@ -28,8 +28,6 @@ class _Top:
 
 TOP = _Top()
 
-Rank = "tuple[int, ...] | _Top"
-
 
 class RankDomain(_Record):
     """All ranks for a game with c priorities, counter caps, optional sum bound."""

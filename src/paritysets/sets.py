@@ -15,14 +15,12 @@ the edges and the payload algebra; its cpre gets the acting player's set from
 the space's `owned`. Counters record logical operations, never representation
 internals; in particular the BDD controlled-predecessor costs one cpre_op even
 though it is assembled from two relational preimages. Code that runs a batch of
-operations on raw payloads counts them through `tally`, or in place on the
-counters, by the counters' own names, cpre_ops and containment_tests
-included, and raises the peak to what the batch's intermediates would have
-reached had each been built as a set. The measure iteration is one such batch
-per iteration: its encoding's reads and commits add their own operations to
-the counters, and the loop adds the rest and the peak of the whole iteration
-in place. `closure`, the attractor on payloads, is another: one tally per
-call.
+operations on raw payloads counts them in place on the counters, by the
+counters' own names, raises the peak to what the batch's intermediates would
+have reached had each been built as a set, and counts a result it keeps as
+one more live set. `closure`, the attractor on payloads, counts once per
+call; the measure iteration once per iteration, beside what its encoding's
+reads and commits add; Zielonka's loop at each step.
 
 count()/ids()/contains() on a VertexSet, and a backend's
 first_successor_in(), are uncounted instrumentation for tests, traces, IO
@@ -393,23 +391,6 @@ class SetSpace:
         _count_new(self.counters)
         return VertexSet(self, payload, pinned)
 
-    def tally(self, unions: int = 0, intersections: int = 0, differences: int = 0,
-              containment_tests: int = 0, cpre_ops: int = 0, equality_tests: int = 0,
-              held: int = 0) -> None:
-        """Count a batch of operations run on raw payloads as if each had
-        built its set: the peak rises to the live sets plus `held`, the most
-        intermediates (a result included) alive at once. A result the caller
-        keeps joins the live count through `_new`."""
-        c = self.counters
-        c.unions += unions
-        c.intersections += intersections
-        c.differences += differences
-        c.containment_tests += containment_tests
-        c.cpre_ops += cpre_ops
-        c.equality_tests += equality_tests
-        if c.live_sets + held > c.peak_live_sets:
-            c.peak_live_sets = c.live_sets + held
-
     def release(self, *sets: VertexSet) -> None:
         c = self.counters
         for s in sets:
@@ -497,12 +478,12 @@ class SetSpace:
         the payload `within` (the whole game when None): the least fixpoint
         of seed + cpre, grown until a cpre step is contained in it.
 
-        One tally counts what the loop on sets would: one cpre and one
-        containment test per round, one union per round that grows, and a
-        peak of the seed's copy, the step and their union. The result counts
-        as one live set that the caller gives back. When `edges` is a dict,
-        each attracted vertex of `player` gets its lowest-id successor one
-        layer closer to the seed; seed vertices get none.
+        It counts what the loop on sets would: one cpre and one containment
+        test per round, one union per round that grows, and a peak of the
+        seed's copy, the step and their union. The result counts as one live
+        set that the caller gives back. When `edges` is a dict, each
+        attracted vertex of `player` gets its lowest-id successor one layer
+        closer to the seed; seed vertices get none.
         """
         backend = self._backend
         mine = self.owned[player].payload
@@ -520,9 +501,14 @@ class SetSpace:
             current = union(current, step)
             rounds += 1
             step = cpre(mine, current, within)
-        self.tally(unions=rounds - 1, containment_tests=rounds, cpre_ops=rounds,
-                   held=3 if rounds > 1 else 2)
-        self.counters.live_sets += 1
+        c = self.counters
+        c.unions += rounds - 1
+        c.containment_tests += rounds
+        c.cpre_ops += rounds
+        peak = c.live_sets + (3 if rounds > 1 else 2)
+        if peak > c.peak_live_sets:
+            c.peak_live_sets = peak
+        c.live_sets += 1
         return current
 
     # -- uncounted helpers for debug checks ------------------------------------

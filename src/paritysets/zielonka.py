@@ -82,18 +82,19 @@ def _top_priority(space: SetSpace, live, hi: int):
     A priority above `hi` in `live` raises `AssertionError`. Counted as on
     sets: one emptiness test of `live`, then per class scanned one
     intersection and one emptiness test, with one class alive at a time."""
-    backend = space._backend
+    backend, c = space._backend, space.counters
     equals, empty = backend.equals, space.empty.payload
     if equals(live, empty):
-        space.tally(equality_tests=1)
+        c.equality_tests += 1
         return -1, None
     intersect = backend.intersect
     classes = space.priority_sets
     for i in range(hi, -1, -1):
         cls = intersect(classes[i].payload, live)
         if not equals(cls, empty):
-            space.tally(intersections=hi - i + 1, equality_tests=hi - i + 2, held=1)
-            space.counters.live_sets += 1
+            c.intersections += hi - i + 1
+            c.equality_tests += hi - i + 2
+            _count_new(c)
             return i, cls
     raise AssertionError(f"`live` holds a priority above the scan's bound {hi}")
 

@@ -94,16 +94,23 @@ MUTANTS = [
      "c.unions += n + 1", "c.unions += n", SAMPLE_RUN),
     ("stationary block tallies n - 1 iterations", MEASURE,
      "n = last - x + 1", "n = last - x", SAMPLE_RUN),
-    ("stretch runs from position 0's end", MEASURE,
-     "last = state._stretch(r, end, fold) if x < end else x",
-     "last = state._stretch(r, end, fold)",
-     "tests/test_measure.py::test_stretches_start_below_their_end"),
     ("a resumed level scans from its parent's bound, not p_star", ZIELONKA,
      "        top = p_star\n", "",
      "tests/test_zielonka.py::test_the_loop_repeats_the_set_level_recursion"),
     ("the hook's view counts as a live set", ZIELONKA,
      "dominion_hook(space, VertexSet(space, current),", "dominion_hook(space, space._new(current),",
      SAMPLE_RUN),
+    ("closure's one-round peak counts a union", SETS,
+     "(3 if rounds > 1 else 2)", "3",
+     "tests/test_sets.py::test_closure_matches_the_per_vertex_attractor"),
+    ("the top class joins the live count without raising the peak", ZIELONKA,
+     "            _count_new(c)\n            return i, cls\n",
+     "            c.live_sets += 1\n            return i, cls\n",
+     "tests/test_zielonka.py::test_top_priority_scans_from_the_bound_down"),
+    ("a set-returning read leaves the peak of its intermediates out", MEASURE,
+     "        if c.live_sets + held > c.peak_live_sets:\n"
+     "            c.peak_live_sets = c.live_sets + held\n", "",
+     "tests/test_measure.py::test_reads_count_like_the_reference_read_by_read"),
     ("first_successor_in returns the highest bit", SETS,
      "return (m & -m).bit_length() - 1", "return m.bit_length() - 1",
      "tests/test_sets.py::test_closure_matches_the_per_vertex_attractor"),

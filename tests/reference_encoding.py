@@ -5,9 +5,9 @@ commits, and the measure strategy reading.
 time, and `ReferenceLinearState` and `ReferenceDirectState` do the same for
 the encodings' reads and commits: each intermediate is a `VertexSet` that is
 built, counted, then released, and each changed row or rank set is a new
-set. The library computes on raw payloads and counts each iteration in one
-tally; both must leave the same counters, trace events, rank states and
-answers.
+set. The library computes on raw payloads and counts them in place on the
+space's counters; both must leave the same counters, trace events, rank
+states and answers.
 
 `reference_extract_strategy_from_pm` reads a finished run's strategy by
 targets: for each winning vertex v it takes the controlled predecessors of

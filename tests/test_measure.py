@@ -921,18 +921,24 @@ def test_bounded_stretches_stop_at_the_sum_bound(monkeypatch, swap):
     assert any(at_last_row for _, at_last_row in stops)
 
 
-def test_stretches_start_below_their_end(monkeypatch):
-    # `_stretch` takes a stationary rank r with r[0] < end: a stretch that
-    # starts at its end has nothing to scan, and the loop skips the call. The
-    # fold it is handed, carried from the block's first turn, is r's own.
+def test_stretches_read_their_own_fold_and_end_at_once_at_their_end(monkeypatch):
+    # `_stretch` takes a stationary rank r with r[0] <= end and the fold
+    # carried from the block's first turn, which is r's own. A stretch that
+    # starts at its end has no row to scan: it returns r[0] and moves no
+    # counter.
     stretch = LinearSpaceState._stretch
     starts = []
 
     def checked(self, r, end, fold):
-        assert r[0] < end, (r, end)
+        assert r[0] <= end, (r, end)
         assert fold == self._fold(r, 1), r
-        starts.append(r)
-        return stretch(self, r, end, fold)
+        before = self.space.counters.snapshot()
+        last = stretch(self, r, end, fold)
+        if r[0] == end:
+            assert last == end, (r, end)
+            assert self.space.counters == before, r
+        starts.append(r[0] == end)
+        return last
 
     monkeypatch.setattr(LinearSpaceState, "_stretch", checked)
     for seed in range(4):
@@ -941,7 +947,7 @@ def test_stretches_start_below_their_end(monkeypatch):
             for swap in (False, True):
                 space = SetSpace(g)
                 _pm_run(space, space.full, bound=bound, swap=swap)
-    assert starts
+    assert True in starts and False in starts
 
 
 def _block_ends(events):

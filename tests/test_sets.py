@@ -105,23 +105,6 @@ def test_live_and_peak_accounting(space):
     assert space.counters.live_sets == base
 
 
-def test_tally_counts_a_batch_as_if_it_built_its_sets(space):
-    c = space.counters
-    live = c.live_sets
-    assert space.tally(unions=2, intersections=1, differences=3, containment_tests=4,
-                       cpre_ops=5, held=2) is None
-    assert (c.unions, c.intersections, c.differences) == (2, 1, 3)
-    assert (c.containment_tests, c.cpre_ops, c.equality_tests, c.pre_ops) == (4, 5, 0, 0)
-    assert (c.live_sets, c.peak_live_sets) == (live, live + 2)
-    # A batch's result joins the live count through _new; `held` counts it.
-    space.tally(unions=1, held=1)
-    s = space._new(space.priority_sets[1].payload)
-    assert ids(s) == {0, 2, 7} and not s.pinned
-    assert (c.unions, c.live_sets, c.peak_live_sets) == (3, live + 1, live + 2)
-    space.release(s)
-    assert c.live_sets == live
-
-
 # Every counted set-level op by name, with the number of sets it takes
 # (cpre also takes a player first; pre and cpre take a view second), and
 # each operand position of each.
