@@ -68,47 +68,66 @@ walk's floor and S_floor, which the commit leaves unchanged. Per run, one
 descending pass of c - 3 unions builds the at most c/2 sets of classes
 closure may not add.
 
-An iteration is stationary when nothing rolled back before it, r is finite
-with r[0] > 0 (so seeding reads position 0 alone) and S_r equals the
-carried S_decr(r), which one uncounted payload equality tells. Without a
-roll-back, `below` is the universe or the last iteration's `w`, whose
-final closure round found cpre(w) minus above[m], m >= 1, inside w; as
-above[m] lies in above[1], cpre is monotone and class 1 lies outside
-above[1], seeding adds nothing to S_r, one closure round under above[1]
-adds nothing, and the walk's one test holds. (A growing last iteration
-leaves S_r strictly inside S_decr(r), so the equality also says it was
-idle.) TOP never is: its closure forbids nothing. Stationary iterations
-come in stretches, in which only r[0] moves and the rank state stays as
-it is: with high = r[1:], S_(x+1, high) is S_(x, high) less the vertices
-of rank (x, high), so a stretch runs on while no vertex holds the rank
-just processed, and ends there, at position 0's cap or at a bounded
-domain's sum bound. From a stationary iteration of a linear run,
-`_stretch(r, end, fold)` finds its stretch's end with uncounted payload
-ops and counts each later rank's read and idle commit. The loop commits r
-idly and counts every rank up to the jump's end as a stationary
-iteration, so counters, peak, trace and iteration count stay as they were.
-A direct run, the exponential-space baseline, skips nothing: its
-stationary iterations run seeding, closure and the walk in full, which
-count the same.
+The closure lemma. Write cpre for the view's odd player's controlled
+predecessor and `low` for the universe outside above[1], the view's classes
+0 and 1. At the start of every turn at r, with d = decr(r), cpre of the
+carried S_d meets `low` only inside S_d. On a run's first turn S_d is the
+universe. A stationary stretch (below) carries S_d on as it found it.
+Otherwise let r' be the turn before, which leaves S_d in one of two ways:
+- r' did not roll back. S_d is its w, whose final closure round found
+  cpre(w) minus above[m], m >= 1, inside w, and above[m] lies in above[1].
+- r' rolled back to its floor f = d and left S_f as it was. Suppose some v
+  in `low` outside S_f lay in cpre(S_f). Then v's best successor rank,
+  best(v), is at least f and above v's rank, so before r' v was not at a
+  lift fixpoint, and the boundary invariant that
+  `_InvariantChecker.boundary` checks put its lift at r' or above. In
+  class 1 the lift is incr(best(v)), so best(v) >= decr(r'), and the
+  position-0 seeding of r', cpre(S_decr(r')) within class 1, put v into w.
+  In class 0 the lift is best(v) itself, so v lay in cpre(S_r'), inside
+  cpre(w) and outside every set closure forbids, and the closure of r' put
+  v into w. Either way v lay in w, inside S_f: a contradiction.
+Take a turn at a finite r = (x, high) with x > 0. It has d = (x - 1, high),
+seeds from position 0 alone and closes under above[1]. Its w starts at S_r,
+inside S_d, and while w lies in S_d each vertex that seeding or closure
+adds lies in `low` and, as cpre is monotone, in cpre(S_d): the lemma keeps
+w inside S_d. Hence (a) the turn never rolls back, as the walk's one test
+holds; and (b) with S_r equal to S_d it is stationary: seeding adds
+nothing to S_r, one closure round under above[1] adds nothing, and the
+walk's one test holds.
+
+By (b), a turn at such an r is stationary when S_r equals the carried S_d,
+which one uncounted payload equality tells. (A growing last turn leaves S_r
+strictly inside S_decr(r), so the equality also says it was idle.) TOP
+never is: its closure forbids nothing. Stationary iterations come in
+stretches, in which only r[0] moves and the rank state stays as it is: with
+high = r[1:], S_(x+1, high) is S_(x, high) less the vertices of rank (x,
+high), so a stretch runs on while no vertex holds the rank just processed,
+and ends there, at position 0's cap or at a bounded domain's sum bound.
+From a stationary iteration of a linear run, `_stretch(r, end, fold)` finds
+its stretch's end with uncounted payload ops and counts each later rank's
+read and idle commit. The loop commits r idly and counts every rank up to
+the jump's end as a stationary iteration, so counters, peak, trace and
+iteration count stay as they were. A direct run, the exponential-space
+baseline, skips nothing: its stationary iterations run seeding, closure and
+the walk in full, which count the same.
 
 A linear run takes its turns in blocks: the ranks (x, high) that share
-their higher counters high = r[1:]. A turn at (x, high) with x > 0 has d
-= (x - 1, high), and unless it rolls back its commit changes row x of
-position 0 alone, never TOP. So the loop keeps three constants from the
-block's first such turn until a commit of another kind (at x = 0, at TOP,
-or after a roll-back, which goes to `commit`): the fold of
-positions >= 1 (`_fold(r, 1)`), with which S_(x, high) is acc joined with
-running's meet with row x, one meet and one join counted as the full
-read; position 0's end, at which the next rank leaves the block by a
-carry, and below which it is (x + 1, high) without `incr`; and, from the
-block's first growing commit on, the band `_band(high)`: universe minus
-TOP, at each position p >= 1 inside row high[p - 1] and outside the next.
-`_commit_in_block` tests the delta against the band in one containment
-test, which stands for commit's TOP check and its checks at positions >=
-1, and joins it into row x of position 0; a delta outside goes to `commit`,
-which raises. The loop calls `report` only when traced or checked. On
-the benchmark's catalogues 7,180 of pm-random's 8,615 loop
-turns (83%) and 8,161 of bigstep-random's 12,572 (65%) are in-block.
+their higher counters high = r[1:]. A turn at (x, high) with x > 0 whose
+walk test held has w inside S_d, so its delta, w minus S_r, lies in S_d
+minus S_r: the vertices of rank exactly d, in row x - 1 of position 0 and
+outside row x, at high's counters above, never TOP. Raising them to r joins
+the delta into row x of position 0 and changes nothing else, which is
+`commit(r, w, old, d, d)` with its one union and one difference; the loop
+does that in place. So the loop keeps two constants from the block's first
+such turn until a commit of another kind, which goes to `commit` (at x = 0,
+at TOP, or after a failed walk test, which (a) rules out in a block): the
+fold of positions >= 1 (`_fold(r, 1)`), with which S_(x, high) is acc
+joined with running's meet with row x, one meet and one join counted as the
+full read; and position 0's end, at which the next rank leaves the block by
+a carry, and below which it is (x + 1, high) without `incr`. The loop calls
+`report` only when traced or checked. On the benchmark's catalogues 6,881
+of pm-random's 8,316 loop turns (83%) and 7,569 of bigstep-random's 11,980
+(63%) are in-block.
 
 Subgame restriction and role swapping are handled as views: the run is
 confined to a universe set (which must be closed: every vertex keeps a
@@ -469,35 +488,6 @@ class LinearSpaceState(_RankState):
         c.unions += unions
         c.differences += differences
 
-    def _band(self, high):
-        """The payload of the finite ranks (x, high), any x, by uncounted
-        payload ops: universe minus TOP, and at each position p >= 1 inside
-        row high[p - 1] and outside the row after it."""
-        backend = self.space._backend
-        band = self.coordinate[0][0].payload
-        for row, h in zip(self.coordinate[1:], high):
-            band = backend.intersect(band, row[h].payload)
-            if h + 1 < len(row):
-                band = backend.difference(band, row[h + 1].payload)
-        return band
-
-    def _commit_in_block(self, r, w, old, band):
-        """`commit(r, w, old, d, d)` for a growing S_r, r = (x, high) with x
-        > 0, d = decr(r) = (x - 1, high) and no roll-back, given
-        `_band(high)`: a delta inside the band joins row x of position 0
-        alone, and one outside goes to `commit`, which raises. The loop grows
-        `w` from `old` inside S_d, so the delta lies in row x - 1."""
-        backend = self.space._backend
-        delta = backend.difference(w, old)
-        if not backend.is_subset(delta, band):
-            d = (r[0] - 1,) + r[1:]
-            return self.commit(r, w, old, d, d)
-        cell = self.coordinate[0][r[0]]
-        cell.payload = backend.union(cell.payload, delta)
-        c = self.space.counters
-        c.unions += 1
-        c.differences += 1
-
     def ranks(self) -> dict:
         """Every universe vertex's rank, off raw payloads; counts nothing. A
         finite counter is the number of rows holding the vertex, less 1.
@@ -704,8 +694,7 @@ def _pm_run(
     odd_classes = [classes[2 * p + 1].payload for p in range(positions)]
     # Linear turns at ranks (x, high) with x > 0 run on their block's
     # constants (module docstring): `fold`, None until the block's first such
-    # turn and again after any other commit, position 0's `end`, and the
-    # `band` from the block's first growing commit on.
+    # turn and again after any other commit, and position 0's `end`.
     blocks = representation == "linear" and positions > 0
     if blocks:
         rows = state.coordinate[0]
@@ -715,7 +704,6 @@ def _pm_run(
     # on; each iteration's count includes it.
     d = domain.zero
     below = within
-    rolled_back = False
     iterations = 0
     while True:
         iterations += 1
@@ -729,13 +717,12 @@ def _pm_run(
                 high = r[1:]
                 fold = acc, running, _, _, _ = state._fold(r, 1)
                 end = domain.caps[0] if bound is None else min(domain.caps[0], bound - sum(high))
-                band = None
             # S_r is acc joined with running's meet with row x, counted as
             # `_reconstruct` counts it.
             old = rows[x].payload if running is None else intersect(running, rows[x].payload)
             old = union(acc, old)
             state._count_reads(fold, x, x)
-            if not rolled_back and equals(old, below):
+            if equals(old, below):
                 # Stationary (module docstring), as is every rank of r's
                 # stretch up to `last`. r's commit is idle (a row union and a
                 # difference); each rank counts as run (seeding's cpre, one
@@ -826,15 +813,13 @@ def _pm_run(
         below = held if rolled_back else w
 
         if in_block and not rolled_back:
-            # The commit changes row x of position 0 alone, so the block's
-            # constants hold. An idle one counts a row union and a difference.
-            if equals(w, old):
-                c.unions += 1
-                c.differences += 1
-            else:
-                if band is None:
-                    band = state._band(high)
-                state._commit_in_block(r, w, old, band)
+            # The walk's one test put the delta at rank d (module docstring),
+            # so the commit joins it into row x of position 0 alone, and the
+            # block's constants hold: a row union and a difference, as counted.
+            if not equals(w, old):
+                rows[x].payload = union(rows[x].payload, difference(w, old))
+            c.unions += 1
+            c.differences += 1
         else:
             commit(r, w, old, d, floor)
             fold = None

@@ -24,7 +24,10 @@ reads and commits add; Zielonka's loop at each step.
 
 count()/ids()/contains() on a VertexSet, and a backend's
 first_successor_in(), are uncounted instrumentation for tests, traces, IO
-and strategy edges; solver logic sticks to the counted operations.
+and strategy edges. The measure iteration also decides by payload ops it
+does not count: `commit`'s precondition tests, `_floor`'s and `_stretch`'s
+row scans, and its loop's stationary and idle tests. The rest of solver
+logic runs on counted operations.
 """
 
 from __future__ import annotations

@@ -69,13 +69,6 @@ MUTANTS = [
     ("block turns (and the stationary rule) without r[0] > 0", MEASURE,
      "in_block = blocks and r is not TOP and r[0]", "in_block = blocks and r is not TOP",
      ACCEPTANCE + "4_solver_agreement"),
-    # A false kill: its killer pins only an internal call count (seed 5
-    # takes 32 stretches instead of 23), while every op count, event and
-    # answer repeat. Whether the conjunct can go is ROADMAP item 12's open
-    # question.
-    ("stationary rule without 'no roll-back before' (killer pins a call count only)", MEASURE,
-     "if not rolled_back and equals(old, below):", "if equals(old, below):",
-     "tests/test_measure.py::test_stationary_stretches_are_jumped"),
     ("difference count ignores `forbidden is None`", MEASURE,
      "        if forbidden is not None:\n            c.differences += rounds\n",
      "        c.differences += rounds\n", SAMPLE_RUN),
@@ -212,9 +205,14 @@ MUTANTS = [
     ("block constants kept after a commit that changes a row above position 0 or TOP",
      MEASURE, "            commit(r, w, old, d, floor)\n            fold = None\n",
      "            commit(r, w, old, d, floor)\n", SAMPLE_RUN),
-    ("the band without its TOP part", MEASURE,
-     "band = self.coordinate[0][0].payload", "band = self.universe.payload",
-     "tests/test_measure.py::test_in_block_commits_outside_the_band_raise_commits_errors"),
+    ("the in-block commit joins row x - 1", MEASURE,
+     "rows[x].payload = union(rows[x].payload, difference(w, old))",
+     "rows[x - 1].payload = union(rows[x - 1].payload, difference(w, old))",
+     ACCEPTANCE + "2_symbolic_iteration"),
+    # A turn at (x, high) with x > 0 never rolls back (measure.py's closure
+    # lemma, fact (a)), so this one is equivalent.
+    ("the in-block commit without `not rolled_back`", MEASURE,
+     "if in_block and not rolled_back:", "if in_block:", None),
     ("the in-block next rank ignores the sum bound", MEASURE,
      "elif fold is not None and d[0] < end:", "elif fold is not None and d[0] < domain.caps[0]:",
      ACCEPTANCE + "5_bounded_dominions"),
